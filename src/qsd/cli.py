@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .bounds import best_cyclic_bound, lower_bound
-from .core import COMPLETENESS_TOL, Povm, QsdError, _frozen, min_eigenvalue
+from .core import COMPLETENESS_TOL, Povm, QsdError, born_table, hermitian_part
 from .nosignaling import (
     decompositions_from_structure,
     norm_identity_check,
@@ -33,8 +33,8 @@ from .serialize import (
     parse_report,
     FormatError,
 )
-from .solver import DualCertificate, SolverOptions, kkt_check, solve
-from .steering import simulate_protocol
+from .solver import SolverOptions, certificate_from_povm, dual_operator, kkt_check, solve
+from .steering import mixture_of, simulate_protocol
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -217,12 +217,10 @@ def cmd_certify(args) -> int:
     value = float(report.get("result", {}).get("guess_probability", np.nan))
 
     povm = Povm(elements=elements)  # deliberately unvalidated: residuals are reported
-    k = 0.5 * (k + k.conj().T)
+    k = hermitian_part(k)
     checks = kkt_check(ensemble, povm, k)
-    certificate = _certificate_from_parts(ensemble, k, povm)
-    recomputed = sum(
-        float(np.trace(ensemble.weighted(x) @ povm.elements[x]).real) for x in range(len(ensemble))
-    )
+    certificate = certificate_from_povm(ensemble, povm, k)
+    recomputed = float(dual_operator(ensemble, povm).trace().real)
     rows = [
         ("povm_validity", checks.primal_residual, COMPLETENESS_TOL),
         ("dual_feasibility", checks.dual_residual, tolerance),
@@ -248,19 +246,6 @@ def cmd_certify(args) -> int:
     return EXIT_OK if ok else EXIT_CERTIFICATION
 
 
-def _certificate_from_parts(ensemble, k, povm) -> DualCertificate:
-    sigma = tuple(_frozen(k - ensemble.weighted(x)) for x in range(len(ensemble)))
-    slackness = tuple(float(np.trace(s @ m).real) for s, m in zip(sigma, povm.elements))
-    feas = tuple(min_eigenvalue(s) for s in sigma)
-    return DualCertificate(
-        k_operator=_frozen(k),
-        sigma=sigma,
-        slackness=slackness,
-        dual_feasibility=feas,
-        trace_k=float(k.trace().real),
-    )
-
-
 def cmd_simulate(args) -> int:
     if args.shots <= 0:
         print("error: shots must be positive", file=sys.stderr)
@@ -275,7 +260,7 @@ def cmd_simulate(args) -> int:
     structure = steering_structure(ensemble, result.certificate)
     decompositions = decompositions_from_structure(ensemble, structure)
     stats = simulate_protocol(decompositions, result.povm, args.shots, args.seed)
-    analytic = _analytic_table(decompositions, result.povm)
+    analytic = born_table(np.array([mixture_of(e) for e in decompositions]), np.array(result.povm.elements))
     diag = stats.diagonal_sum()
     threshold = 3.0 * float(np.sqrt(len(ensemble) / (4.0 * args.shots)))
     ok = diag <= 1.0 + threshold
@@ -298,17 +283,7 @@ def cmd_simulate(args) -> int:
         },
     }
     _write_report(doc, args.output)
-    return EXIT_OK
-
-
-def _analytic_table(decompositions, povm) -> np.ndarray:
-    n = len(decompositions)
-    table = np.empty((n, n))
-    for msg, decomposition in enumerate(decompositions):
-        mixture = sum(w * s.matrix for w, s in decomposition.members)
-        for x, m in enumerate(povm.elements):
-            table[x, msg] = float(np.trace(mixture @ m).real)
-    return table
+    return EXIT_OK if ok else EXIT_CERTIFICATION
 
 
 def _instance_echo(ensemble, labels) -> dict:
@@ -323,7 +298,6 @@ def _options_block(opts: SolverOptions) -> dict:
     return {
         "kkt_tolerance": opts.kkt_tolerance,
         "max_iterations": opts.max_iterations,
-        "damping": opts.damping,
         "seed": opts.seed,
     }
 

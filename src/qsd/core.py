@@ -76,12 +76,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().T)
+    """(A + A^dagger) / 2 of a matrix or of each matrix in an (N, d, d) stack."""
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def hermiticity_error(a: np.ndarray) -> float:
-    """Largest entrywise deviation |A_ij - conj(A_ji)|."""
-    return float(np.abs(a - a.conj().T).max())
+    """Largest entrywise deviation |A_ij - conj(A_ji)| (over a stack too)."""
+    return float(np.abs(a - a.conj().swapaxes(-1, -2)).max())
 
 
 def check_hermitian(a: np.ndarray, context: str = "matrix") -> None:
@@ -92,7 +93,7 @@ def check_hermitian(a: np.ndarray, context: str = "matrix") -> None:
 
 
 def min_eigenvalue(a: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
+    """Smallest eigenvalue of a Hermitian matrix, or of all matrices in a stack."""
     return float(np.linalg.eigvalsh(hermitian_part(a)).min())
 
 
@@ -243,14 +244,12 @@ def trace_norm(a, hermitian: bool = True) -> float:
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
-def _clamp_probability(p: float, context: str) -> float:
-    if -PROB_CLAMP <= p < 0.0:
-        return 0.0
-    if 1.0 < p <= 1.0 + PROB_CLAMP:
-        return 1.0
-    if p < 0.0 or p > 1.0:
-        raise InvalidProbability(f"{context}: value {p:.12g} outside [0, 1]")
-    return p
+def born_table(states: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """Unchecked Born table tr[states_y elements_x] of two (N, d, d) stacks.
+
+    Entry (x, y) is the probability that element x clicks on state y.
+    """
+    return np.einsum("xij,yji->xy", elements, states).real
 
 
 def born_probabilities(ensemble: StateEnsemble, povm: Povm) -> np.ndarray:
@@ -265,12 +264,12 @@ def born_probabilities(ensemble: StateEnsemble, povm: Povm) -> np.ndarray:
         raise DimensionMismatch(f"POVM has {len(povm)} elements for {n} states")
     if povm.dim != ensemble.dim:
         raise DimensionMismatch(f"POVM dimension {povm.dim} != state dimension {ensemble.dim}")
-    table = np.empty((n, n))
-    for x, m in enumerate(povm.elements):
-        for y, state in enumerate(ensemble.states):
-            p = float(np.trace(state.matrix @ m).real)
-            table[x, y] = _clamp_probability(p, f"P({x}|{y})")
-    return table
+    table = born_table(np.array([s.matrix for s in ensemble.states]), np.array(povm.elements))
+    outside = (table < -PROB_CLAMP) | (table > 1.0 + PROB_CLAMP)
+    if outside.any():
+        x, y = np.argwhere(outside)[0]
+        raise InvalidProbability(f"P({x}|{y}): value {table[x, y]:.12g} outside [0, 1]")
+    return np.clip(table, 0.0, 1.0)
 
 
 def guess_value(ensemble: StateEnsemble, povm: Povm) -> float:

@@ -11,6 +11,11 @@ re-projection.  Every iterate is a valid POVM and the fixed points are exactly
 the points where the complementary-slackness and stationarity conditions of
 the dual problem (min tr K subject to K >= q_x rho_x) hold, so "converged"
 means "certified optimal within tolerance".
+
+Operators are held as (N, d, d) stacks: the weighted states W_x = q_x rho_x
+and the elements M_x.  One routine, _residuals, evaluates the dual side of
+the optimality conditions for every caller (the iteration, kkt_check and
+certificate_from_povm) with one batched eigvalsh over the stack K - W.
 """
 
 from __future__ import annotations
@@ -51,7 +56,6 @@ class SolverOptions:
 
     max_iterations: int = 10000
     kkt_tolerance: float = 1e-9
-    damping: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -59,8 +63,6 @@ class SolverOptions:
             raise ValueError(f"kkt_tolerance must be positive, got {self.kkt_tolerance}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not 0.0 <= self.damping < 1.0:
-            raise ValueError(f"damping must lie in [0, 1), got {self.damping}")
 
 
 @dataclass(frozen=True)
@@ -93,11 +95,7 @@ class KktReport:
         return max(self.primal_residual, self.dual_residual, self.slackness_residual, abs(self.gap))
 
     def within(self, tolerance: float) -> bool:
-        return (
-            self.slackness_residual <= tolerance
-            and self.dual_residual <= tolerance
-            and abs(self.gap) <= tolerance
-        )
+        return self.max_residual() <= tolerance
 
 
 @dataclass(frozen=True)
@@ -118,22 +116,23 @@ def dual_operator(ensemble: StateEnsemble, povm: Povm) -> np.ndarray:
     By construction tr K equals the primal objective of the given POVM; K is
     dual-feasible (K >= q_x rho_x) exactly when the POVM is optimal.
     """
-    _check_match(ensemble, povm)
-    r = sum(ensemble.weighted(x) @ povm.elements[x] for x in range(len(ensemble)))
-    return hermitian_part(r)
+    return hermitian_part((_weighted(ensemble) @ _elements(ensemble, povm)).sum(axis=0))
 
 
-def certificate_from_povm(ensemble: StateEnsemble, povm: Povm) -> DualCertificate:
-    """Assemble the dual certificate induced by a measurement."""
-    k = dual_operator(ensemble, povm)
-    sigma = tuple(_frozen(k - ensemble.weighted(x)) for x in range(len(ensemble)))
-    slackness = tuple(float(np.trace(s @ m).real) for s, m in zip(sigma, povm.elements))
-    feas = tuple(min_eigenvalue(s) for s in sigma)
+def certificate_from_povm(ensemble: StateEnsemble, povm: Povm, k=None) -> DualCertificate:
+    """Assemble the dual certificate of a measurement.
+
+    K defaults to dual_operator(ensemble, povm); pass a Hermitian k to build
+    the certificate of a given dual operator instead (a stored report's K).
+    """
+    if k is None:
+        k = dual_operator(ensemble, povm)
+    sigma, slackness, feas, _ = _residuals(_weighted(ensemble), _elements(ensemble, povm), k)
     return DualCertificate(
         k_operator=_frozen(k),
-        sigma=sigma,
-        slackness=slackness,
-        dual_feasibility=feas,
+        sigma=tuple(_frozen(sigma)),
+        slackness=tuple(slackness.tolist()),
+        dual_feasibility=tuple(feas.tolist()),
         trace_k=float(k.trace().real),
     )
 
@@ -146,27 +145,21 @@ def kkt_check(ensemble: StateEnsemble, povm: Povm, k) -> KktReport:
     slackness_residual: max |tr[(K - q_x rho_x) M_x]|.  gap: tr K minus the
     primal objective.
     """
-    _check_match(ensemble, povm)
+    elements = _elements(ensemble, povm)
     k = np.asarray(k, dtype=complex)
     if k.shape != (ensemble.dim, ensemble.dim):
         raise DimensionMismatch(f"K has shape {k.shape}, expected {(ensemble.dim,) * 2}")
     check_hermitian(k, "dual operator")
 
-    herm = max(hermiticity_error(m) for m in povm.elements)
-    neg = max(max(0.0, -min_eigenvalue(m)) for m in povm.elements)
-    comp = float(np.abs(sum(povm.elements) - np.eye(ensemble.dim)).max())
-    primal = max(herm, neg, comp)
-
-    dual = 0.0
-    slack = 0.0
-    objective = 0.0
-    for x in range(len(ensemble)):
-        sigma = k - ensemble.weighted(x)
-        dual = max(dual, max(0.0, -min_eigenvalue(sigma)))
-        slack = max(slack, abs(float(np.trace(sigma @ povm.elements[x]).real)))
-        objective += float(np.trace(ensemble.weighted(x) @ povm.elements[x]).real)
-    gap = float(k.trace().real) - objective
-    return KktReport(primal_residual=primal, dual_residual=dual, slackness_residual=slack, gap=gap)
+    comp = float(np.abs(elements.sum(axis=0) - np.eye(ensemble.dim)).max())
+    primal = max(hermiticity_error(elements), -min_eigenvalue(elements), comp)
+    _, slackness, feas, gap = _residuals(_weighted(ensemble), elements, hermitian_part(k))
+    return KktReport(
+        primal_residual=primal,
+        dual_residual=max(0.0, -float(feas.min())),
+        slackness_residual=float(np.abs(slackness).max()),
+        gap=gap,
+    )
 
 
 def solve(ensemble: StateEnsemble, options: SolverOptions | None = None) -> DiscriminationResult:
@@ -183,50 +176,40 @@ def solve(ensemble: StateEnsemble, options: SolverOptions | None = None) -> Disc
     d = ensemble.dim
     identity = np.eye(d)
 
-    active = [x for x in range(n) if ensemble.priors[x] >= ZERO_PRIOR]
-    weighted = {x: ensemble.weighted(x) for x in active}
+    active = np.flatnonzero(ensemble.priors >= ZERO_PRIOR)
+    weighted = _weighted(ensemble)[active]
 
     rng = np.random.default_rng(opts.seed)
-    elements = {}
-    for x in range(n):
-        noise = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        if x in weighted:
-            elements[x] = identity / len(active) + 1e-6 * hermitian_part(noise)
-    total = sum(elements.values())
-    proj = psd_sqrt_pinv(total)
-    elements = {x: hermitian_part(proj @ m @ proj) for x, m in elements.items()}
+    draws = rng.standard_normal((n, 2, d, d))  # the (real, imaginary) noise of every state
+    noise = draws[active, 0] + 1j * draws[active, 1]
+    elements = identity / len(active) + 1e-6 * hermitian_part(noise)
+    proj = psd_sqrt_pinv(elements.sum(axis=0))
+    elements = hermitian_part(proj @ elements @ proj)
 
     if len(active) == 1:
         # Degenerate instance: one state carries all the weight.
-        elements = {active[0]: identity}
+        elements = np.eye(d, dtype=complex)[None]
 
-    best_elements = dict(elements)
+    best_elements = elements
     best_residual = np.inf
     stall = 0
     iterations = 0
+    wm = weighted @ elements
 
     for it in range(1, opts.max_iterations + 1):
         iterations = it
         if len(active) > 1:
-            g = sum(weighted[x] @ elements[x] @ weighted[x] for x in active)
-            g_inv_sqrt = psd_sqrt_pinv(g)
-            updated = {
-                x: hermitian_part(g_inv_sqrt @ weighted[x] @ elements[x] @ weighted[x] @ g_inv_sqrt)
-                for x in active
-            }
-            deficiency = identity - sum(updated.values())
-            for x in active:
-                updated[x] = updated[x] + deficiency / len(active)
-            if opts.damping > 0.0:
-                updated = {
-                    x: (1.0 - opts.damping) * updated[x] + opts.damping * elements[x] for x in active
-                }
-            elements = updated
+            wmw = wm @ weighted
+            g_inv_sqrt = psd_sqrt_pinv(wmw.sum(axis=0))
+            elements = hermitian_part(g_inv_sqrt @ wmw @ g_inv_sqrt)
+            elements += (identity - elements.sum(axis=0)) / len(active)
+            wm = weighted @ elements
 
-        residual = _internal_residual(weighted, elements, active)
+        _, slackness, feas, gap = _residuals(weighted, elements, hermitian_part(wm.sum(axis=0)))
+        residual = max(float(np.abs(slackness).max()), -float(feas.min()), abs(gap))
         if residual < best_residual:
             best_residual = residual
-            best_elements = dict(elements)
+            best_elements = elements
             stall = 0
         else:
             stall += 1
@@ -235,11 +218,9 @@ def solve(ensemble: StateEnsemble, options: SolverOptions | None = None) -> Disc
         if best_residual <= opts.kkt_tolerance and stall >= STALL_LIMIT:
             break
 
-    full = []
-    for x in range(n):
-        m = best_elements.get(x)
-        full.append(_frozen(m.copy()) if m is not None else _frozen(np.zeros((d, d), dtype=complex)))
-    povm = Povm(elements=tuple(full))
+    full = np.zeros((n, d, d), dtype=complex)
+    full[active] = best_elements
+    povm = Povm(elements=tuple(_frozen(full)))
     _assert_valid_iterate(povm)
 
     certificate = certificate_from_povm(ensemble, povm)
@@ -255,20 +236,19 @@ def solve(ensemble: StateEnsemble, options: SolverOptions | None = None) -> Disc
     )
 
 
-def _internal_residual(weighted, elements, active) -> float:
-    """max(slackness, dual infeasibility, |gap|) for the current raw iterate."""
-    r = sum(weighted[x] @ elements[x] for x in active)
-    k = hermitian_part(r)
-    objective = 0.0
-    slack = 0.0
-    dual = 0.0
-    for x in active:
-        sigma = k - weighted[x]
-        slack = max(slack, abs(float(np.trace(sigma @ elements[x]).real)))
-        dual = max(dual, max(0.0, -float(np.linalg.eigvalsh(sigma).min())))
-        objective += float(np.trace(weighted[x] @ elements[x]).real)
-    gap = abs(float(k.trace().real) - objective)
-    return max(slack, dual, gap)
+def _residuals(weighted: np.ndarray, elements: np.ndarray, k: np.ndarray):
+    """Dual-side optimality terms of stacked weighted states and elements.
+
+    weighted and elements are (N, d, d) stacks and k a Hermitian (d, d) dual
+    operator.  Returns the stack sigma = k - weighted, the slacknesses
+    tr[sigma_x M_x], the smallest eigenvalue of each sigma_x (one batched
+    eigvalsh) and the gap tr k - sum_x tr[weighted_x M_x].
+    """
+    sigma = k - weighted
+    slackness = np.einsum("xij,xji->x", sigma, elements).real
+    feas = np.linalg.eigvalsh(sigma)[:, 0]
+    gap = float(k.trace().real) - float(np.einsum("xij,xji->", weighted, elements).real)
+    return sigma, slackness, feas, gap
 
 
 def _assert_valid_iterate(povm: Povm) -> None:
@@ -280,8 +260,16 @@ def _assert_valid_iterate(povm: Povm) -> None:
         raise CompletenessDrift(f"iterate completeness deviation {comp:.3e}")
 
 
-def _check_match(ensemble: StateEnsemble, povm: Povm) -> None:
+def _weighted(ensemble: StateEnsemble) -> np.ndarray:
+    """The (N, d, d) stack of prior-weighted states q_x rho_x."""
+    return ensemble.priors[:, None, None] * np.array([s.matrix for s in ensemble.states])
+
+
+def _elements(ensemble: StateEnsemble, povm: Povm) -> np.ndarray:
+    """The POVM's (N, d, d) stack, after checking it matches the ensemble."""
     if len(povm) != len(ensemble):
         raise DimensionMismatch(f"POVM has {len(povm)} elements for {len(ensemble)} states")
-    if povm.dim != ensemble.dim:
-        raise DimensionMismatch(f"POVM dimension {povm.dim} != state dimension {ensemble.dim}")
+    for x, m in enumerate(povm.elements):
+        if np.shape(m) != (ensemble.dim, ensemble.dim):
+            raise DimensionMismatch(f"POVM element {x} has shape {np.shape(m)}, expected {(ensemble.dim,) * 2}")
+    return np.array(povm.elements, dtype=complex)

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from qsd import kkt_check, make_ensemble, Povm
+from qsd import DetectorStatistics, kkt_check, make_ensemble, Povm
 from qsd.cli import main
 from qsd.serialize import decode_matrix, dump_json, ensemble_to_doc, parse_instance
 
@@ -129,6 +129,16 @@ class TestCertifyCommand:
         povm_line = next(line for line in table.splitlines() if line.startswith("povm_validity"))
         assert float(povm_line.split()[1]) == pytest.approx(1e-3, rel=0.2)
 
+    def test_povm_element_of_wrong_dimension_is_an_input_error(self, trine_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        main(["solve", trine_file, "--output", str(out)])
+        report = json.loads(out.read_text())
+        report["matrices"]["povm"][1] = [[[1.0, 0.0]] * 3] * 3
+        corrupted = tmp_path / "corrupted.json"
+        corrupted.write_text(dump_json(report))
+        assert main(["certify", trine_file, str(corrupted)]) == 1
+        assert "POVM element 1" in capsys.readouterr().err
+
     def test_instance_hash_mismatch(self, trine_file, orthogonal_file, tmp_path):
         out = tmp_path / "report.json"
         main(["solve", trine_file, "--output", str(out)])
@@ -163,6 +173,18 @@ class TestSimulateCommand:
         diag = report["result"]["diagonal_sum"]
         assert 1.0 - 3e-3 <= diag <= 1.0 + 3e-3
         assert report["result"]["nosignaling_ok"] is True
+
+    def test_signaling_statistics_exit_three(self, trine_file, tmp_path, monkeypatch):
+        # A detector that always answers correctly would signal: diagonal sum 3.
+        def perfect(decompositions, povm, shots, seed):
+            return DetectorStatistics(counts=np.eye(len(decompositions), dtype=np.int64) * shots, shots_per_message=shots)
+
+        monkeypatch.setattr("qsd.cli.simulate_protocol", perfect)
+        out = tmp_path / "sim.json"
+        assert main(["simulate", trine_file, "--shots", "1000", "--output", str(out)]) == 3
+        report = json.loads(out.read_text())
+        assert report["result"]["diagonal_sum"] == pytest.approx(3.0)
+        assert report["result"]["nosignaling_ok"] is False
 
     def test_zero_shots_rejected(self, trine_file, capsys):
         assert main(["simulate", trine_file, "--shots", "0"]) == 1

@@ -8,6 +8,7 @@ import pytest
 from qsd import (
     DimensionMismatch,
     NotHermitian,
+    Povm,
     SolverOptions,
     dual_operator,
     guess_value,
@@ -95,10 +96,6 @@ class TestSolverOptions:
         with pytest.raises(ValueError):
             SolverOptions(max_iterations=0)
 
-    def test_rejects_bad_damping(self):
-        with pytest.raises(ValueError):
-            SolverOptions(damping=1.0)
-
 
 class TestDualOperator:
     def test_orthogonal_with_matching_projectors(self):
@@ -168,6 +165,18 @@ class TestKktCheck:
         povm = validate_povm([np.eye(2) / 3] * 3)
         with pytest.raises(DimensionMismatch):
             kkt_check(trine_ensemble, povm, np.eye(3))
+
+    def test_primal_violation_alone_is_not_within_tolerance(self):
+        # Orthogonal states in d = 3 leave |2> unused: moving weight there
+        # from M_1 to M_0 makes M_1 negative while K, slackness and gap stay exact.
+        ensemble = make_ensemble([0.5, 0.5], [projector(1, 0, 0), projector(0, 1, 0)])
+        unused = projector(0, 0, 1)
+        povm = Povm(elements=(projector(1, 0, 0) + (1 + 1e-6) * unused, projector(0, 1, 0) - 1e-6 * unused))
+        report = kkt_check(ensemble, povm, dual_operator(ensemble, povm))
+        assert report.primal_residual == pytest.approx(1e-6, rel=1e-6)
+        assert max(report.dual_residual, report.slackness_residual, abs(report.gap)) <= 1e-15
+        assert not report.within(1e-9)
+        assert report.within(1e-5)
 
 
 class TestSolverProperties:
