@@ -98,15 +98,17 @@ def min_eigenvalue(a: np.ndarray) -> float:
 
 
 def psd_sqrt_pinv(a: np.ndarray, cutoff: float = 1e-12) -> np.ndarray:
-    """Pseudo-inverse square root of a PSD matrix.
+    """Pseudo-inverse square root of a Hermitian PSD matrix.
 
-    Eigenvalues below cutoff * max_eigenvalue are treated as zero, the
-    standard numerical-rank policy shared with the solver.
+    Eigenvalues at or below cutoff * max_eigenvalue are treated as zero, the
+    standard numerical-rank policy shared with the solver; their eigenvectors
+    are left out of the result.  Only the lower triangle of a is read.
     """
-    w, v = np.linalg.eigh(hermitian_part(a))
-    wmax = max(float(w.max()), 0.0)
-    inv = np.where(w > cutoff * wmax, 1.0 / np.sqrt(np.maximum(w, np.finfo(float).tiny)), 0.0)
-    return (v * inv) @ v.conj().T
+    w, v = np.linalg.eigh(a)
+    # eigh sorts w ascending: the kept eigenvalues are the tail w[k:].
+    k = np.searchsorted(w, cutoff * max(w[-1], 0.0), side="right")
+    kept = v[:, k:]
+    return (kept / np.sqrt(w[k:])) @ kept.conj().T
 
 
 def psd_project(a: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qsd import make_ensemble
+from qsd.rand import random_ensemble
 
 
 def ket(*amplitudes) -> np.ndarray:
@@ -50,3 +51,12 @@ def orthogonal_instance(n: int, rng=None):
     priors /= priors.sum()
     states = [np.diag([1.0 if i == x else 0.0 for i in range(n)]).astype(complex) for x in range(n)]
     return make_ensemble(priors, states)
+
+
+def corpus_ensembles(seed: int, count: int = 200):
+    """The acceptance corpus's draw order: N in 2..6, d in {2, 3, 4}, pure or mixed."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 7))
+        d = int(rng.choice([2, 3, 4]))
+        yield random_ensemble(rng, n, d, pure=bool(rng.integers(2)))

@@ -32,7 +32,7 @@ from qsd.cli import main
 from qsd.rand import random_ensemble, random_planar_qubit_ensemble
 from qsd.serialize import dump_json, ensemble_to_doc
 
-from .conftest import trine_states
+from .conftest import corpus_ensembles, trine_states
 
 
 def report_line(number: int, name: str, detail: str) -> None:
@@ -42,14 +42,7 @@ def report_line(number: int, name: str, detail: str) -> None:
 @pytest.fixture(scope="module")
 def corpus():
     """200 solved instances, N in 2..6 and d in {2,3,4}, shared by criteria 2-5."""
-    rng = np.random.default_rng(20260101)
-    instances = []
-    for _ in range(200):
-        n = int(rng.integers(2, 7))
-        d = int(rng.choice([2, 3, 4]))
-        ensemble = random_ensemble(rng, n, d, pure=bool(rng.integers(2)))
-        instances.append((ensemble, solve(ensemble)))
-    return instances
+    return [(ensemble, solve(ensemble)) for ensemble in corpus_ensembles(20260101)]
 
 
 @pytest.fixture(scope="module")

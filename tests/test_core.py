@@ -1,4 +1,4 @@
-"""Validation, trace norm and Born-rule arithmetic."""
+"""Validation, trace norm, Born-rule arithmetic and the pseudo-inverse square root."""
 
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ from qsd import (
     validate_density,
     validate_povm,
 )
+from qsd.core import psd_sqrt_pinv
 from qsd.rand import random_density, random_ensemble, random_povm
 
 from .conftest import projector, trine_states
@@ -194,3 +195,43 @@ class TestGuessValue:
             povm = random_povm(rng, n, d)
             table = born_probabilities(ensemble, povm)
             assert guess_value(ensemble, povm) == float(ensemble.priors @ np.diag(table))
+
+
+class TestPsdSqrtPinv:
+    """psd_sqrt_pinv against a plain per-eigenvalue reference with the same rank policy."""
+
+    @staticmethod
+    def reference(a, cutoff=1e-12):
+        w, v = np.linalg.eigh(a)
+        out = np.zeros_like(a, dtype=complex)
+        for lam, vec in zip(w, v.T):
+            if lam > cutoff * max(w.max(), 0.0):
+                out += np.outer(vec, vec.conj()) / np.sqrt(lam)
+        return out
+
+    @staticmethod
+    def with_spectrum(rng, spectrum):
+        g = rng.standard_normal((len(spectrum),) * 2) + 1j * rng.standard_normal((len(spectrum),) * 2)
+        u, _ = np.linalg.qr(g)
+        a = (u * np.asarray(spectrum, dtype=float)) @ u.conj().T
+        return 0.5 * (a + a.conj().T)
+
+    @pytest.mark.parametrize(
+        "spectrum",
+        [
+            (0.0, 0.0, 0.3, 1.0),  # rank-deficient
+            (1e-13, 1e-11, 0.5, 1.0),  # one eigenvalue under the cutoff, one over
+            (1e-12, 2e-12, 5e-13, 3e-12),  # full rank at 1e-12 scale: kept, the policy is relative
+            (-1e-17, 1e-12, 0.2, 1.0),  # rounding noise below zero
+        ],
+    )
+    def test_matches_reference(self, spectrum):
+        a = self.with_spectrum(np.random.default_rng(700), spectrum)
+        expected = self.reference(a)
+        got = psd_sqrt_pinv(a)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_exact_zeros_on_the_kernel(self):
+        np.testing.assert_array_equal(psd_sqrt_pinv(np.zeros((3, 3))), np.zeros((3, 3)))
+        np.testing.assert_array_equal(psd_sqrt_pinv(np.diag([4.0, 0.0, 1e-14])), np.diag([0.5, 0.0, 0.0]))
+        np.testing.assert_array_equal(psd_sqrt_pinv(1e-12 * np.diag([4.0, 1.0])), np.diag([5e5, 1e6]))

@@ -20,7 +20,7 @@ from qsd import (
 )
 from qsd.rand import random_ensemble
 
-from .conftest import orthogonal_instance, projector
+from .conftest import corpus_ensembles, orthogonal_instance, projector
 
 
 class TestSolve:
@@ -85,6 +85,35 @@ class TestSolve:
         assert result.guess_probability == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_array_equal(result.povm.elements[0], np.eye(2))
         np.testing.assert_array_equal(result.povm.elements[1], np.zeros((2, 2)))
+
+
+class TestAcceleration:
+    """The Anderson step on square-root factors: the tail converges and every iterate stays a POVM."""
+
+    @staticmethod
+    def corpus_instance(seed: int, index: int):
+        return next(e for i, e in enumerate(corpus_ensembles(seed)) if i == index)
+
+    def test_slowest_acceptance_instance_converges_quickly(self):
+        # The plain fixed-point map needs 7004 iterations on this pure N = 5, d = 2 instance.
+        ensemble = self.corpus_instance(20260101, 103)
+        assert (len(ensemble), ensemble.dim) == (5, 2)
+        result = solve(ensemble)
+        assert result.converged
+        assert result.iterations <= 100
+
+    def test_stalled_pure_instance_now_converges(self):
+        # The plain map stops at a residual of 2.25e-9 on this pure N = 4, d = 4 instance.
+        ensemble = self.corpus_instance(1, 90)
+        assert (len(ensemble), ensemble.dim) == (4, 4)
+        assert solve(ensemble).converged
+
+    def test_every_truncated_iterate_is_a_valid_povm(self):
+        ensemble = random_ensemble(np.random.default_rng(52), 6, 3)  # mixed; converges after 35 iterations
+        for k in range(1, 16):
+            result = solve(ensemble, SolverOptions(max_iterations=k))
+            assert result.iterations == k
+            validate_povm(result.povm.elements)
 
 
 class TestSolverOptions:
@@ -165,6 +194,13 @@ class TestKktCheck:
         povm = validate_povm([np.eye(2) / 3] * 3)
         with pytest.raises(DimensionMismatch):
             kkt_check(trine_ensemble, povm, np.eye(3))
+
+    def test_solve_report_matches_an_independent_kkt_check_bit_for_bit(self):
+        rng = np.random.default_rng(46)
+        zero_prior = make_ensemble([0.5, 0.5, 0.0], [projector(1, 0), projector(1, 1), np.eye(2) / 2])
+        for ensemble in (random_ensemble(rng, 4, 3), zero_prior):
+            result = solve(ensemble)
+            assert result.report == kkt_check(ensemble, result.povm, result.certificate.k_operator)
 
     def test_primal_violation_alone_is_not_within_tolerance(self):
         # Orthogonal states in d = 3 leave |2> unused: moving weight there
