@@ -5,7 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .core import QsdError, StateEnsemble, trace_norm
+import numpy as np
+
+from .core import QsdError, StateEnsemble, pair_trace_norms
 
 MAX_CYCLE_STATES = 8
 
@@ -46,10 +48,7 @@ def lower_bound(ensemble: StateEnsemble, ordering=None, optimal_value: float | N
         order = tuple(int(i) for i in ordering)
         if sorted(order) != list(range(n)):
             raise BadPermutation(f"{order} is not a permutation of 0..{n - 1}")
-    terms = tuple(
-        trace_norm(ensemble.weighted(order[i]) - ensemble.weighted(order[(i + 1) % n]))
-        for i in range(n)
-    )
+    terms = tuple(float(t) for t in pair_trace_norms(ensemble.weighted_stack(), order, order[1:] + order[:1]))
     # builtin sum so the value is bit-reproducible from the recorded pair terms
     value = (1.0 + 0.5 * sum(terms)) / n
     return BoundReport(
@@ -69,17 +68,25 @@ def best_cyclic_bound(ensemble: StateEnsemble, optimal_value: float | None = Non
     n = len(ensemble)
     if n > MAX_CYCLE_STATES:
         raise TooLarge(f"cyclic enumeration supports at most {MAX_CYCLE_STATES} states, got {n}")
-    best = lower_bound(ensemble, optimal_value=optimal_value)
     if n <= 2:
-        return best
+        return lower_bound(ensemble, optimal_value=optimal_value)
+    # Every ordered pair's norm once; each ordering then only sums table
+    # entries, in lower_bound's order, so the winner's value is reproduced.
+    first, second = (a.ravel() for a in np.indices((n, n)))
+    table = pair_trace_norms(ensemble.weighted_stack(), first, second).reshape(n, n).tolist()
+    best_order = tuple(range(n))
+    best_value = _cycle_value(table, best_order)
     # Fix state 0 first and skip mirrored cycles.
     for rest in permutations(range(1, n)):
         if rest[0] > rest[-1]:
             continue
         order = (0,) + rest
-        report = lower_bound(ensemble, order, optimal_value=optimal_value)
-        if report.lower_bound > best.lower_bound + 1e-15 or (
-            abs(report.lower_bound - best.lower_bound) <= 1e-15 and order < best.ordering
-        ):
-            best = report
-    return best
+        value = _cycle_value(table, order)
+        if value > best_value + 1e-15 or (abs(value - best_value) <= 1e-15 and order < best_order):
+            best_order, best_value = order, value
+    return lower_bound(ensemble, best_order, optimal_value=optimal_value)
+
+
+def _cycle_value(table: list[list[float]], order: tuple[int, ...]) -> float:
+    n = len(order)
+    return (1.0 + 0.5 * sum([table[order[i]][order[(i + 1) % n]] for i in range(n)])) / n

@@ -153,6 +153,10 @@ class StateEnsemble:
         """The prior-weighted operator of state x."""
         return self.priors[x] * self.states[x].matrix
 
+    def weighted_stack(self) -> np.ndarray:
+        """The (N, d, d) stack of prior-weighted operators q_x rho_x."""
+        return self.priors[:, None, None] * np.array([s.matrix for s in self.states])
+
     def permuted(self, order) -> "StateEnsemble":
         """A new ensemble with states and priors jointly reordered."""
         order = list(order)
@@ -244,6 +248,18 @@ def trace_norm(a, hermitian: bool = True) -> float:
         check_hermitian(m, "trace_norm input")
         return float(np.abs(np.linalg.eigvalsh(hermitian_part(m))).sum())
     return float(np.linalg.svd(m, compute_uv=False).sum())
+
+
+def pair_trace_norms(stack: np.ndarray, first, second) -> np.ndarray:
+    """Trace norms ||stack[a] - stack[b]|| for (a, b) in zip(first, second).
+
+    One Hermiticity check and one batched eigvalsh over the stack of
+    differences.  The batch runs the same LAPACK routine per matrix, so each
+    norm equals trace_norm of the same difference bit for bit.
+    """
+    diffs = stack[np.asarray(first, dtype=int)] - stack[np.asarray(second, dtype=int)]
+    check_hermitian(diffs, "trace_norm input")
+    return np.abs(np.linalg.eigvalsh(hermitian_part(diffs))).sum(axis=-1)
 
 
 def born_table(states: np.ndarray, elements: np.ndarray) -> np.ndarray:

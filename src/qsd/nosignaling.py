@@ -25,6 +25,7 @@ from .core import (
     QsdError,
     StateEnsemble,
     _frozen,
+    pair_trace_norms,
     psd_project,
     trace_norm,
     validate_density,
@@ -164,17 +165,11 @@ def norm_identity_check(structure: SteeringStructure, ensemble: StateEnsemble) -
     complementary difference must have equal trace norms, because both equal
     the difference of two decompositions of the same operator.
     """
-    n = len(ensemble)
-    worst = 0.0
-    for x in range(n):
-        for y in range(x + 1, n):
-            lhs = trace_norm(
-                structure.p[x] * ensemble.states[x].matrix
-                - structure.p[y] * ensemble.states[y].matrix
-            )
-            rhs = trace_norm((structure.sigma[x] - structure.sigma[y]) / structure.trace_k)
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+    first, second = np.triu_indices(len(ensemble), k=1)
+    states = np.array([s.matrix for s in ensemble.states])
+    lhs = pair_trace_norms(structure.p[:, None, None] * states, first, second)
+    rhs = pair_trace_norms(np.array(structure.sigma) / structure.trace_k, first, second)
+    return float(np.abs(lhs - rhs).max())
 
 
 def detector_nosignaling_check(stats, tolerance: float) -> tuple[float, bool]:

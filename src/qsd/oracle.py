@@ -1,43 +1,99 @@
-"""Brute-force qubit oracle: an independent check on the iterative solver.
+"""Exact qubit reference: an independent check on the iterative solver.
 
-Every value returned is the success probability of an explicitly constructed
-valid POVM, so the result is a certified lower bound on the optimum.  For the
-two- and three-state qubit families exercised by the acceptance suite the
-search is fine enough to land within 1e-3 of the optimum.
+For qubits the dual problem min tr K subject to K >= q_x rho_x is solved in
+closed form.  Write K = (P I + v.sigma) / 2 and rho_x = (I + r_x.sigma) / 2:
+K - q_x rho_x is PSD exactly when P - q_x >= |v - q_x r_x|, so
+
+    P_guess = min_v max_x (q_x + |v - q_x r_x|),
+
+the radius of the smallest ball enclosing the balls B(q_x r_x, q_x).  This is
+the no-signaling geometry of the problem: the optimal K, normalized, is the
+one state that every weighted state q_x rho_x meets with a complementary
+state.  The optimal v is either the centre of one ball or lies in the
+affine hull of the centres of a support set of two to four balls, all
+tangent to the enclosing ball.  Every such set is solved exactly, and the
+candidate centre with the smallest covering radius is returned together
+with its K.  Any N is handled; the number of sets grows as N^4.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import numpy as np
 
 from .core import QsdError, StateEnsemble
 
-FINAL_STEP = 0.002
-COARSE_STEP = 0.03
+# A support set has at most dim(R^3) + 1 members.
+MAX_SUPPORT = 4
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 class UnsupportedDimension(QsdError):
-    """The grid oracle only handles qubit ensembles with 2 or 3 states."""
+    """The exact reference only handles qubit ensembles."""
 
 
 def oracle_grid(ensemble: StateEnsemble) -> float:
-    """Best guess value over a brute-force family of qubit measurements.
+    """Exact optimal guessing probability of a qubit ensemble, for any N.
 
-    N = 2: every assignment of the two outcomes of every projective
-    measurement on a (polar, azimuthal) grid with step <= 0.002 rad.
-    N = 3: additionally, three-element rank-1 POVMs c_x |v_x><v_x| with
-    coplanar Bloch directions, scanned coarse-to-fine down to the same step
-    (the weights c_x are fixed by completeness once the directions are
-    chosen, so every scanned point is a valid POVM).
+    The value is tr K of the dual operator returned by qubit_optimum, which
+    satisfies K >= q_x rho_x for every x up to rounding: it certifies the
+    optimum from above, and the enclosing-ball construction makes it exact.
+    """
+    return qubit_optimum(ensemble)[0]
+
+
+def qubit_optimum(ensemble: StateEnsemble) -> tuple[float, np.ndarray]:
+    """(P_guess, K): the optimal value and a dual operator attaining it.
+
+    K = (P I + v.sigma) / 2 with v the centre of the smallest ball enclosing
+    the balls B(q_x r_x, q_x); tr K = P.
     """
     if ensemble.dim != 2:
-        raise UnsupportedDimension(f"grid oracle requires qubits, got dimension {ensemble.dim}")
-    n = len(ensemble)
-    if n == 2:
-        return _two_state(ensemble)
-    if n == 3:
-        return _three_state(ensemble)
-    raise UnsupportedDimension(f"grid oracle supports 2 or 3 states, got {n}")
+        raise UnsupportedDimension(f"exact reference requires qubits, got dimension {ensemble.dim}")
+    radii = ensemble.priors
+    centres = radii[:, None] * np.stack([bloch_vector(s.matrix) for s in ensemble.states])
+    candidates = [centres]
+    for size in range(2, min(MAX_SUPPORT, len(radii)) + 1):
+        subsets = np.array(list(combinations(range(len(radii)), size)))
+        candidates.append(_tangent_centres(centres[subsets], radii[subsets]))
+    v = np.concatenate(candidates)
+    v = v[np.isfinite(v).all(axis=1)]
+    # Every candidate centre yields a valid K with its own covering radius;
+    # the optimal support set's centre attains the minimum.
+    cover = (radii + np.linalg.norm(v[:, None, :] - centres[None, :, :], axis=-1)).max(axis=1)
+    best = int(np.argmin(cover))
+    value = float(cover[best])
+    k = 0.5 * (value * np.eye(2) + np.einsum("a,aij->ij", v[best], PAULI))
+    return value, k
+
+
+def _tangent_centres(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Centres v tangent to every ball of each support set, two roots per set.
+
+    c is (m, k, 3) and s (m, k).  With v = c_0 + u and u in the span of the
+    differences d_i = c_i - c_0, the conditions |v - c_i| = R - s_i reduce to
+    the linear system u.d_i = (|d_i|^2 - s_i^2 + s_0^2) / 2 + R (s_i - s_0)
+    and the quadratic |u|^2 = (R - s_0)^2 in R.  Degenerate sets give
+    spurious or non-finite centres; the caller's covering radius discards
+    them.
+    """
+    d = c[:, 1:] - c[:, :1]
+    alpha = 0.5 * ((d**2).sum(axis=-1) - s[:, 1:] ** 2 + s[:, :1] ** 2)
+    beta = s[:, 1:] - s[:, :1]
+    dt = np.linalg.pinv(d @ d.swapaxes(-1, -2)) @ d  # (m, k-1, 3)
+    u0 = np.einsum("mi,mia->ma", alpha, dt)
+    u1 = np.einsum("mi,mia->ma", beta, dt)
+    s0 = s[:, 0]
+    # a R^2 + 2 h R + c0 = 0, solved in the cancellation-free form.
+    a = (u1**2).sum(axis=-1) - 1.0
+    h = (u0 * u1).sum(axis=-1) + s0
+    c0 = (u0**2).sum(axis=-1) - s0**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -(h + np.copysign(np.sqrt(np.maximum(h * h - a * c0, 0.0)), h))
+        roots = np.stack([q / a, c0 / q], axis=1)  # (m, 2)
+        v = c[:, :1] + u0[:, None, :] + roots[..., None] * u1[:, None, :]
+    return v.reshape(-1, 3)
 
 
 def bloch_vector(rho: np.ndarray) -> np.ndarray:
@@ -49,112 +105,3 @@ def bloch_vector(rho: np.ndarray) -> np.ndarray:
             (rho[0, 0] - rho[1, 1]).real,
         ]
     )
-
-
-def _rank1_expectation_range(h: np.ndarray, step: float = FINAL_STEP):
-    """(max, min) of <v|h|v> over the Bloch-sphere grid of pure states."""
-    n_theta = int(np.ceil(np.pi / step)) + 1
-    n_phi = int(np.ceil(2.0 * np.pi / step))
-    theta = np.linspace(0.0, np.pi, n_theta)
-    phi = np.arange(n_phi) * (2.0 * np.pi / n_phi)
-    c = np.cos(theta / 2.0)
-    s = np.sin(theta / 2.0)
-    # v = (cos(theta/2), e^{i phi} sin(theta/2))
-    diag = h[0, 0].real * c**2 + h[1, 1].real * s**2
-    cross = 2.0 * c * s
-    re01, im01 = h[0, 1].real, h[0, 1].imag
-    wave = re01 * np.cos(phi) - im01 * np.sin(phi)
-    values = diag[:, None] + cross[:, None] * wave[None, :]
-    return float(values.max()), float(values.min())
-
-
-def _two_state(ensemble: StateEnsemble) -> float:
-    q1, q2 = float(ensemble.priors[0]), float(ensemble.priors[1])
-    h = ensemble.weighted(0) - ensemble.weighted(1)
-    hi, lo = _rank1_expectation_range(h)
-    # outcome-1 element in {0, I, |v><v|, I - |v><v|}
-    return max(q2, q1, q2 + hi, q1 - lo)
-
-
-def _three_state(ensemble: StateEnsemble) -> float:
-    q = np.asarray(ensemble.priors, dtype=float)
-    bloch = np.stack([bloch_vector(s.matrix) for s in ensemble.states])
-
-    candidates = [float(q.max())]
-    for a in range(3):
-        for b in range(3):
-            if a == b:
-                continue
-            h = ensemble.weighted(a) - ensemble.weighted(b)
-            hi, _ = _rank1_expectation_range(h)
-            candidates.append(float(q[b]) + hi)
-
-    # Three-element scan in the plane spanned by the Bloch vectors (for
-    # coplanar ensembles this family contains an optimal POVM up to grid
-    # resolution; otherwise it still yields a valid lower bound).
-    e1, e2 = _plane_basis(bloch)
-    bu = bloch @ e1
-    bv = bloch @ e2
-    candidates.append(_planar_triple_scan(q, bu, bv))
-    return max(candidates)
-
-
-def _plane_basis(bloch: np.ndarray):
-    """Orthonormal basis of the dominant plane of the Bloch vectors."""
-    _, _, vt = np.linalg.svd(bloch, full_matrices=True)
-    return vt[0], vt[1]
-
-
-def _planar_triple_scan(q, bu, bv, coarse: float = COARSE_STEP, final: float = FINAL_STEP) -> float:
-    n0 = int(np.ceil(2.0 * np.pi / coarse))
-    grid = np.arange(n0) * (2.0 * np.pi / n0)
-    best_value, best_angles = _scan_triples(q, bu, bv, grid, grid, grid)
-    step = 2.0 * np.pi / n0
-    while step > final:
-        refined = max(final, step / 8.0)
-        windows = [
-            np.arange(center - step, center + step + 0.5 * refined, refined)
-            for center in best_angles
-        ]
-        value, angles = _scan_triples(q, bu, bv, *windows)
-        if value > best_value:
-            best_value, best_angles = value, angles
-        step = refined
-    return best_value
-
-
-def _scan_triples(q, bu, bv, grid1, grid2, grid3):
-    """Best value over triples of in-plane directions with completeness-fixed weights.
-
-    For directions u(a1), u(a2), u(a3) the unique weights with
-    sum_x c_x u(a_x) = 0 and sum_x c_x = 2 follow the sine rule
-    c ~ (sin(a3-a2), sin(a1-a3), sin(a2-a1)); triples where the weights
-    change sign admit no POVM and are skipped.
-    """
-    a2, a3 = np.meshgrid(grid2, grid3, indexing="ij")
-    c1 = np.sin(a3 - a2)
-    gain2 = 1.0 + bu[1] * np.cos(a2) + bv[1] * np.sin(a2)
-    gain3 = 1.0 + bu[2] * np.cos(a3) + bv[2] * np.sin(a3)
-
-    best = -np.inf
-    best_angles = None
-    for a1 in grid1:
-        c2 = np.sin(a1 - a3)
-        c3 = np.sin(a2 - a1)
-        total = c1 + c2 + c3
-        positive = (c1 >= 0.0) & (c2 >= 0.0) & (c3 >= 0.0) & (total > 1e-12)
-        negative = (c1 <= 0.0) & (c2 <= 0.0) & (c3 <= 0.0) & (total < -1e-12)
-        feasible = positive | negative
-        if not feasible.any():
-            continue
-        scale = 2.0 / np.where(feasible, np.abs(total), 1.0)
-        sign = np.where(negative, -1.0, 1.0)
-        gain1 = 1.0 + bu[0] * np.cos(a1) + bv[0] * np.sin(a1)
-        value = 0.5 * scale * sign * (q[0] * c1 * gain1 + q[1] * c2 * gain2 + q[2] * c3 * gain3)
-        value = np.where(feasible, value, -np.inf)
-        flat = int(np.argmax(value))
-        if value.flat[flat] > best:
-            best = float(value.flat[flat])
-            i, j = np.unravel_index(flat, value.shape)
-            best_angles = (float(a1), float(grid2[i]), float(grid3[j]))
-    return best, best_angles

@@ -134,7 +134,7 @@ def dual_operator(ensemble: StateEnsemble, povm: Povm) -> np.ndarray:
     By construction tr K equals the primal objective of the given POVM; K is
     dual-feasible (K >= q_x rho_x) exactly when the POVM is optimal.
     """
-    return hermitian_part((_weighted(ensemble) @ _elements(ensemble, povm)).sum(axis=0))
+    return hermitian_part((ensemble.weighted_stack() @ _elements(ensemble, povm)).sum(axis=0))
 
 
 def certificate_from_povm(ensemble: StateEnsemble, povm: Povm, k=None) -> DualCertificate:
@@ -145,7 +145,7 @@ def certificate_from_povm(ensemble: StateEnsemble, povm: Povm, k=None) -> DualCe
     """
     if k is None:
         k = dual_operator(ensemble, povm)
-    sigma, slackness, feas, _ = _residuals(_weighted(ensemble), _elements(ensemble, povm), k)
+    sigma, slackness, feas, _ = _residuals(ensemble.weighted_stack(), _elements(ensemble, povm), k)
     return DualCertificate(
         k_operator=_frozen(k),
         sigma=tuple(_frozen(sigma)),
@@ -168,7 +168,7 @@ def kkt_check(ensemble: StateEnsemble, povm: Povm, k) -> KktReport:
     if k.shape != (ensemble.dim, ensemble.dim):
         raise DimensionMismatch(f"K has shape {k.shape}, expected {(ensemble.dim,) * 2}")
     check_hermitian(k, "dual operator")
-    _, slackness, feas, gap = _residuals(_weighted(ensemble), elements, hermitian_part(k))
+    _, slackness, feas, gap = _residuals(ensemble.weighted_stack(), elements, hermitian_part(k))
     return _report(elements, slackness, feas, gap)
 
 
@@ -187,7 +187,7 @@ def solve(ensemble: StateEnsemble, options: SolverOptions | None = None) -> Disc
     identity = np.eye(d)
 
     active = np.flatnonzero(ensemble.priors >= ZERO_PRIOR)
-    weighted = _weighted(ensemble)[active]
+    weighted = ensemble.weighted_stack()[active]
 
     rng = np.random.default_rng(opts.seed)
     draws = rng.standard_normal((n, 2, d, d))  # the (real, imaginary) noise of every state
@@ -366,7 +366,7 @@ def _certificate_report(ensemble: StateEnsemble, povm: Povm, certificate: DualCe
     povm with a Hermitian K; the report is then bit-identical to kkt_check's.
     """
     elements = _elements(ensemble, povm)
-    gap = certificate.trace_k - _objective(_weighted(ensemble), elements)
+    gap = certificate.trace_k - _objective(ensemble.weighted_stack(), elements)
     return _report(elements, np.array(certificate.slackness), np.array(certificate.dual_feasibility), gap)
 
 
@@ -377,11 +377,6 @@ def _assert_valid_iterate(povm: Povm) -> None:
     comp = float(np.abs(sum(povm.elements) - np.eye(d)).max())
     if comp > COMPLETENESS_TOL:
         raise CompletenessDrift(f"iterate completeness deviation {comp:.3e}")
-
-
-def _weighted(ensemble: StateEnsemble) -> np.ndarray:
-    """The (N, d, d) stack of prior-weighted states q_x rho_x."""
-    return ensemble.priors[:, None, None] * np.array([s.matrix for s in ensemble.states])
 
 
 def _elements(ensemble: StateEnsemble, povm: Povm) -> np.ndarray:

@@ -21,6 +21,7 @@ from .core import (
     Povm,
     QsdError,
     _frozen,
+    born_table,
     hermitian_part,
     min_eigenvalue,
     trace_norm,
@@ -235,10 +236,13 @@ class DetectorStatistics:
 def simulate_protocol(ensembles, bob_povm: Povm, shots: int, seed: int) -> DetectorStatistics:
     """Sample the steering protocol: message -> steered pure state -> detector click.
 
-    For each message the sender's outcome is drawn from that message's
-    decomposition (split into pure components) and the receiver's outcome
-    from the Born probabilities of bob_povm on the steered state.  One seeded
-    generator drives the whole run; identical inputs give identical counts.
+    For each message the joint distribution of the sender's outcome (a pure
+    component of that message's decomposition) and the receiver's outcome
+    (the Born probabilities of bob_povm on the steered state) is tabulated
+    once, and all shots are drawn from it as one multinomial; the cost does
+    not grow with shots.  One seeded generator drives the whole run, so
+    identical inputs give identical counts; counts for a given seed differ
+    from versions that drew one shot at a time.
     """
     if shots < 0:
         raise ValueError(f"shots must be nonnegative, got {shots}")
@@ -252,31 +256,18 @@ def simulate_protocol(ensembles, bob_povm: Povm, shots: int, seed: int) -> Detec
             raise TargetMismatch(f"steered marginals differ by {gap:.3e}")
 
     rng = np.random.default_rng(seed)
+    elements = np.array(bob_povm.elements)
     counts = np.zeros((n, n), dtype=np.int64)
     for message, decomposition in enumerate(ensembles):
         components = pure_components(decomposition)
         weights = np.array([w for w, _, _ in components])
-        weight_cdf = np.cumsum(weights / weights.sum())
-        # Born distribution of the detector on each pure component.
-        tables = np.empty((len(components), n))
-        for k, (_, vector, _) in enumerate(components):
-            probs = np.array(
-                [max(float((vector.conj() @ (m @ vector)).real), 0.0) for m in bob_povm.elements]
-            )
-            tables[k] = probs / probs.sum()
-        if shots == 0:
-            continue
-        picks = np.searchsorted(weight_cdf, rng.random(shots), side="right")
-        picks = np.minimum(picks, len(components) - 1)
-        clicks = rng.random(shots)
-        for k in range(len(components)):
-            mask = picks == k
-            if not mask.any():
-                continue
-            outcome_cdf = np.cumsum(tables[k])
-            outcomes = np.searchsorted(outcome_cdf, clicks[mask], side="right")
-            outcomes = np.minimum(outcomes, n - 1)
-            counts[:, message] += np.bincount(outcomes, minlength=n)
+        vectors = np.array([v for _, v, _ in components])
+        projectors = np.einsum("ki,kj->kij", vectors, vectors.conj())
+        # Born distribution of the detector on each pure component, one row each.
+        tables = np.maximum(born_table(projectors, elements).T, 0.0)
+        tables /= tables.sum(axis=1, keepdims=True)
+        joint = (weights / weights.sum())[:, None] * tables
+        counts[:, message] = rng.multinomial(shots, joint.ravel()).reshape(joint.shape).sum(axis=0)
     return DetectorStatistics(counts=_frozen(counts), shots_per_message=int(shots))
 
 

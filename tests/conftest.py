@@ -28,6 +28,15 @@ def trine_states() -> list[np.ndarray]:
     return states
 
 
+def tetrahedron_states(angle: float = 0.0) -> list[np.ndarray]:
+    """Four pure qubit states at the corners of a regular tetrahedron, turned by angle about Z."""
+    pauli = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    c, s = np.cos(angle), np.sin(angle)
+    turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    corners = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)
+    return [(np.eye(2) + np.einsum("a,aij->ij", turn @ r, pauli)) / 2 for r in corners]
+
+
 @pytest.fixture(scope="session")
 def trine_ensemble():
     return make_ensemble([1.0 / 3.0] * 3, trine_states())

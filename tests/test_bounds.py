@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -13,10 +16,11 @@ from qsd import (
     lower_bound,
     make_ensemble,
     solve,
+    trace_norm,
 )
 from qsd.rand import random_ensemble
 
-from .conftest import projector
+from .conftest import projector, tetrahedron_states
 
 TRINE_BOUND = (1.0 + 1.5 * (np.sqrt(3) / 3)) / 3  # pair norms sqrt(3)/3 each
 
@@ -88,6 +92,27 @@ class TestBestCyclic:
         brute = max(lower_bound(ensemble, c).lower_bound for c in cycles)
         assert best.lower_bound == pytest.approx(brute, abs=1e-15)
 
+    def test_matches_per_ordering_enumeration_bit_for_bit(self):
+        rng = np.random.default_rng(63)
+        ensembles = [
+            random_ensemble(rng, n, int(rng.integers(2, 6)), pure=pure)
+            for n in range(3, 9)
+            for pure in (False, True)
+            for _ in range(3)
+        ]
+        for ensemble in ensembles + [make_ensemble([0.25] * 4, tetrahedron_states(2.1))]:
+            report = best_cyclic_bound(ensemble)
+            value, ordering, terms = _enumerated_best_cyclic(ensemble)
+            assert (report.lower_bound, report.ordering, report.pair_terms) == (value, ordering, terms)
+
+    def test_tie_rule_keeps_lexicographically_smallest_ordering(self):
+        # Every cycle of a tetrahedron has the same value; at this angle rounding
+        # puts (0, 2, 1, 3) one ulp above (0, 1, 2, 3), inside the 1e-15 tie band.
+        ensemble = make_ensemble([0.25] * 4, tetrahedron_states(2.1))
+        values = [_cycle_report(ensemble, c)[0] for c in [(0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3)]]
+        assert max(values) - min(values) <= 1e-15
+        assert best_cyclic_bound(ensemble).ordering == (0, 1, 2, 3)
+
     def test_too_many_states(self):
         rng = np.random.default_rng(61)
         ensemble = random_ensemble(rng, 9, 2)
@@ -106,3 +131,28 @@ def test_dominance_against_solver():
         assert result.converged
         assert report.lower_bound <= result.guess_probability + 1e-9
         assert 1.0 / n - 1e-12 <= report.lower_bound <= 1.0 + 1e-12
+
+
+def _cycle_report(ensemble, order, norm=None):
+    norm = norm or (lambda a, b: trace_norm(ensemble.weighted(a) - ensemble.weighted(b)))
+    n = len(order)
+    terms = tuple(norm(order[i], order[(i + 1) % n]) for i in range(n))
+    return (1.0 + 0.5 * sum(terms)) / n, order, terms
+
+
+def _enumerated_best_cyclic(ensemble):
+    """Reference: trace_norm per pair of every ordering, first-found winner within 1e-15 ties.
+
+    trace_norm is memoized per ordered pair only to keep the N = 8 cases fast;
+    it returns the same float on every call.
+    """
+    norm = cache(lambda a, b: trace_norm(ensemble.weighted(a) - ensemble.weighted(b)))
+    n = len(ensemble)
+    best = _cycle_report(ensemble, tuple(range(n)), norm)
+    for rest in permutations(range(1, n)):
+        if rest[0] > rest[-1]:
+            continue
+        candidate = _cycle_report(ensemble, (0,) + rest, norm)
+        if candidate[0] > best[0] + 1e-15 or (abs(candidate[0] - best[0]) <= 1e-15 and candidate[1] < best[1]):
+            best = candidate
+    return best

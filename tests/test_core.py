@@ -21,7 +21,7 @@ from qsd import (
     validate_density,
     validate_povm,
 )
-from qsd.core import psd_sqrt_pinv
+from qsd.core import pair_trace_norms, psd_sqrt_pinv
 from qsd.rand import random_density, random_ensemble, random_povm
 
 from .conftest import projector, trine_states
@@ -113,6 +113,19 @@ class TestTraceNorm:
             b = random_density(rng, d).matrix - random_density(rng, d).matrix
             assert trace_norm(a) == pytest.approx(trace_norm(-a), abs=1e-12)
             assert trace_norm(a + b) <= trace_norm(a) + trace_norm(b) + 1e-9
+
+    def test_pair_norms_equal_single_trace_norms_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        for n, d in ((2, 2), (5, 3), (8, 5)):
+            stack = random_ensemble(rng, n, d).weighted_stack()
+            first, second = (a.ravel() for a in np.indices((n, n)))
+            batched = pair_trace_norms(stack, first, second)
+            assert batched.tolist() == [trace_norm(stack[a] - stack[b]) for a, b in zip(first, second)]
+
+    def test_pair_norms_check_hermiticity(self):
+        stack = np.array([np.zeros((2, 2)), [[0.0, 1.0], [0.0, 0.0]]])
+        with pytest.raises(NotHermitian):
+            pair_trace_norms(stack, [0], [1])
 
     def test_density_difference_within_two(self):
         rng = np.random.default_rng(6)

@@ -23,8 +23,9 @@ from qsd import (
     validate_density,
     validate_povm,
 )
-from qsd.rand import random_density
-from qsd.steering import mixture_of
+from qsd.core import born_table
+from qsd.rand import random_density, random_ensemble
+from qsd.steering import mixture_of, pure_components
 
 from .conftest import projector
 
@@ -242,6 +243,25 @@ class TestSimulateProtocol:
             ]
         )
         np.testing.assert_allclose(stats.probabilities, analytic, atol=5 * np.sqrt(0.25 / shots))
+
+    def test_mixed_ensemble_frequencies_match_born_table_of_mixtures(self):
+        ensemble = random_ensemble(np.random.default_rng(74), 4, 4)
+        result = solve(ensemble)
+        decompositions = decompositions_from_structure(ensemble, steering_structure(ensemble, result.certificate))
+        assert all(6 <= len(pure_components(d)) <= 8 for d in decompositions)
+        shots = 200000
+        stats = simulate_protocol(decompositions, result.povm, shots, seed=9)
+        mixtures = np.array([mixture_of(d) for d in decompositions])
+        expected = np.clip(born_table(mixtures, np.array(result.povm.elements)), 0.0, 1.0)
+        sigma = np.sqrt(expected * (1.0 - expected) / shots)
+        assert np.all(np.abs(stats.probabilities - expected) <= 5.0 * sigma + 1.0 / shots)
+
+    def test_billion_shots_allocate_no_per_shot_arrays(self, trine_ensemble):
+        result = solve(trine_ensemble)
+        structure = steering_structure(trine_ensemble, result.certificate)
+        decompositions = decompositions_from_structure(trine_ensemble, structure)
+        stats = simulate_protocol(decompositions, result.povm, 10**9, seed=10)
+        np.testing.assert_array_equal(stats.counts.sum(axis=0), [10**9] * 3)
 
     def test_empirical_no_signaling_between_messages(self, trine_ensemble):
         # Message choice cannot shift the detector's outcome distribution.
