@@ -50,13 +50,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except QsdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (QsdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -260,7 +254,7 @@ def cmd_simulate(args) -> int:
     structure = steering_structure(ensemble, result.certificate)
     decompositions = decompositions_from_structure(ensemble, structure)
     stats = simulate_protocol(decompositions, result.povm, args.shots, args.seed)
-    analytic = born_table(np.array([mixture_of(e) for e in decompositions]), np.array(result.povm.elements))
+    analytic = born_table(np.array([mixture_of(e) for e in decompositions]), result.povm.elements)
     diag = stats.diagonal_sum()
     threshold = 3.0 * float(np.sqrt(len(ensemble) / (4.0 * args.shots)))
     ok = diag <= 1.0 + threshold

@@ -2,10 +2,13 @@
 
 Everything downstream (two-state closed forms, the iterative solver, certificate
 checks, steering simulation) works on the three types defined here: density
-matrices, prior-weighted ensembles, and POVMs.  A single Hermitian
-eigendecomposition backend (`numpy.linalg.eigh`) drives positivity checks,
-trace norms, and operator square roots so that tolerances mean the same thing
-in every module.
+matrices, prior-weighted ensembles, and POVMs.  A family of N operators on
+one d-dimensional space (an ensemble's states, a POVM's elements, a dual
+certificate's complementary operators) is one complex (N, d, d) array, and
+the batched routines here act on the whole family at once.  A single
+Hermitian eigendecomposition backend (`numpy.linalg.eigh`) drives positivity
+checks, trace norms, and operator square roots so that tolerances mean the
+same thing in every module.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ TRACE_TOL = 1e-9
 COMPLETENESS_TOL = 1e-9
 PRIOR_TOL = 1e-12
 PROB_CLAMP = 1e-9
+# Numerical rank: eigenvalues at or below RANK_CUTOFF * max_eigenvalue count as zero.
+RANK_CUTOFF = 1e-12
 
 
 class QsdError(Exception):
@@ -82,7 +87,7 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 def hermiticity_error(a: np.ndarray) -> float:
     """Largest entrywise deviation |A_ij - conj(A_ji)| (over a stack too)."""
-    return float(np.abs(a - a.conj().swapaxes(-1, -2)).max())
+    return float(np.abs(a - a.conj().swapaxes(-1, -2)).max(initial=0.0))
 
 
 def check_hermitian(a: np.ndarray, context: str = "matrix") -> None:
@@ -97,16 +102,16 @@ def min_eigenvalue(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(hermitian_part(a)).min())
 
 
-def psd_sqrt_pinv(a: np.ndarray, cutoff: float = 1e-12) -> np.ndarray:
+def psd_sqrt_pinv(a: np.ndarray) -> np.ndarray:
     """Pseudo-inverse square root of a Hermitian PSD matrix.
 
-    Eigenvalues at or below cutoff * max_eigenvalue are treated as zero, the
-    standard numerical-rank policy shared with the solver; their eigenvectors
-    are left out of the result.  Only the lower triangle of a is read.
+    Eigenvalues at or below RANK_CUTOFF * max_eigenvalue are treated as zero;
+    their eigenvectors are left out of the result.  Only the lower triangle
+    of a is read.
     """
     w, v = np.linalg.eigh(a)
     # eigh sorts w ascending: the kept eigenvalues are the tail w[k:].
-    k = np.searchsorted(w, cutoff * max(w[-1], 0.0), side="right")
+    k = np.searchsorted(w, RANK_CUTOFF * max(w[-1], 0.0), side="right")
     kept = v[:, k:]
     return (kept / np.sqrt(w[k:])) @ kept.conj().T
 
@@ -153,9 +158,14 @@ class StateEnsemble:
         """The prior-weighted operator of state x."""
         return self.priors[x] * self.states[x].matrix
 
+    @property
+    def matrices(self) -> np.ndarray:
+        """The (N, d, d) stack of the density matrices rho_x (a fresh array)."""
+        return np.array([s.matrix for s in self.states])
+
     def weighted_stack(self) -> np.ndarray:
         """The (N, d, d) stack of prior-weighted operators q_x rho_x."""
-        return self.priors[:, None, None] * np.array([s.matrix for s in self.states])
+        return self.priors[:, None, None] * self.matrices
 
     def permuted(self, order) -> "StateEnsemble":
         """A new ensemble with states and priors jointly reordered."""
@@ -168,16 +178,32 @@ class StateEnsemble:
 
 @dataclass(frozen=True)
 class Povm:
-    """A validated measurement: PSD elements summing to the identity."""
+    """A measurement: its N elements as one read-only complex (N, d, d) array.
 
-    elements: tuple[np.ndarray, ...]
+    The constructor accepts any sequence of d x d matrices (or a stack),
+    copies it and freezes the copy; elements[x] is element x.  It checks only
+    that every element has the shape of the first.  validate_povm also checks
+    Hermiticity, positivity and completeness; unvalidated instances carry
+    measurements under test, such as a report's POVM in qsd certify.
+    """
+
+    elements: np.ndarray
+
+    def __post_init__(self):
+        shapes = [np.shape(m) for m in self.elements]
+        d = shapes[0][0] if shapes and shapes[0] else 0
+        for x, shape in enumerate(shapes):
+            if shape != (d, d):
+                raise DimensionMismatch(f"POVM element {x} has shape {shape}, expected {(d, d)}")
+        stack = np.array(self.elements, dtype=complex).reshape(len(shapes), d, d)
+        object.__setattr__(self, "elements", _frozen(stack))
 
     def __len__(self) -> int:
         return len(self.elements)
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[-1]
 
 
 def validate_density(matrix) -> DensityMatrix:
@@ -218,8 +244,8 @@ def make_ensemble(priors, matrices) -> StateEnsemble:
 
 
 def validate_povm(elements) -> Povm:
-    """Validate a list of matrices as a POVM or raise on the first violation."""
-    if not elements:
+    """Validate a sequence or stack of matrices as a POVM or raise on the first violation."""
+    if len(elements) == 0:
         raise DimensionMismatch("POVM needs at least one element")
     mats = [as_complex_matrix(e) for e in elements]
     d = mats[0].shape[0]
@@ -234,32 +260,26 @@ def validate_povm(elements) -> Povm:
     dev = float(np.abs(total - np.eye(d)).max())
     if dev > COMPLETENESS_TOL:
         raise CompletenessViolated(f"sum of elements deviates from identity by {dev:.3e}")
-    return Povm(elements=tuple(_frozen(hermitian_part(m)) for m in mats))
+    return Povm(elements=hermitian_part(np.array(mats)))
 
 
-def trace_norm(a, hermitian: bool = True) -> float:
-    """Trace norm: sum of absolute eigenvalues (Hermitian) or singular values.
+def trace_norm(a) -> float:
+    """Trace norm of a Hermitian matrix: the sum of its absolute eigenvalues.
 
-    With hermitian=True (the path used throughout this package) the input's
-    Hermiticity is asserted first.
+    The input must be square and finite; its Hermiticity is asserted.
     """
-    m = as_complex_matrix(a)
-    if hermitian:
-        check_hermitian(m, "trace_norm input")
-        return float(np.abs(np.linalg.eigvalsh(hermitian_part(m))).sum())
-    return float(np.linalg.svd(m, compute_uv=False).sum())
+    return float(trace_norms(as_complex_matrix(a)[None])[0])
 
 
-def pair_trace_norms(stack: np.ndarray, first, second) -> np.ndarray:
-    """Trace norms ||stack[a] - stack[b]|| for (a, b) in zip(first, second).
+def trace_norms(stack: np.ndarray) -> np.ndarray:
+    """Trace norms of the Hermitian matrices in a (..., d, d) stack.
 
-    One Hermiticity check and one batched eigvalsh over the stack of
-    differences.  The batch runs the same LAPACK routine per matrix, so each
-    norm equals trace_norm of the same difference bit for bit.
+    One Hermiticity check over the stack and one batched eigvalsh.  The batch
+    runs the same LAPACK routine per matrix, so each norm equals trace_norm
+    of that matrix bit for bit.
     """
-    diffs = stack[np.asarray(first, dtype=int)] - stack[np.asarray(second, dtype=int)]
-    check_hermitian(diffs, "trace_norm input")
-    return np.abs(np.linalg.eigvalsh(hermitian_part(diffs))).sum(axis=-1)
+    check_hermitian(stack, "trace_norm input")
+    return np.abs(np.linalg.eigvalsh(hermitian_part(stack))).sum(axis=-1)
 
 
 def born_table(states: np.ndarray, elements: np.ndarray) -> np.ndarray:
@@ -270,6 +290,15 @@ def born_table(states: np.ndarray, elements: np.ndarray) -> np.ndarray:
     return np.einsum("xij,yji->xy", elements, states).real
 
 
+def _elements(ensemble: StateEnsemble, povm: Povm) -> np.ndarray:
+    """povm.elements, after checking there is one element per state, of the states' dimension."""
+    if len(povm) != len(ensemble):
+        raise DimensionMismatch(f"POVM has {len(povm)} elements for {len(ensemble)} states")
+    if povm.dim != ensemble.dim:
+        raise DimensionMismatch(f"POVM dimension {povm.dim} != state dimension {ensemble.dim}")
+    return povm.elements
+
+
 def born_probabilities(ensemble: StateEnsemble, povm: Povm) -> np.ndarray:
     """Conditional probability table P(x|y) = tr[rho_y M_x].
 
@@ -277,12 +306,7 @@ def born_probabilities(ensemble: StateEnsemble, povm: Povm) -> np.ndarray:
     column is a distribution.  Values within 1e-9 of the [0, 1] boundary are
     clamped onto it; larger excursions raise InvalidProbability.
     """
-    n = len(ensemble)
-    if len(povm) != n:
-        raise DimensionMismatch(f"POVM has {len(povm)} elements for {n} states")
-    if povm.dim != ensemble.dim:
-        raise DimensionMismatch(f"POVM dimension {povm.dim} != state dimension {ensemble.dim}")
-    table = born_table(np.array([s.matrix for s in ensemble.states]), np.array(povm.elements))
+    table = born_table(ensemble.matrices, _elements(ensemble, povm))
     outside = (table < -PROB_CLAMP) | (table > 1.0 + PROB_CLAMP)
     if outside.any():
         x, y = np.argwhere(outside)[0]

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Povm, QsdError, StateEnsemble, _frozen, trace_norm
+from .core import Povm, QsdError, StateEnsemble, _frozen, hermitian_part, trace_norm
 
 # Eigenvalues this close to zero are assigned to outcome 1; any split of a
 # null eigenspace is optimal, a fixed rule keeps the output deterministic.
@@ -43,8 +43,6 @@ def helstrom(ensemble: StateEnsemble) -> HelstromResult:
     value = 0.5 * (1.0 + trace_norm(h))
     w, v = np.linalg.eigh(h)
     keep = w >= -TIE_TOL
-    m1 = v[:, keep] @ v[:, keep].conj().T
-    m1 = 0.5 * (m1 + m1.conj().T)
-    m2 = np.eye(ensemble.dim) - m1
-    povm = Povm(elements=(_frozen(m1), _frozen(m2)))
+    m1 = hermitian_part(v[:, keep] @ v[:, keep].conj().T)
+    povm = Povm(elements=(m1, np.eye(ensemble.dim) - m1))
     return HelstromResult(value=float(value), povm=povm, helstrom_operator=_frozen(h))

@@ -25,9 +25,8 @@ from .core import (
     QsdError,
     StateEnsemble,
     _frozen,
-    pair_trace_norms,
     psd_project,
-    trace_norm,
+    trace_norms,
     validate_density,
 )
 from .solver import DualCertificate
@@ -55,7 +54,8 @@ class SteeringStructure:
     saturates the ensemble and the partner has vanishing weight), and
     complementary_weights[x] the recorded weight 1 - p_x.  ensemble_residual
     is the worst trace-norm gap between any reconstructed decomposition and
-    the shared state normalized_k.
+    the shared state normalized_k.  sigma is the certificate's read-only
+    (N, d, d) stack of unnormalized complementary operators K - q_x rho_x.
     """
 
     p: np.ndarray
@@ -65,7 +65,7 @@ class SteeringStructure:
     bound: float
     ensemble_residual: float
     trace_k: float
-    sigma: tuple[np.ndarray, ...]
+    sigma: np.ndarray
 
 
 def steering_structure(ensemble: StateEnsemble, certificate: DualCertificate) -> SteeringStructure:
@@ -78,26 +78,20 @@ def steering_structure(ensemble: StateEnsemble, certificate: DualCertificate) ->
     p = ensemble.priors / tr_k
     normalized_k = _normalize_psd(certificate.k_operator / tr_k)
 
-    complementary: list[DensityMatrix | None] = []
-    weights = np.empty(len(ensemble))
-    residual = 0.0
-    for x in range(len(ensemble)):
-        sigma = certificate.sigma[x]
-        t = float(sigma.trace().real)
-        weights[x] = t / tr_k
-        if t < ABSENT_TRACE:
-            complementary.append(None)
-            reconstructed = p[x] * ensemble.states[x].matrix
-        else:
-            state = _normalize_psd(sigma / t)
-            complementary.append(state)
-            reconstructed = p[x] * ensemble.states[x].matrix + weights[x] * state.matrix
-        residual = max(residual, trace_norm(reconstructed - normalized_k.matrix))
+    traces = np.trace(certificate.sigma, axis1=1, axis2=2).real
+    weights = traces / tr_k
+    complementary = tuple(
+        None if t < ABSENT_TRACE else _normalize_psd(sigma / t) for sigma, t in zip(certificate.sigma, traces)
+    )
+    # An absent partner contributes nothing to its decomposition.
+    partners = np.array([np.zeros_like(normalized_k.matrix) if c is None else c.matrix for c in complementary])
+    reconstructed = p[:, None, None] * ensemble.matrices + weights[:, None, None] * partners
+    residual = trace_norms(reconstructed - normalized_k.matrix).max()
 
     return SteeringStructure(
         p=_frozen(p),
         normalized_k=normalized_k,
-        complementary=tuple(complementary),
+        complementary=complementary,
         complementary_weights=_frozen(weights),
         bound=float(1.0 / p.sum()),
         ensemble_residual=float(residual),
@@ -155,7 +149,7 @@ def slackness_check(structure: SteeringStructure, povm: Povm) -> list[float]:
         raise DimensionMismatch(
             f"POVM dimension {povm.dim} != certificate dimension {structure.normalized_k.dim}"
         )
-    return [float(np.trace(s @ m).real) for s, m in zip(structure.sigma, povm.elements)]
+    return np.einsum("xij,xji->x", structure.sigma, povm.elements).real.tolist()
 
 
 def norm_identity_check(structure: SteeringStructure, ensemble: StateEnsemble) -> float:
@@ -166,9 +160,10 @@ def norm_identity_check(structure: SteeringStructure, ensemble: StateEnsemble) -
     the difference of two decompositions of the same operator.
     """
     first, second = np.triu_indices(len(ensemble), k=1)
-    states = np.array([s.matrix for s in ensemble.states])
-    lhs = pair_trace_norms(structure.p[:, None, None] * states, first, second)
-    rhs = pair_trace_norms(np.array(structure.sigma) / structure.trace_k, first, second)
+    states = structure.p[:, None, None] * ensemble.matrices
+    partners = structure.sigma / structure.trace_k
+    lhs = trace_norms(states[first] - states[second])
+    rhs = trace_norms(partners[first] - partners[second])
     return float(np.abs(lhs - rhs).max())
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DensityMatrix, Povm, StateEnsemble, _frozen, hermitian_part, make_ensemble, validate_density
+from .core import DensityMatrix, Povm, StateEnsemble, hermitian_part, make_ensemble, psd_sqrt_pinv, validate_density
 
 
 def _rng(seed_or_rng) -> np.random.Generator:
@@ -47,15 +47,10 @@ def random_ensemble(seed_or_rng, n: int, dim: int, pure: bool = False) -> StateE
 def random_povm(seed_or_rng, n: int, dim: int) -> Povm:
     """Random n-outcome POVM: Ginibre PSD elements symmetrically renormalized."""
     rng = _rng(seed_or_rng)
-    raw = []
-    for _ in range(n):
-        g = ginibre(rng, dim, dim)
-        raw.append(g @ g.conj().T)
-    total = sum(raw)
-    w, v = np.linalg.eigh(total)
-    inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    elements = tuple(_frozen(hermitian_part(inv_sqrt @ m @ inv_sqrt)) for m in raw)
-    return Povm(elements=elements)
+    g = np.array([ginibre(rng, dim, dim) for _ in range(n)])
+    raw = g @ g.conj().swapaxes(-1, -2)
+    inv_sqrt = psd_sqrt_pinv(raw.sum(axis=0))
+    return Povm(elements=hermitian_part(inv_sqrt @ raw @ inv_sqrt))
 
 
 def bloch_plane_state(theta: float, mixing: float = 0.0) -> DensityMatrix:

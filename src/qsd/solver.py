@@ -45,6 +45,7 @@ from .core import (
     Povm,
     QsdError,
     StateEnsemble,
+    _elements,
     _frozen,
     check_hermitian,
     guess_value,
@@ -87,14 +88,15 @@ class SolverOptions:
 class DualCertificate:
     """Dual data proving (near-)optimality of a measurement.
 
-    k_operator is the dual variable K; sigma[x] = K - q_x rho_x are the
-    complementary operators, stored exactly as constructed.  slackness[x] is
-    tr[sigma_x M_x] and dual_feasibility[x] the smallest eigenvalue of
-    sigma_x; at an optimum the former vanish and the latter are nonnegative.
+    k_operator is the dual variable K; sigma is the read-only (N, d, d) stack
+    of complementary operators sigma[x] = K - q_x rho_x, stored exactly as
+    constructed.  slackness[x] is tr[sigma_x M_x] and dual_feasibility[x] the
+    smallest eigenvalue of sigma_x; at an optimum the former vanish and the
+    latter are nonnegative.
     """
 
     k_operator: np.ndarray
-    sigma: tuple[np.ndarray, ...]
+    sigma: np.ndarray
     slackness: tuple[float, ...]
     dual_feasibility: tuple[float, ...]
     trace_k: float
@@ -148,7 +150,7 @@ def certificate_from_povm(ensemble: StateEnsemble, povm: Povm, k=None) -> DualCe
     sigma, slackness, feas, _ = _residuals(ensemble.weighted_stack(), _elements(ensemble, povm), k)
     return DualCertificate(
         k_operator=_frozen(k),
-        sigma=tuple(_frozen(sigma)),
+        sigma=_frozen(sigma),
         slackness=tuple(slackness.tolist()),
         dual_feasibility=tuple(feas.tolist()),
         trace_k=float(k.trace().real),
@@ -240,7 +242,7 @@ def solve(ensemble: StateEnsemble, options: SolverOptions | None = None) -> Disc
 
     full = np.zeros((n, d, d), dtype=complex)
     full[active] = best_elements
-    povm = Povm(elements=tuple(_frozen(full)))
+    povm = Povm(elements=full)
     _assert_valid_iterate(povm)
 
     certificate = certificate_from_povm(ensemble, povm)
@@ -374,16 +376,7 @@ def _assert_valid_iterate(povm: Povm) -> None:
     # Iterates are PSD and complete by construction; this guards against
     # numerical drift producing an invalid certificate.
     d = povm.dim
-    comp = float(np.abs(sum(povm.elements) - np.eye(d)).max())
+    comp = float(np.abs(povm.elements.sum(axis=0) - np.eye(d)).max())
     if comp > COMPLETENESS_TOL:
         raise CompletenessDrift(f"iterate completeness deviation {comp:.3e}")
 
-
-def _elements(ensemble: StateEnsemble, povm: Povm) -> np.ndarray:
-    """The POVM's (N, d, d) stack, after checking it matches the ensemble."""
-    if len(povm) != len(ensemble):
-        raise DimensionMismatch(f"POVM has {len(povm)} elements for {len(ensemble)} states")
-    for x, m in enumerate(povm.elements):
-        if np.shape(m) != (ensemble.dim, ensemble.dim):
-            raise DimensionMismatch(f"POVM element {x} has shape {np.shape(m)}, expected {(ensemble.dim,) * 2}")
-    return np.array(povm.elements, dtype=complex)

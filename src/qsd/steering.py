@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    RANK_CUTOFF,
     DensityMatrix,
     DimensionMismatch,
     Povm,
@@ -25,10 +26,10 @@ from .core import (
     hermitian_part,
     min_eigenvalue,
     trace_norm,
+    trace_norms,
     validate_density,
 )
 
-RANK_CUTOFF = 1e-12
 MARGINAL_TOL = 1e-9
 SUPPORT_TOL = 1e-9
 WEIGHT_TOL = 1e-12
@@ -48,23 +49,28 @@ class TargetMismatch(QsdError):
 
 @dataclass(frozen=True)
 class BipartitePureState:
-    """A pure state of system A x B with its Schmidt data.
+    """A pure state of system A x B in Schmidt form, as read-only arrays.
 
-    amplitudes[i, j] is the coefficient of |i>_A |j>_B; schmidt holds
-    (coefficient, vector_a, vector_b) triples sorted by descending
-    coefficient.
+    amplitudes[i, j] is the coefficient of |i>_A |j>_B.  The Schmidt vectors
+    of A are its basis vectors e_i: coefficients[i] (descending, positive)
+    pairs e_i with column i of the dim_b x dim_a matrix basis_b, so that
+    amplitudes = diag(coefficients) basis_b^T.
     """
 
-    dim_a: int
-    dim_b: int
     amplitudes: np.ndarray
-    schmidt: tuple[tuple[float, np.ndarray, np.ndarray], ...]
+    coefficients: np.ndarray
+    basis_b: np.ndarray
+
+    @property
+    def dim_a(self) -> int:
+        return self.amplitudes.shape[0]
+
+    @property
+    def dim_b(self) -> int:
+        return self.amplitudes.shape[1]
 
     def marginal_b(self) -> np.ndarray:
         return np.einsum("ij,ik->jk", self.amplitudes, self.amplitudes.conj())
-
-    def marginal_a(self) -> np.ndarray:
-        return np.einsum("ij,kj->ik", self.amplitudes, self.amplitudes.conj())
 
 
 @dataclass(frozen=True)
@@ -106,28 +112,15 @@ def purify(rho: DensityMatrix) -> BipartitePureState:
     wmax = float(w.max())
     keep = np.where(w > RANK_CUTOFF * wmax)[0][::-1]  # descending eigenvalues
     coefficients = np.sqrt(w[keep])
-    vectors_b = v[:, keep]
-    rank = len(keep)
-    amplitudes = coefficients[:, None] * vectors_b.T
-    schmidt = tuple(
-        (float(coefficients[i]), _frozen(_basis_vector(rank, i)), _frozen(vectors_b[:, i].copy()))
-        for i in range(rank)
-    )
+    basis_b = v[:, keep]
     return BipartitePureState(
-        dim_a=rank,
-        dim_b=rho.dim,
-        amplitudes=_frozen(amplitudes),
-        schmidt=schmidt,
+        amplitudes=_frozen(coefficients[:, None] * basis_b.T),
+        coefficients=_frozen(coefficients),
+        basis_b=_frozen(basis_b),
     )
 
 
-def _basis_vector(dim: int, index: int) -> np.ndarray:
-    e = np.zeros(dim, dtype=complex)
-    e[index] = 1.0
-    return e
-
-
-def pure_components(decomposition: SteeringDecomposition, cutoff: float = RANK_CUTOFF):
+def pure_components(decomposition: SteeringDecomposition):
     """Flatten a decomposition into (weight, unit vector, member index) triples.
 
     Mixed members are split along their eigenvectors; steering is defined on
@@ -138,7 +131,7 @@ def pure_components(decomposition: SteeringDecomposition, cutoff: float = RANK_C
         w, v = tau.eigensystem()
         wmax = float(w.max())
         for k in range(len(w) - 1, -1, -1):
-            if w[k] > cutoff * wmax:
+            if w[k] > RANK_CUTOFF * wmax:
                 components.append((r * float(w[k]), v[:, k].copy(), y))
     return components
 
@@ -157,45 +150,32 @@ def ghjw_povm(state: BipartitePureState, decomposition: SteeringDecomposition) -
     if gap > MARGINAL_TOL:
         raise MarginalMismatch(f"decomposition target is {gap:.3e} from the state's marginal")
 
-    # In the Schmidt representation A's index i pairs with B's basis e_i; an
-    # element steering to sqrt(w) |v> acts as w |u><u| with
-    # u_i = conj(<e_i|v>) / c_i on the support of A's marginal.
-    coefficients = np.array([c for c, _, _ in state.schmidt])
-    basis_b = np.stack([vb for _, _, vb in state.schmidt], axis=1)  # dim_b x rank
-    rank = len(coefficients)
+    # In Schmidt form A's basis vector e_i pairs with column i of E = basis_b
+    # and coefficient c_i.  Outcome y must leave B in r_y tau_y, which fixes
+    # M_y = (D^-1 E^dagger (r_y tau_y) E D^-1)^T with D = diag(c), provided
+    # r_y tau_y lies in the support of E: its trace outside, tr[(I - E E^dagger)
+    # r_y tau_y], is the weight the shared state cannot steer to.
+    members = np.array([r * tau.matrix for r, tau in decomposition.members])
+    projected = state.basis_b.conj().T @ members @ state.basis_b
+    leaks = np.trace(members, axis1=1, axis2=2).real - np.trace(projected, axis1=1, axis2=2).real
+    worst = int(np.argmax(leaks))
+    if leaks[worst] > SUPPORT_TOL:
+        raise UnsteerableWeight(f"member {worst} has weight {leaks[worst]:.3e} outside the steerable support")
+    c = state.coefficients
+    elements = hermitian_part((projected / np.outer(c, c)).swapaxes(-1, -2))
+    steers_to = tuple(range(len(members)))
 
-    elements = []
-    steers_to = []
-    grouped: dict[int, np.ndarray] = {}
-    for weight, vector, member in pure_components(decomposition):
-        overlaps = basis_b.conj().T @ vector
-        leak = float((vector.conj() @ vector).real) - float((np.abs(overlaps) ** 2).sum())
-        if weight * leak > SUPPORT_TOL:
-            raise UnsteerableWeight(
-                f"member {member} has weight {weight * leak:.3e} outside the steerable support"
-            )
-        u = np.zeros(state.dim_a, dtype=complex)
-        u[:rank] = overlaps.conj() / coefficients
-        element = weight * np.outer(u, u.conj())
-        grouped[member] = grouped.get(member, 0.0) + element
-
-    for member in range(len(decomposition.members)):
-        elements.append(hermitian_part(grouped[member]))
-        steers_to.append(member)
-
-    completion = np.eye(state.dim_a) - sum(elements)
+    completion = np.eye(state.dim_a) - elements.sum(axis=0)
     lowest = min_eigenvalue(completion)
     if lowest < -SUPPORT_TOL:
         raise UnsteerableWeight(f"completion element has eigenvalue {lowest:.3e}")
     if float(np.abs(completion).max()) > RANK_CUTOFF:
-        elements.append(hermitian_part(completion))
-        steers_to.append(-1)
+        elements = np.concatenate([elements, hermitian_part(completion)[None]])
+        steers_to += (-1,)
     else:
         # Fold float-level residue into the last element to keep completeness exact.
         elements[-1] = hermitian_part(elements[-1] + completion)
-
-    povm = Povm(elements=tuple(_frozen(m) for m in elements))
-    return povm, tuple(steers_to)
+    return Povm(elements=elements), steers_to
 
 
 def steered_states(state: BipartitePureState, povm: Povm) -> list[tuple[float, np.ndarray]]:
@@ -203,14 +183,10 @@ def steered_states(state: BipartitePureState, povm: Povm) -> list[tuple[float, n
 
     The independent partial-trace oracle used to verify steering constructions.
     """
-    out = []
+    # tr_A[(M x I) |psi><psi|] = (M A)^T conj(A) for amplitude matrix A
     amplitudes = state.amplitudes
-    for m in povm.elements:
-        # tr_A[(M x I) |psi><psi|] = (M A)^T conj(A) for amplitude matrix A
-        sub = np.einsum("ki,ij,kl->jl", m, amplitudes, amplitudes.conj())
-        sub = hermitian_part(sub)
-        out.append((float(sub.trace().real), sub))
-    return out
+    subs = hermitian_part(np.einsum("xki,ij,kl->xjl", povm.elements, amplitudes, amplitudes.conj()))
+    return [(float(sub.trace().real), sub) for sub in subs]
 
 
 @dataclass(frozen=True)
@@ -249,14 +225,12 @@ def simulate_protocol(ensembles, bob_povm: Povm, shots: int, seed: int) -> Detec
     n = len(ensembles)
     if len(bob_povm) != n:
         raise DimensionMismatch(f"detector has {len(bob_povm)} outcomes for {n} messages")
-    targets = [mixture_of(e) for e in ensembles]
-    for other in targets[1:]:
-        gap = trace_norm(other - targets[0])
-        if gap > MARGINAL_TOL:
-            raise TargetMismatch(f"steered marginals differ by {gap:.3e}")
+    targets = np.array([mixture_of(e) for e in ensembles])
+    gap = trace_norms(targets[1:] - targets[0]).max(initial=0.0)
+    if gap > MARGINAL_TOL:
+        raise TargetMismatch(f"steered marginals differ by {gap:.3e}")
 
     rng = np.random.default_rng(seed)
-    elements = np.array(bob_povm.elements)
     counts = np.zeros((n, n), dtype=np.int64)
     for message, decomposition in enumerate(ensembles):
         components = pure_components(decomposition)
@@ -264,7 +238,7 @@ def simulate_protocol(ensembles, bob_povm: Povm, shots: int, seed: int) -> Detec
         vectors = np.array([v for _, v, _ in components])
         projectors = np.einsum("ki,kj->kij", vectors, vectors.conj())
         # Born distribution of the detector on each pure component, one row each.
-        tables = np.maximum(born_table(projectors, elements).T, 0.0)
+        tables = np.maximum(born_table(projectors, bob_povm.elements).T, 0.0)
         tables /= tables.sum(axis=1, keepdims=True)
         joint = (weights / weights.sum())[:, None] * tables
         counts[:, message] = rng.multinomial(shots, joint.ravel()).reshape(joint.shape).sum(axis=0)
@@ -277,9 +251,6 @@ def marginal_indistinguishability_check(ensembles) -> float:
     Zero (to tolerance) exactly when all messages prepare the same marginal,
     the premise that makes the protocol signal-free.
     """
-    mixtures = [mixture_of(e) for e in ensembles]
-    worst = 0.0
-    for i in range(len(mixtures)):
-        for j in range(i + 1, len(mixtures)):
-            worst = max(worst, trace_norm(mixtures[i] - mixtures[j]))
-    return worst
+    mixtures = np.array([mixture_of(e) for e in ensembles])
+    first, second = np.triu_indices(len(mixtures), k=1)
+    return float(trace_norms(mixtures[first] - mixtures[second]).max(initial=0.0))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,7 +155,7 @@ class TestCertifyCommand:
         out = tmp_path / "report.json"
         main(["solve", trine_file, "--output", str(out)])
         report = json.loads(out.read_text())
-        ensemble, _ = parse_instance(open(trine_file).read())
+        ensemble, _ = parse_instance(Path(trine_file).read_text(encoding="utf-8"))
         povm = Povm(elements=tuple(decode_matrix(m, "povm") for m in report["matrices"]["povm"]))
         k = decode_matrix(report["matrices"]["k_operator"], "k")
         checks = kkt_check(ensemble, povm, k)

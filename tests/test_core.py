@@ -21,7 +21,7 @@ from qsd import (
     validate_density,
     validate_povm,
 )
-from qsd.core import pair_trace_norms, psd_sqrt_pinv
+from qsd.core import psd_sqrt_pinv, trace_norms
 from qsd.rand import random_density, random_ensemble, random_povm
 
 from .conftest import projector, trine_states
@@ -80,6 +80,25 @@ class TestValidatePovm:
             validate_povm([np.eye(2), np.eye(3)])
 
 
+class TestPovm:
+    def test_ragged_element_names_its_index(self):
+        with pytest.raises(DimensionMismatch, match="POVM element 1"):
+            Povm(elements=(np.eye(2), np.eye(3), np.eye(2)))
+
+    def test_elements_are_a_readonly_complex_copy(self):
+        raw = [projector(1, 0), projector(0, 1)]
+        povm = Povm(elements=raw)
+        assert povm.elements.shape == (2, 2, 2)
+        assert povm.elements.dtype == complex
+        assert not povm.elements.flags.writeable
+        raw[0][0, 0] = 5.0
+        np.testing.assert_array_equal(povm.elements[0], projector(1, 0))
+        stack = np.array([projector(1, 0), projector(0, 1)], dtype=complex)
+        copied = Povm(elements=stack)
+        stack[1] = 0.0
+        np.testing.assert_array_equal(copied.elements[1], projector(0, 1))
+
+
 class TestTraceNorm:
     def test_diag_plus_minus_one(self):
         assert trace_norm(np.diag([1.0, -1.0])) == pytest.approx(2.0, abs=1e-15)
@@ -95,11 +114,9 @@ class TestTraceNorm:
         assert expected == pytest.approx(0.7071067811865476, abs=1e-15)
         assert trace_norm(a) == pytest.approx(expected, abs=1e-12)
 
-    def test_general_path_uses_singular_values(self):
-        a = np.array([[0.0, 1.0], [0.0, 0.0]])
-        assert trace_norm(a, hermitian=False) == pytest.approx(1.0, abs=1e-12)
+    def test_non_hermitian_input_is_rejected(self):
         with pytest.raises(NotHermitian):
-            trace_norm(a, hermitian=True)
+            trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_non_finite(self):
         with pytest.raises(NonFinite):
@@ -114,18 +131,21 @@ class TestTraceNorm:
             assert trace_norm(a) == pytest.approx(trace_norm(-a), abs=1e-12)
             assert trace_norm(a + b) <= trace_norm(a) + trace_norm(b) + 1e-9
 
-    def test_pair_norms_equal_single_trace_norms_bit_for_bit(self):
+    def test_stacked_norms_equal_single_trace_norms_bit_for_bit(self):
         rng = np.random.default_rng(7)
         for n, d in ((2, 2), (5, 3), (8, 5)):
             stack = random_ensemble(rng, n, d).weighted_stack()
             first, second = (a.ravel() for a in np.indices((n, n)))
-            batched = pair_trace_norms(stack, first, second)
-            assert batched.tolist() == [trace_norm(stack[a] - stack[b]) for a, b in zip(first, second)]
+            pairs = stack[first] - stack[second]
+            assert trace_norms(pairs).tolist() == [trace_norm(m) for m in pairs]
+            # A stack minus one matrix, as in the identical-ensemble residual.
+            shifted = stack - random_density(rng, d).matrix
+            assert trace_norms(shifted).tolist() == [trace_norm(m) for m in shifted]
 
-    def test_pair_norms_check_hermiticity(self):
+    def test_stacked_norms_check_hermiticity(self):
         stack = np.array([np.zeros((2, 2)), [[0.0, 1.0], [0.0, 0.0]]])
         with pytest.raises(NotHermitian):
-            pair_trace_norms(stack, [0], [1])
+            trace_norms(stack)
 
     def test_density_difference_within_two(self):
         rng = np.random.default_rng(6)

@@ -66,6 +66,13 @@ class TestSteeringStructure:
             assert np.all(structure.p <= 1.0 + 1e-9)
             assert np.all(structure.complementary_weights >= -1e-9)
 
+    def test_sigma_stacks_are_readonly(self, trine_ensemble):
+        result, structure = structure_of(trine_ensemble)
+        for sigma in (result.certificate.sigma, structure.sigma):
+            assert sigma.shape == (3, 2, 2)
+            with pytest.raises(ValueError):
+                sigma[0, 0, 0] = 1.0
+
     def test_infeasible_certificate_rejected(self, trine_ensemble):
         uniform = validate_povm([np.eye(2) / 3] * 3)
         certificate = certificate_from_povm(trine_ensemble, uniform)

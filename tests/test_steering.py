@@ -23,7 +23,7 @@ from qsd import (
     validate_density,
     validate_povm,
 )
-from qsd.core import born_table
+from qsd.core import born_table, hermitian_part
 from qsd.rand import random_density, random_ensemble
 from qsd.steering import mixture_of, pure_components
 
@@ -34,19 +34,19 @@ class TestPurify:
     def test_pure_state_purifies_trivially(self):
         psi = purify(validate_density(projector(1, 0)))
         assert psi.dim_a == 1
-        assert [c for c, _, _ in psi.schmidt] == pytest.approx([1.0], abs=1e-12)
+        assert psi.coefficients.tolist() == pytest.approx([1.0], abs=1e-12)
 
     def test_maximally_mixed_qubit(self):
         psi = purify(validate_density(np.eye(2) / 2))
         assert psi.dim_a == 2
-        coefficients = [c for c, _, _ in psi.schmidt]
+        coefficients = psi.coefficients.tolist()
         assert coefficients == pytest.approx([1 / np.sqrt(2)] * 2, abs=1e-12)
 
     def test_rank_two_qutrit(self):
         psi = purify(validate_density(np.diag([0.7, 0.3, 0.0])))
         assert psi.dim_a == 2
         assert psi.dim_b == 3
-        coefficients = [c for c, _, _ in psi.schmidt]
+        coefficients = psi.coefficients.tolist()
         assert coefficients == pytest.approx([np.sqrt(0.7), np.sqrt(0.3)], abs=1e-12)
 
     def test_normalization_and_sorted_coefficients(self):
@@ -55,7 +55,7 @@ class TestPurify:
             rho = random_density(rng, int(rng.integers(2, 5)))
             psi = purify(rho)
             assert float((np.abs(psi.amplitudes) ** 2).sum()) == pytest.approx(1.0, abs=1e-12)
-            coefficients = [c for c, _, _ in psi.schmidt]
+            coefficients = psi.coefficients.tolist()
             assert coefficients == sorted(coefficients, reverse=True)
             assert sum(c**2 for c in coefficients) == pytest.approx(1.0, abs=1e-12)
 
@@ -140,6 +140,59 @@ class TestGhjwPovm:
         prob, sub = steered_states(psi, povm)[0]
         assert prob == pytest.approx(1.0, abs=1e-12)
         assert trace_norm(sub - target.matrix) <= 1e-12
+
+
+def ghjw_per_component(state, decomposition):
+    """Reference GHJW construction: one rank-one term per pure component of each member.
+
+    An element steering B to sqrt(w) |v> acts on A as w |u><u| with
+    u_i = conj(<b_i|v>) / c_i for Schmidt coefficients c_i and vectors b_i.
+    """
+    grouped = {}
+    for weight, vector, member in pure_components(decomposition):
+        u = (state.basis_b.conj().T @ vector).conj() / state.coefficients
+        grouped[member] = grouped.get(member, 0.0) + weight * np.outer(u, u.conj())
+    elements = [hermitian_part(grouped[y]) for y in range(len(decomposition.members))]
+    steers_to = list(range(len(elements)))
+    completion = np.eye(state.dim_a) - sum(elements)
+    if float(np.abs(completion).max()) > 1e-12:
+        elements.append(hermitian_part(completion))
+        steers_to.append(-1)
+    else:
+        elements[-1] = hermitian_part(elements[-1] + completion)
+    return np.array(elements), tuple(steers_to)
+
+
+def certificate_decompositions():
+    """The certificate decompositions of a mixed N = 4, d = 4 ensemble: 6-8 pure components each."""
+    ensemble = random_ensemble(np.random.default_rng(74), 4, 4)
+    structure = steering_structure(ensemble, solve(ensemble).certificate)
+    decompositions = decompositions_from_structure(ensemble, structure)
+    assert all(6 <= len(pure_components(d)) <= 8 for d in decompositions)
+    return structure.normalized_k, decompositions
+
+
+def rank_deficient_decompositions():
+    """A rank-2 state on C^4 as a mixture of three mixed states within its support."""
+    rng = np.random.default_rng(75)
+    isometry = np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))[0]
+    weights = rng.dirichlet(np.ones(3))
+    members = [validate_density(isometry @ random_density(rng, 2).matrix @ isometry.conj().T) for _ in weights]
+    target = validate_density(sum(w * m.matrix for w, m in zip(weights, members)))
+    assert purify(target).dim_a == 2
+    return target, [make_decomposition(target, zip(weights, members))]
+
+
+class TestGhjwMatchesPerComponentConstruction:
+    @pytest.mark.parametrize("case", [certificate_decompositions, rank_deficient_decompositions])
+    def test_elements_and_steering_agree(self, case):
+        target, decompositions = case()
+        psi = purify(target)
+        for decomposition in decompositions:
+            povm, steers = ghjw_povm(psi, decomposition)
+            expected, expected_steers = ghjw_per_component(psi, decomposition)
+            assert steers == expected_steers
+            assert float(np.abs(povm.elements - expected).max()) <= 1e-12
 
 
 class TestMakeDecomposition:
