@@ -1,7 +1,7 @@
 """Command-line surface: solve, bound, certify and simulate instance files.
 
-Exit codes form the scripting contract: 0 success, 1 input or parse error,
-2 solver did not converge, 3 certification failed.  Reports carry no
+Exit codes form the scripting contract: 0 success, 1 input, parse or usage
+error, 2 solver did not converge, 3 certification failed.  Reports carry no
 timestamps, so identical inputs and seeds produce byte-identical files.
 Set QSD_LOG=debug (or info, warning) for diagnostics on stderr.
 """
@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .bounds import best_cyclic_bound, lower_bound
-from .core import COMPLETENESS_TOL, Povm, QsdError, born_table, hermitian_part
+from .core import COMPLETENESS_TOL, Povm, QsdError, born_table
 from .nosignaling import (
     decompositions_from_structure,
     norm_identity_check,
@@ -62,8 +62,15 @@ def _configure_logging() -> None:
         logging.basicConfig(level=level, stream=sys.stderr, format="%(name)s %(levelname)s %(message)s")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Exit EXIT_INPUT on a usage error: argparse's own 2 would read as "not converged"."""
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qsd", description="Optimal quantum state discrimination with certificates.")
+    parser = _Parser(prog="qsd", description="Optimal quantum state discrimination with certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve an instance and emit a certificate report")
@@ -86,6 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="sample the steering protocol with the optimal detector")
     p_sim.add_argument("instance")
     p_sim.add_argument("--shots", type=int, default=100000)
+    p_sim.add_argument("--seed", type=int, default=0, help="seed for sampling (default 0)")
     _solver_flags(p_sim)
     _output_flag(p_sim)
     p_sim.set_defaults(handler=cmd_simulate)
@@ -96,7 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _solver_flags(parser) -> None:
     parser.add_argument("--tolerance", type=float, default=1e-9, help="certificate tolerance (default 1e-9)")
     parser.add_argument("--max-iter", type=int, default=10000, help="iteration budget (default 10000)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for initialization and sampling (default 0)")
 
 
 def _output_flag(parser) -> None:
@@ -109,8 +116,7 @@ def _read_instance(path: str):
             text = handle.read()
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror or exc}") from None
-    ensemble, labels = parse_instance(text)
-    return ensemble, labels
+    return parse_instance(text)
 
 
 def _write_report(doc: dict, output) -> None:
@@ -123,7 +129,7 @@ def _write_report(doc: dict, output) -> None:
 
 
 def _options(args) -> SolverOptions:
-    return SolverOptions(max_iterations=args.max_iter, kkt_tolerance=args.tolerance, seed=args.seed)
+    return SolverOptions(max_iterations=args.max_iter, kkt_tolerance=args.tolerance)
 
 
 def cmd_solve(args) -> int:
@@ -195,23 +201,24 @@ def cmd_certify(args) -> int:
     if report.get("command") != "solve":
         raise FormatError(f'certify needs a solve report, got command {report.get("command")!r}')
 
-    echoed = report.get("instance", {})
+    echoed = _section(report, "instance")
     actual_hash = instance_hash(ensemble, labels)
     if echoed.get("hash") != actual_hash:
         raise FormatError(f'instance hash mismatch: report has {echoed.get("hash")!r}, instance is {actual_hash}')
 
-    tolerance = float(report.get("options", {}).get("kkt_tolerance", 1e-9))
+    tolerance = _number(_section(report, "options"), "kkt_tolerance", 1e-9, "options")
+    if not 0.0 < tolerance < np.inf:
+        raise FormatError(f"options.kkt_tolerance: expected a positive finite number, got {tolerance!r}")
     certificate_tolerance = 10.0 * tolerance
-    matrices = report.get("matrices", {})
+    matrices = _section(report, "matrices")
     try:
         elements = tuple(decode_matrix(m, "matrices.povm") for m in matrices["povm"])
         k = decode_matrix(matrices["k_operator"], "matrices.k_operator")
     except (KeyError, TypeError):
         raise FormatError("report is missing POVM or dual operator matrices") from None
-    value = float(report.get("result", {}).get("guess_probability", np.nan))
+    value = _number(_section(report, "result"), "guess_probability", np.nan, "result")
 
     povm = Povm(elements=elements)  # deliberately unvalidated: residuals are reported
-    k = hermitian_part(k)
     checks = kkt_check(ensemble, povm, k)
     certificate = certificate_from_povm(ensemble, povm, k)
     recomputed = float(dual_operator(ensemble, povm).trace().real)
@@ -240,6 +247,22 @@ def cmd_certify(args) -> int:
     return EXIT_OK if ok else EXIT_CERTIFICATION
 
 
+def _section(report: dict, key: str) -> dict:
+    """The report's object-valued field key ({} when absent)."""
+    section = report.get(key, {})
+    if not isinstance(section, dict):
+        raise FormatError(f"{key}: expected an object, got {section!r}")
+    return section
+
+
+def _number(section: dict, key: str, default: float, context: str) -> float:
+    """The numeric field key of a report section (default when absent)."""
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise FormatError(f"{context}.{key}: expected a number, got {value!r}")
+    return float(value)
+
+
 def cmd_simulate(args) -> int:
     if args.shots <= 0:
         print("error: shots must be positive", file=sys.stderr)
@@ -264,7 +287,7 @@ def cmd_simulate(args) -> int:
         "version": REPORT_VERSION,
         "command": "simulate",
         "instance": _instance_echo(ensemble, labels),
-        "options": {**_options_block(opts), "shots": args.shots},
+        "options": {**_options_block(opts), "seed": args.seed, "shots": args.shots},
         "result": {
             "guess_probability": result.guess_probability,
             "shots_per_message": stats.shots_per_message,
@@ -289,11 +312,7 @@ def _instance_echo(ensemble, labels) -> dict:
 
 
 def _options_block(opts: SolverOptions) -> dict:
-    return {
-        "kkt_tolerance": opts.kkt_tolerance,
-        "max_iterations": opts.max_iterations,
-        "seed": opts.seed,
-    }
+    return {"kkt_tolerance": opts.kkt_tolerance, "max_iterations": opts.max_iterations}
 
 
 def _residual_block(report) -> dict:

@@ -70,7 +70,7 @@ class SteeringStructure:
 
 def steering_structure(ensemble: StateEnsemble, certificate: DualCertificate) -> SteeringStructure:
     """Build the identical-ensemble structure from a converged certificate."""
-    worst = min(certificate.dual_feasibility)
+    worst = certificate.dual_feasibility.min()
     if worst < -INFEASIBLE_TOL:
         raise InfeasibleCertificate(f"complementary operator eigenvalue {worst:.3e}")
 

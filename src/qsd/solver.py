@@ -16,21 +16,23 @@ The map runs on square-root factors A_x with M_x = A_x A_x^dagger: the plain
 step is A_x <- G^{-1/2} W_x A_x, and the elements are A_x A_x^dagger plus the
 additive correction (I - sum_y A_y A_y^dagger) / N over the states with
 nonzero prior, which completes them when the states share a proper subspace
-and G is rank-deficient.  On its own the
-map converges sublinearly on mixed, near-degenerate ensembles.  Each step
-therefore also forms a safeguarded Anderson candidate (Walker & Ni, SIAM
-J. Numer. Anal. 49, 1715, 2011) from the last ANDERSON_MEMORY steps,
-renormalised to S^{-1/2} C with S = sum_x C_x C_x^dagger so that its
-elements are again PSD and complete.  The candidate is taken only when its KKT
-residual is below the current iterate's, otherwise the plain image is; the
-history is kept either way.  On 1600 random instances (N 2..6, d <= 4) this
-takes the median from 29 iterations to 9 and the 99th percentile from about
-2000 to 41.
+and G is rank-deficient.  The iteration starts from the uniform POVM, factors
+I/sqrt(N); the start and the map commute with a unitary change of frame and
+with a relabelling of the states, so the solver does too, up to round-off.
+On its own the map converges sublinearly on mixed, near-degenerate
+ensembles.  Each step therefore also forms a safeguarded Anderson candidate
+(Walker & Ni, SIAM J. Numer. Anal. 49, 1715, 2011) from the last
+ANDERSON_MEMORY steps, renormalised to S^{-1/2} C with S = sum_x C_x
+C_x^dagger so that its elements are again PSD and complete.  The candidate
+is taken only when its KKT residual is below the current iterate's,
+otherwise the plain image is; the history is kept either way.  On 1600
+random instances (N 2..6, d <= 4) this takes the median from 29 iterations
+to 9 and the 99th percentile from about 2000 to 41.
 
 Operators are held as (N, d, d) stacks: the weighted states W_x = q_x rho_x,
-the factors and the elements.  One routine, _residuals, evaluates the dual
-side of the optimality conditions for every caller (the iteration, kkt_check
-and certificate_from_povm) with one batched eigvalsh over the stack K - W.
+the factors and the elements.  One routine each forms K = sum_x W_x M_x
+(_dual), the dual side of the optimality conditions with one batched eigvalsh
+over K - W (_residuals), and the KktReport of a certificate (_report).
 """
 
 from __future__ import annotations
@@ -71,11 +73,10 @@ class CompletenessDrift(QsdError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Iteration budget, certificate tolerance and reproducibility knobs."""
+    """Iteration budget and certificate tolerance; the solver has no other knob."""
 
     max_iterations: int = 10000
     kkt_tolerance: float = 1e-9
-    seed: int = 0
 
     def __post_init__(self):
         if self.kkt_tolerance <= 0:
@@ -90,15 +91,16 @@ class DualCertificate:
 
     k_operator is the dual variable K; sigma is the read-only (N, d, d) stack
     of complementary operators sigma[x] = K - q_x rho_x, stored exactly as
-    constructed.  slackness[x] is tr[sigma_x M_x] and dual_feasibility[x] the
+    constructed.  slackness and dual_feasibility are read-only float arrays
+    of length N: slackness[x] is tr[sigma_x M_x] and dual_feasibility[x] the
     smallest eigenvalue of sigma_x; at an optimum the former vanish and the
     latter are nonnegative.
     """
 
     k_operator: np.ndarray
     sigma: np.ndarray
-    slackness: tuple[float, ...]
-    dual_feasibility: tuple[float, ...]
+    slackness: np.ndarray
+    dual_feasibility: np.ndarray
     trace_k: float
 
 
@@ -136,23 +138,33 @@ def dual_operator(ensemble: StateEnsemble, povm: Povm) -> np.ndarray:
     By construction tr K equals the primal objective of the given POVM; K is
     dual-feasible (K >= q_x rho_x) exactly when the POVM is optimal.
     """
-    return hermitian_part((ensemble.weighted_stack() @ _elements(ensemble, povm)).sum(axis=0))
+    return _dual(ensemble.weighted_stack(), _elements(ensemble, povm))
 
 
 def certificate_from_povm(ensemble: StateEnsemble, povm: Povm, k=None) -> DualCertificate:
     """Assemble the dual certificate of a measurement.
 
-    K defaults to dual_operator(ensemble, povm); pass a Hermitian k to build
-    the certificate of a given dual operator instead (a stored report's K).
+    K defaults to dual_operator(ensemble, povm); pass a Hermitian d x d k to
+    build the certificate of a given dual operator instead (a stored report's
+    K).  The certificate holds its own copy of k; DimensionMismatch and
+    NotHermitian name a k of the wrong shape or one that is not Hermitian.
     """
+    elements = _elements(ensemble, povm)
+    weighted = ensemble.weighted_stack()
     if k is None:
-        k = dual_operator(ensemble, povm)
-    sigma, slackness, feas, _ = _residuals(ensemble.weighted_stack(), _elements(ensemble, povm), k)
+        k = _dual(weighted, elements)
+    else:
+        k = np.asarray(k, dtype=complex)
+        if k.shape != (ensemble.dim, ensemble.dim):
+            raise DimensionMismatch(f"K has shape {k.shape}, expected {(ensemble.dim,) * 2}")
+        check_hermitian(k, "dual operator")
+        k = hermitian_part(k)
+    sigma, slackness, feas = _residuals(weighted, elements, k)
     return DualCertificate(
         k_operator=_frozen(k),
         sigma=_frozen(sigma),
-        slackness=tuple(slackness.tolist()),
-        dual_feasibility=tuple(feas.tolist()),
+        slackness=_frozen(slackness),
+        dual_feasibility=_frozen(feas),
         trace_k=float(k.trace().real),
     )
 
@@ -160,73 +172,51 @@ def certificate_from_povm(ensemble: StateEnsemble, povm: Povm, k=None) -> DualCe
 def kkt_check(ensemble: StateEnsemble, povm: Povm, k) -> KktReport:
     """Residuals of the optimality conditions for (povm, k) on the ensemble.
 
-    primal_residual: worst POVM invariant violation (Hermiticity, negativity,
-    completeness).  dual_residual: worst violation of K >= q_x rho_x.
-    slackness_residual: max |tr[(K - q_x rho_x) M_x]|.  gap: tr K minus the
-    primal objective.
+    k is checked as in certificate_from_povm.  primal_residual: worst POVM
+    invariant violation (Hermiticity, negativity, completeness).
+    dual_residual: worst violation of K >= q_x rho_x.  slackness_residual:
+    max |tr[(K - q_x rho_x) M_x]|.  gap: tr K minus the primal objective.
     """
-    elements = _elements(ensemble, povm)
-    k = np.asarray(k, dtype=complex)
-    if k.shape != (ensemble.dim, ensemble.dim):
-        raise DimensionMismatch(f"K has shape {k.shape}, expected {(ensemble.dim,) * 2}")
-    check_hermitian(k, "dual operator")
-    _, slackness, feas, gap = _residuals(ensemble.weighted_stack(), elements, hermitian_part(k))
-    return _report(elements, slackness, feas, gap)
+    return _report(ensemble, povm, certificate_from_povm(ensemble, povm, k))
 
 
 def solve(ensemble: StateEnsemble, options: SolverOptions | None = None) -> DiscriminationResult:
     """Optimal minimum-error discrimination via the accelerated fixed-point iteration.
 
-    Deterministic for fixed options.  On convergence the returned certificate
-    has all KKT residuals within options.kkt_tolerance, which by SDP duality
-    pins the value to the optimum within that tolerance.  If the iteration
-    budget runs out the best iterate seen is returned with converged=False
-    (a flagged result, not an exception).
+    The iteration starts from the uniform POVM I/N over the states with
+    nonzero prior.  On convergence the returned certificate has all KKT
+    residuals within options.kkt_tolerance, which by SDP duality pins the
+    value to the optimum within that tolerance.  If the iteration budget runs
+    out the best iterate seen is returned with converged=False (a flagged
+    result, not an exception).
     """
     opts = options or SolverOptions()
-    n = len(ensemble)
     d = ensemble.dim
-    identity = np.eye(d)
 
     active = np.flatnonzero(ensemble.priors >= ZERO_PRIOR)
     weighted = ensemble.weighted_stack()[active]
+    # The uniform POVM I/N over the live states, as factors I/sqrt(N).
+    factors = np.repeat(np.eye(d, dtype=complex)[None] / np.sqrt(len(active)), len(active), axis=0)
 
-    rng = np.random.default_rng(opts.seed)
-    draws = rng.standard_normal((n, 2, d, d))  # the (real, imaginary) noise of every state
-    noise = draws[active, 0] + 1j * draws[active, 1]
-    elements = identity / len(active) + 1e-6 * hermitian_part(noise)
-    proj = psd_sqrt_pinv(elements.sum(axis=0))
-    elements = hermitian_part(proj @ elements @ proj)
-
-    if len(active) == 1:
-        # Degenerate instance: one state carries all the weight.
-        elements = np.eye(d, dtype=complex)[None]
-    factors = np.linalg.cholesky(elements)  # M_x = A_x A_x^dagger
-
-    best_elements = elements
+    best_elements = _elements_of(factors)
     best_residual = np.inf
     residual = np.inf
     stall = 0
-    iterations = 0
     anderson = _Anderson(factors.shape)
 
-    for it in range(1, opts.max_iterations + 1):
-        iterations = it
-        if len(active) > 1:
-            image = _step(weighted, factors)
-            anderson.push(factors, image)
-            candidate = anderson.candidate()
-            accepted = False
-            if candidate is not None:
-                candidate_elements = _elements_of(candidate)
-                candidate_residual = _residual(weighted, candidate_elements)
-                accepted = candidate_residual < residual
-            if accepted:
-                factors, elements, residual = candidate, candidate_elements, candidate_residual
-            else:
-                factors, elements = image, _elements_of(image)
-                residual = _residual(weighted, elements)
+    for iterations in range(1, opts.max_iterations + 1):
+        image = _step(weighted, factors)
+        anderson.push(factors, image)
+        candidate = anderson.candidate()
+        accepted = False
+        if candidate is not None:
+            candidate_elements = _elements_of(candidate)
+            candidate_residual = _residual(weighted, candidate_elements)
+            accepted = candidate_residual < residual
+        if accepted:
+            factors, elements, residual = candidate, candidate_elements, candidate_residual
         else:
+            factors, elements = image, _elements_of(image)
             residual = _residual(weighted, elements)
 
         if residual < best_residual:
@@ -240,20 +230,23 @@ def solve(ensemble: StateEnsemble, options: SolverOptions | None = None) -> Disc
         if best_residual <= opts.kkt_tolerance and stall >= STALL_LIMIT:
             break
 
-    full = np.zeros((n, d, d), dtype=complex)
+    full = np.zeros((len(ensemble), d, d), dtype=complex)
     full[active] = best_elements
+    # Iterates are PSD and complete by construction; this guards against
+    # numerical drift producing an invalid certificate.
+    comp = float(np.abs(full.sum(axis=0) - np.eye(d)).max())
+    if comp > COMPLETENESS_TOL:
+        raise CompletenessDrift(f"iterate completeness deviation {comp:.3e}")
     povm = Povm(elements=full)
-    _assert_valid_iterate(povm)
 
     certificate = certificate_from_povm(ensemble, povm)
-    report = _certificate_report(ensemble, povm, certificate)
-    converged = report.within(opts.kkt_tolerance)
+    report = _report(ensemble, povm, certificate)
     return DiscriminationResult(
         guess_probability=guess_value(ensemble, povm),
         povm=povm,
         certificate=certificate,
-        iterations=iterations if len(active) > 1 else 0,
-        converged=converged,
+        iterations=iterations,
+        converged=report.within(opts.kkt_tolerance),
         report=report,
     )
 
@@ -277,9 +270,16 @@ def _elements_of(factors: np.ndarray) -> np.ndarray:
     return elements
 
 
+def _dual(weighted: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """K = Hermitian part of sum_x W_x M_x for (N, d, d) stacks of weighted states and elements."""
+    return hermitian_part((weighted @ elements).sum(axis=0))
+
+
 def _residual(weighted: np.ndarray, elements: np.ndarray) -> float:
     """Largest of the slackness, dual-feasibility and gap residuals at K = sum_x W_x M_x."""
-    _, slackness, feas, gap = _residuals(weighted, elements, hermitian_part((weighted @ elements).sum(axis=0)))
+    k = _dual(weighted, elements)
+    _, slackness, feas = _residuals(weighted, elements, k)
+    gap = float(k.trace().real) - _objective(weighted, elements)
     return max(float(np.abs(slackness).max()), -float(feas.min()), abs(gap))
 
 
@@ -335,14 +335,13 @@ def _residuals(weighted: np.ndarray, elements: np.ndarray, k: np.ndarray):
 
     weighted and elements are (N, d, d) stacks and k a Hermitian (d, d) dual
     operator.  Returns the stack sigma = k - weighted, the slacknesses
-    tr[sigma_x M_x], the smallest eigenvalue of each sigma_x (one batched
-    eigvalsh) and the gap tr k - sum_x tr[weighted_x M_x].
+    tr[sigma_x M_x] and the smallest eigenvalue of each sigma_x (one batched
+    eigvalsh).
     """
     sigma = k - weighted
     slackness = np.einsum("xij,xji->x", sigma, elements).real
     feas = np.linalg.eigvalsh(sigma)[:, 0]
-    gap = float(k.trace().real) - _objective(weighted, elements)
-    return sigma, slackness, feas, gap
+    return sigma, slackness, feas
 
 
 def _objective(weighted: np.ndarray, elements: np.ndarray) -> float:
@@ -350,33 +349,13 @@ def _objective(weighted: np.ndarray, elements: np.ndarray) -> float:
     return float(np.einsum("xij,xji->", weighted, elements).real)
 
 
-def _report(elements: np.ndarray, slackness, feas, gap: float) -> KktReport:
-    """KktReport of an element stack and its dual-side terms from _residuals."""
-    comp = float(np.abs(elements.sum(axis=0) - np.eye(elements.shape[-1])).max())
+def _report(ensemble: StateEnsemble, povm: Povm, certificate: DualCertificate) -> KktReport:
+    """KktReport of a POVM and its certificate from certificate_from_povm on this ensemble."""
+    elements = povm.elements
+    comp = float(np.abs(elements.sum(axis=0) - np.eye(povm.dim)).max())
     return KktReport(
         primal_residual=max(hermiticity_error(elements), -min_eigenvalue(elements), comp),
-        dual_residual=max(0.0, -float(feas.min())),
-        slackness_residual=float(np.abs(slackness).max()),
-        gap=gap,
+        dual_residual=max(0.0, -float(certificate.dual_feasibility.min())),
+        slackness_residual=float(np.abs(certificate.slackness).max()),
+        gap=certificate.trace_k - _objective(ensemble.weighted_stack(), elements),
     )
-
-
-def _certificate_report(ensemble: StateEnsemble, povm: Povm, certificate: DualCertificate) -> KktReport:
-    """kkt_check(ensemble, povm, certificate.k_operator), reusing the certificate's residuals.
-
-    certificate must come from certificate_from_povm for this ensemble and
-    povm with a Hermitian K; the report is then bit-identical to kkt_check's.
-    """
-    elements = _elements(ensemble, povm)
-    gap = certificate.trace_k - _objective(ensemble.weighted_stack(), elements)
-    return _report(elements, np.array(certificate.slackness), np.array(certificate.dual_feasibility), gap)
-
-
-def _assert_valid_iterate(povm: Povm) -> None:
-    # Iterates are PSD and complete by construction; this guards against
-    # numerical drift producing an invalid certificate.
-    d = povm.dim
-    comp = float(np.abs(povm.elements.sum(axis=0) - np.eye(d)).max())
-    if comp > COMPLETENESS_TOL:
-        raise CompletenessDrift(f"iterate completeness deviation {comp:.3e}")
-

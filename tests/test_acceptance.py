@@ -214,7 +214,7 @@ def test_criterion_9_determinism(tmp_path):
     instance = tmp_path / "trine.json"
     instance.write_text(dump_json(ensemble_to_doc(ensemble)))
     for args in (
-        ["solve", str(instance), "--seed", "5"],
+        ["solve", str(instance)],
         ["bound", str(instance), "--best-cyclic"],
         ["simulate", str(instance), "--shots", "20000", "--seed", "5"],
     ):

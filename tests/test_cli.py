@@ -10,6 +10,7 @@ import pytest
 
 from qsd import DetectorStatistics, kkt_check, make_ensemble, Povm
 from qsd.cli import main
+from qsd.rand import random_ensemble
 from qsd.serialize import decode_matrix, dump_json, ensemble_to_doc, parse_instance
 
 from .conftest import projector, trine_states
@@ -30,6 +31,12 @@ def orthogonal_file(tmp_path):
 def trine_file(tmp_path):
     ensemble = make_ensemble([1 / 3] * 3, trine_states())
     return write_instance(tmp_path / "trine.json", ensemble)
+
+
+@pytest.fixture
+def slow_file(tmp_path):
+    # Needs 43 iterations, so a budget of 2 runs out (the trine needs 1).
+    return write_instance(tmp_path / "slow.json", random_ensemble(7, 4, 3))
 
 
 class TestSolveCommand:
@@ -71,9 +78,9 @@ class TestSolveCommand:
         assert main(["solve", "/does/not/exist.json"]) == 1
         assert "error" in capsys.readouterr().err
 
-    def test_exhausted_budget_exits_two(self, trine_file, tmp_path, capsys):
+    def test_exhausted_budget_exits_two(self, slow_file, tmp_path, capsys):
         out = tmp_path / "report.json"
-        assert main(["solve", trine_file, "--max-iter", "2", "--output", str(out)]) == 2
+        assert main(["solve", slow_file, "--max-iter", "2", "--output", str(out)]) == 2
         report = json.loads(out.read_text())
         assert report["result"]["converged"] is False
         assert "steering" not in report["result"]
@@ -145,11 +152,45 @@ class TestCertifyCommand:
         main(["solve", trine_file, "--output", str(out)])
         assert main(["certify", orthogonal_file, str(out)]) == 1
 
-    def test_non_converged_report_fails_certification(self, trine_file, tmp_path, capsys):
+    def test_non_converged_report_fails_certification(self, slow_file, tmp_path, capsys):
         out = tmp_path / "report.json"
-        assert main(["solve", trine_file, "--max-iter", "2", "--output", str(out)]) == 2
-        assert main(["certify", trine_file, str(out)]) == 3
+        assert main(["solve", slow_file, "--max-iter", "2", "--output", str(out)]) == 2
+        assert main(["certify", slow_file, str(out)]) == 3
         assert "FAILED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("options",), []),
+            (("instance",), 5),
+            (("options", "kkt_tolerance"), "1e-9x"),
+            (("options", "kkt_tolerance"), None),
+            (("options", "kkt_tolerance"), float("inf")),
+            (("result", "guess_probability"), "abc"),
+        ],
+        ids=["options-list", "instance-number", "tolerance-text", "tolerance-null", "tolerance-infinite", "value-text"],
+    )
+    def test_malformed_report_field_is_an_input_error(self, trine_file, tmp_path, capsys, path, value):
+        out = tmp_path / "report.json"
+        main(["solve", trine_file, "--output", str(out)])
+        report = json.loads(out.read_text())
+        section = report
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        out.write_text(json.dumps(report))
+        assert main(["certify", trine_file, str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and path[-1] in err
+
+    def test_non_hermitian_dual_operator_is_an_input_error(self, trine_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        main(["solve", trine_file, "--output", str(out)])
+        report = json.loads(out.read_text())
+        report["matrices"]["k_operator"][0][1][0] += 1e-3
+        out.write_text(json.dumps(report))
+        assert main(["certify", trine_file, str(out)]) == 1
+        assert "dual operator" in capsys.readouterr().err
 
     def test_round_trip_reproduces_residuals(self, trine_file, tmp_path):
         out = tmp_path / "report.json"
@@ -204,6 +245,31 @@ class TestSimulateCommand:
         np.testing.assert_allclose(table[:, 0], table[:, 1], atol=0.01)
 
 
+class TestUsageErrors:
+    """argparse's own exit code 2 would read as "not converged"; usage errors exit 1."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["solve", "x.json", "--seed", "3"],  # solve has no --seed
+            ["certify", "x.json"],  # missing report argument
+            ["simulate", "x.json", "--shots", "many"],
+        ],
+        ids=["unknown-flag", "missing-argument", "non-integer"],
+    )
+    def test_usage_error_exits_one(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 1
+        assert "usage: qsd" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == 0
+        assert "--seed" not in capsys.readouterr().out
+
+
 def test_log_env_var_enables_diagnostics(orthogonal_file, tmp_path, monkeypatch):
     monkeypatch.setenv("QSD_LOG", "debug")
     out = tmp_path / "report.json"
@@ -213,8 +279,8 @@ def test_log_env_var_enables_diagnostics(orthogonal_file, tmp_path, monkeypatch)
 class TestDeterminism:
     def test_solve_reports_are_byte_identical(self, trine_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        main(["solve", trine_file, "--seed", "9", "--output", str(a)])
-        main(["solve", trine_file, "--seed", "9", "--output", str(b)])
+        main(["solve", trine_file, "--output", str(a)])
+        main(["solve", trine_file, "--output", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
     def test_simulate_reports_are_byte_identical(self, trine_file, tmp_path):

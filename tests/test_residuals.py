@@ -12,7 +12,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qsd import Povm, certificate_from_povm, dual_operator, kkt_check, make_ensemble, validate_povm
+from qsd import (
+    DimensionMismatch,
+    NotHermitian,
+    Povm,
+    certificate_from_povm,
+    dual_operator,
+    kkt_check,
+    make_ensemble,
+    validate_povm,
+)
 from qsd.rand import random_density, random_ensemble, random_povm, random_pure
 
 TOL = 1e-12
@@ -139,4 +148,30 @@ def test_default_certificate_uses_the_povm_dual_operator():
     a = certificate_from_povm(ensemble, povm)
     b = certificate_from_povm(ensemble, povm, dual_operator(ensemble, povm))
     np.testing.assert_array_equal(a.k_operator, b.k_operator)
-    assert a.slackness == b.slackness and a.dual_feasibility == b.dual_feasibility
+    np.testing.assert_array_equal(a.slackness, b.slackness)
+    np.testing.assert_array_equal(a.dual_feasibility, b.dual_feasibility)
+
+
+def test_per_state_certificate_fields_are_read_only_float_arrays():
+    ensemble = random_ensemble(601, 4, 3)
+    certificate = certificate_from_povm(ensemble, random_povm(602, 4, 3))
+    for values in (certificate.slackness, certificate.dual_feasibility):
+        assert isinstance(values, np.ndarray)
+        assert values.dtype == np.float64 and values.shape == (4,)
+        assert not values.flags.writeable
+
+
+@pytest.mark.parametrize("check", [certificate_from_povm, kkt_check])
+def test_caller_k_is_checked_and_copied(check):
+    ensemble = random_ensemble(603, 3, 2)
+    povm = random_povm(604, 3, 2)
+    with pytest.raises(DimensionMismatch):
+        check(ensemble, povm, np.eye(3))
+    with pytest.raises(NotHermitian):
+        check(ensemble, povm, np.array([[0.0, 1.0], [0.0, 0.0]]))
+    k = dual_operator(ensemble, povm).copy()
+    result = check(ensemble, povm, k)
+    assert k.flags.writeable
+    if check is certificate_from_povm:
+        assert not np.shares_memory(result.k_operator, k)
+        np.testing.assert_array_equal(result.k_operator, k)

@@ -132,6 +132,17 @@ class TestGhjwPovm:
         with pytest.raises(MarginalMismatch):
             ghjw_povm(psi, decomposition)
 
+    def test_weight_outside_the_steerable_support_rejected(self):
+        # Member 1 has eigenvalue -b >= -PSD_TOL and the mixture is 0.9e-9 from
+        # the rank-1 target, so validation and both marginal checks pass; only
+        # the support check sees member 0's weight 0.01 a = 1.45e-9 on |1>.
+        a, b = 1.45e-7, 0.999e-9
+        target = validate_density(np.diag([1.0, 0.0]))
+        members = [(0.01, np.diag([1 - a, a])), (0.99, np.diag([1 + b, -b]))]
+        decomposition = make_decomposition(target, members)
+        with pytest.raises(UnsteerableWeight, match="member 0 has weight 1.450e-09 outside the steerable support"):
+            ghjw_povm(purify(target), decomposition)
+
     def test_pure_target_trivial_decomposition(self):
         target = validate_density(projector(1, 1j))
         psi = purify(target)
