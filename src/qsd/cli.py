@@ -88,6 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_certify = sub.add_parser("certify", help="re-verify a solve report against its instance")
     p_certify.add_argument("instance")
     p_certify.add_argument("report")
+    _tolerance_flag(p_certify, "; a report's own options.kkt_tolerance can only tighten it")
     p_certify.set_defaults(handler=cmd_certify)
 
     p_sim = sub.add_parser("simulate", help="sample the steering protocol with the optimal detector")
@@ -102,8 +103,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _solver_flags(parser) -> None:
-    parser.add_argument("--tolerance", type=float, default=1e-9, help="certificate tolerance (default 1e-9)")
+    _tolerance_flag(parser)
     parser.add_argument("--max-iter", type=int, default=10000, help="iteration budget (default 10000)")
+
+
+def _tolerance_flag(parser, note: str = "") -> None:
+    parser.add_argument("--tolerance", type=_tolerance, default=1e-9, help=f"certificate tolerance (default 1e-9){note}")
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not 0.0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
 
 
 def _output_flag(parser) -> None:
@@ -206,9 +221,11 @@ def cmd_certify(args) -> int:
     if echoed.get("hash") != actual_hash:
         raise FormatError(f'instance hash mismatch: report has {echoed.get("hash")!r}, instance is {actual_hash}')
 
-    tolerance = _number(_section(report, "options"), "kkt_tolerance", 1e-9, "options")
-    if not 0.0 < tolerance < np.inf:
-        raise FormatError(f"options.kkt_tolerance: expected a positive finite number, got {tolerance!r}")
+    recorded = _number(_section(report, "options"), "kkt_tolerance", 1e-9, "options")
+    if not 0.0 < recorded < np.inf:
+        raise FormatError(f"options.kkt_tolerance: expected a positive finite number, got {recorded!r}")
+    # The report cannot loosen the check it is put to, only tighten it.
+    tolerance = min(args.tolerance, recorded)
     certificate_tolerance = 10.0 * tolerance
     matrices = _section(report, "matrices")
     try:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -24,51 +25,48 @@ class FormatError(QsdError):
 
 
 def format_real(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise FormatError(f"cannot serialize non-finite value {x!r}")
     return format(float(x), ".17g")
 
 
 def dump_json(obj) -> str:
     """Deterministic JSON with fixed float formatting and stable key order."""
-    return _emit(obj, 0) + "\n"
+    return _emit(obj, 0)[0] + "\n"
 
 
-def _emit(obj, level: int) -> str:
-    pad = "  " * level
-    inner = "  " * (level + 1)
+def _emit(obj, level: int) -> tuple[str, bool]:
+    """obj as JSON text at nesting level, and whether it holds a dict.
+
+    A list is written on one line unless it holds a dict at any depth.
+    """
+    if type(obj) is float:
+        return format_real(obj), False
     if isinstance(obj, dict):
         if not obj:
-            return "{}"
-        parts = [f'{inner}{json.dumps(str(k))}: {_emit(v, level + 1)}' for k, v in obj.items()]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+            return "{}", True
+        inner = "  " * (level + 1)
+        parts = [f"{inner}{json.dumps(str(k))}: {_emit(v, level + 1)[0]}" for k, v in obj.items()]
+        return "{\n" + ",\n".join(parts) + "\n" + "  " * level + "}", True
     if isinstance(obj, (list, tuple)):
-        items = list(obj)
-        if not items:
-            return "[]"
-        if not any(_contains_dict(v) for v in items):
-            return "[" + ", ".join(_emit(v, level + 1) for v in items) + "]"
-        parts = [f"{inner}{_emit(v, level + 1)}" for v in items]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+        if not obj:
+            return "[]", False
+        emitted = [_emit(v, level + 1) for v in obj]
+        if not any(holds for _, holds in emitted):
+            return "[" + ", ".join(text for text, _ in emitted) + "]", False
+        inner = "  " * (level + 1)
+        return "[\n" + ",\n".join(inner + text for text, _ in emitted) + "\n" + "  " * level + "]", True
     if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
+        return ("true" if obj else "false"), False
     if obj is None:
-        return "null"
+        return "null", False
     if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
+        return str(int(obj)), False
     if isinstance(obj, (float, np.floating)):
-        return format_real(float(obj))
+        return format_real(float(obj)), False
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return json.dumps(obj), False
     raise FormatError(f"cannot serialize object of type {type(obj).__name__}")
-
-
-def _contains_dict(obj) -> bool:
-    if isinstance(obj, dict):
-        return True
-    if isinstance(obj, (list, tuple)):
-        return any(_contains_dict(v) for v in obj)
-    return False
 
 
 def encode_matrix(matrix: np.ndarray) -> list:

@@ -29,6 +29,19 @@ otherwise the plain image is; the history is kept either way.  On 1600
 random instances (N 2..6, d <= 4) this takes the median from 29 iterations
 to 9 and the 99th percentile from about 2000 to 41.
 
+Where an optimal element vanishes, sigma_x = K - q_x rho_x is positive
+definite (tr[sigma_x M_x] = 0 with sigma_x >= 0), yet the map shrinks M_x
+only sublinearly, the more slowly the smaller lambda_min(sigma_x) is.  An
+active-set step (_iterate) therefore tries, at iteration 20 and then
+whenever the iterations used have doubled, to drop every state whose
+lambda_min(sigma_x) exceeds the current residual: it solves the kept states
+on their own, warm-started from their renormalised factors, and accepts the
+result, padded with zero elements, only if its residual on the full stack
+meets the loop's own stop rule.  Otherwise the full iteration continues from
+where it was, so a wrong drop costs steps but can never be reported as
+converged.  On the same 1600 instances the maximum goes from 10000 (one
+instance out of budget) to 62 iterations, and every instance converges.
+
 Operators are held as (N, d, d) stacks: the weighted states W_x = q_x rho_x,
 the factors and the elements.  One routine each forms K = sum_x W_x M_x
 (_dual), the dual side of the optimality conditions with one batched eigvalsh
@@ -61,7 +74,8 @@ ZERO_PRIOR = 1e-15
 # Extra polish: after the residuals first drop below tolerance, keep iterating
 # toward tol/POLISH_FACTOR so downstream certificate checks have headroom.
 POLISH_FACTOR = 1e4
-STALL_LIMIT = 100
+# The active-set step first looks for vanishing elements at this iteration.
+FIRST_DROP_CHECK = 20
 # Anderson mixes the differences between the last ANDERSON_MEMORY + 1
 # (factor, image) pairs.
 ANDERSON_MEMORY = 5
@@ -197,38 +211,7 @@ def solve(ensemble: StateEnsemble, options: SolverOptions | None = None) -> Disc
     weighted = ensemble.weighted_stack()[active]
     # The uniform POVM I/N over the live states, as factors I/sqrt(N).
     factors = np.repeat(np.eye(d, dtype=complex)[None] / np.sqrt(len(active)), len(active), axis=0)
-
-    best_elements = _elements_of(factors)
-    best_residual = np.inf
-    residual = np.inf
-    stall = 0
-    anderson = _Anderson(factors.shape)
-
-    for iterations in range(1, opts.max_iterations + 1):
-        image = _step(weighted, factors)
-        anderson.push(factors, image)
-        candidate = anderson.candidate()
-        accepted = False
-        if candidate is not None:
-            candidate_elements = _elements_of(candidate)
-            candidate_residual = _residual(weighted, candidate_elements)
-            accepted = candidate_residual < residual
-        if accepted:
-            factors, elements, residual = candidate, candidate_elements, candidate_residual
-        else:
-            factors, elements = image, _elements_of(image)
-            residual = _residual(weighted, elements)
-
-        if residual < best_residual:
-            best_residual = residual
-            best_elements = elements
-            stall = 0
-        else:
-            stall += 1
-        if residual <= opts.kkt_tolerance / POLISH_FACTOR:
-            break
-        if best_residual <= opts.kkt_tolerance and stall >= STALL_LIMIT:
-            break
+    best_elements, iterations = _iterate(weighted, factors, opts.max_iterations, opts.kkt_tolerance / POLISH_FACTOR)
 
     full = np.zeros((len(ensemble), d, d), dtype=complex)
     full[active] = best_elements
@@ -251,10 +234,97 @@ def solve(ensemble: StateEnsemble, options: SolverOptions | None = None) -> Disc
     )
 
 
+def _iterate(
+    weighted: np.ndarray,
+    factors: np.ndarray,
+    budget: int,
+    target: float,
+    dropped: np.ndarray | None = None,
+    limit: float = np.inf,
+) -> tuple[np.ndarray, int]:
+    """The accelerated map on a stack of weighted states, with the active-set step.
+
+    Runs from the given factors for at most budget steps, stopping once the
+    KKT residual is <= target, and returns the best elements seen and the
+    steps taken, those of nested reduced solves included.  At iteration
+    FIRST_DROP_CHECK, and then whenever the steps taken have doubled, the
+    states whose sigma_x = K - W_x has its smallest eigenvalue above the
+    current residual are taken to have vanishing optimal elements: the kept
+    states are solved on their own, warm-started from their renormalised
+    factors, and the result, padded with zero elements, is returned only if
+    its residual on this whole stack is <= target.  Otherwise the iteration
+    continues from where it was.  In such a reduced solve, dropped holds the
+    dropped weighted states and limit the parent's residual at the drop: the
+    first time the residual falls below limit, the solve gives up if K - W_x
+    has an eigenvalue below -limit for a dropped x.
+    """
+    best_elements = _elements_of(factors)
+    best_residual = np.inf
+    residual = np.inf
+    anderson = _Anderson(factors.shape)
+    check = FIRST_DROP_CHECK
+    iterations = 0
+    while iterations < budget:
+        iterations += 1
+        image = _step(weighted, factors)
+        anderson.push(factors, image)
+        candidate = anderson.candidate()
+        accepted = False
+        if candidate is not None:
+            candidate_elements = _elements_of(candidate)
+            candidate_residual, candidate_feas = _residual(weighted, candidate_elements)
+            accepted = candidate_residual < residual
+        if accepted:
+            factors, elements, residual, feas = candidate, candidate_elements, candidate_residual, candidate_feas
+        else:
+            factors, elements = image, _elements_of(image)
+            residual, feas = _residual(weighted, elements)
+
+        if residual < best_residual:
+            best_residual = residual
+            best_elements = elements
+        if residual <= target:
+            break
+        if dropped is not None and residual < limit:
+            violation = -float(np.linalg.eigvalsh(_dual(weighted, elements) - dropped)[:, 0].min())
+            if violation > limit:
+                break
+            dropped = None
+        if iterations == check:
+            drop = _vanishing(feas, residual)
+            if drop.any() and not drop.all():
+                keep = ~drop
+                reduced, used = _iterate(
+                    weighted[keep], _complete(factors[keep]), budget - iterations, target, weighted[drop], residual
+                )
+                iterations += used
+                padded = np.zeros_like(elements)
+                padded[keep] = reduced
+                if _residual(weighted, padded)[0] <= target:
+                    return padded, iterations
+            check = 2 * iterations
+    return best_elements, iterations
+
+
+def _vanishing(feas: np.ndarray, residual: float) -> np.ndarray:
+    """Mask of the states whose optimal element the optimality conditions predict to vanish.
+
+    At an optimum tr[sigma_x M_x] = 0 with sigma_x >= 0, so M_x = 0 wherever
+    sigma_x is positive definite; here that is read as lambda_min(sigma_x)
+    above the current residual.
+    """
+    return feas > residual
+
+
 def _step(weighted: np.ndarray, factors: np.ndarray) -> np.ndarray:
     """The plain fixed-point map on square-root factors: A_x <- G^{-1/2} W_x A_x."""
     b = weighted @ factors
     return psd_sqrt_pinv(_gram(b)) @ b
+
+
+def _complete(factors: np.ndarray) -> np.ndarray:
+    """Factors renormalised to S^{-1/2} A with S = sum_x A_x A_x^dagger, so their elements are complete."""
+    return psd_sqrt_pinv(_gram(factors)) @ factors
 
 
 def _gram(factors: np.ndarray) -> np.ndarray:
@@ -275,12 +345,15 @@ def _dual(weighted: np.ndarray, elements: np.ndarray) -> np.ndarray:
     return hermitian_part((weighted @ elements).sum(axis=0))
 
 
-def _residual(weighted: np.ndarray, elements: np.ndarray) -> float:
-    """Largest of the slackness, dual-feasibility and gap residuals at K = sum_x W_x M_x."""
+def _residual(weighted: np.ndarray, elements: np.ndarray) -> tuple[float, np.ndarray]:
+    """Largest of the slackness, dual-feasibility and gap residuals at K = sum_x W_x M_x.
+
+    Also returns the smallest eigenvalue of each sigma_x = K - W_x.
+    """
     k = _dual(weighted, elements)
     _, slackness, feas = _residuals(weighted, elements, k)
     gap = float(k.trace().real) - _objective(weighted, elements)
-    return max(float(np.abs(slackness).max()), -float(feas.min()), abs(gap))
+    return max(float(np.abs(slackness).max()), -float(feas.min()), abs(gap)), feas
 
 
 class _Anderson:
@@ -326,8 +399,7 @@ class _Anderson:
         if m == 0:
             return None
         gamma = np.linalg.lstsq(self.gram[:m, :m], self.df[:m] @ self.f, rcond=None)[0]
-        c = (self.g - gamma @ self.dg[:m]).reshape(self.shape)
-        return psd_sqrt_pinv(_gram(c)) @ c
+        return _complete((self.g - gamma @ self.dg[:m]).reshape(self.shape))
 
 
 def _residuals(weighted: np.ndarray, elements: np.ndarray, k: np.ndarray):

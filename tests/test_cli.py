@@ -158,6 +158,30 @@ class TestCertifyCommand:
         assert main(["certify", slow_file, str(out)]) == 3
         assert "FAILED" in capsys.readouterr().out
 
+    def test_report_cannot_loosen_its_own_check(self, tmp_path, capsys):
+        # Stopped after 5 of its 9 iterations, the solve leaves a dual
+        # residual near 1e-7; a report edited to claim kkt_tolerance 1e-5 is
+        # still checked at 1e-9.
+        path = write_instance(tmp_path / "early.json", random_ensemble(0, 4, 3))
+        out = tmp_path / "report.json"
+        assert main(["solve", path, "--max-iter", "5", "--output", str(out)]) == 2
+        report = json.loads(out.read_text())
+        assert 1e-9 < report["result"]["residuals"]["dual"] < 1e-6
+        report["options"]["kkt_tolerance"] = 1e-5
+        out.write_text(json.dumps(report))
+        assert main(["certify", path, str(out)]) == 3
+        assert "(tolerance 1.0e-09)" in capsys.readouterr().out
+        assert main(["certify", path, str(out), "--tolerance", "1e-5"]) == 0
+
+    def test_report_tolerance_tightens_the_check(self, trine_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        main(["solve", trine_file, "--output", str(out)])
+        report = json.loads(out.read_text())
+        report["options"]["kkt_tolerance"] = 1e-12
+        out.write_text(json.dumps(report))
+        assert main(["certify", trine_file, str(out), "--tolerance", "1e-6"]) == 0
+        assert "(tolerance 1.0e-12)" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "path, value",
         [
@@ -254,8 +278,11 @@ class TestUsageErrors:
             ["solve", "x.json", "--seed", "3"],  # solve has no --seed
             ["certify", "x.json"],  # missing report argument
             ["simulate", "x.json", "--shots", "many"],
+            ["certify", "x.json", "r.json", "--tolerance", "0"],
+            ["solve", "x.json", "--tolerance", "inf"],
+            ["solve", "x.json", "--tolerance", "tight"],
         ],
-        ids=["unknown-flag", "missing-argument", "non-integer"],
+        ids=["unknown-flag", "missing-argument", "non-integer", "zero-tolerance", "infinite-tolerance", "text-tolerance"],
     )
     def test_usage_error_exits_one(self, args, capsys):
         with pytest.raises(SystemExit) as exc:

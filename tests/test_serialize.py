@@ -38,6 +38,50 @@ class TestFloatFormatting:
         doc = {"a": 1 / 3, "b": [1.0, 2.5e-10], "c": {"d": True, "e": None}}
         assert dump_json(doc) == dump_json(doc)
 
+    def test_nested_document_golden_bytes(self):
+        # Lists stay on one line unless they hold a dict at some depth.
+        doc = {
+            "text": 'quote " and slash \\ and \u00e9',
+            "numbers": [1 / 3, -0.0, 1e-300, np.float64(0.1), np.int64(-7), 3, True, np.bool_(False), None],
+            "empty": {"dict": {}, "list": [], "tuple": ()},
+            "matrix": [[[0.5, 0.0], [0.25, -0.125]]],
+            "records": [{"prior": 0.5}, [1.0, {"deep": [2.0]}], [[{}]], [[]], (4, 5)],
+            7: {"k": [1.0, 2.0]},
+        }
+        expected = """{
+  "text": "quote \\" and slash \\\\ and \\u00e9",
+  "numbers": [0.33333333333333331, -0, 1e-300, 0.10000000000000001, -7, 3, true, false, null],
+  "empty": {
+    "dict": {},
+    "list": [],
+    "tuple": []
+  },
+  "matrix": [[[0.5, 0], [0.25, -0.125]]],
+  "records": [
+    {
+      "prior": 0.5
+    },
+    [
+      1,
+      {
+        "deep": [2]
+      }
+    ],
+    [
+      [
+        {}
+      ]
+    ],
+    [[]],
+    [4, 5]
+  ],
+  "7": {
+    "k": [1, 2]
+  }
+}
+"""
+        assert dump_json(doc) == expected
+
 
 class TestInstanceRoundtrip:
     def test_states_and_priors_survive_bit_exactly(self):

@@ -16,12 +16,14 @@ from qsd import (
     kkt_check,
     make_ensemble,
     solve,
+    solver,
     validate_povm,
 )
 from qsd.core import hermitian_part
+from qsd.oracle import oracle_grid
 from qsd.rand import random_ensemble
 
-from .conftest import corpus_ensembles, orthogonal_instance, projector
+from .conftest import corpus_ensembles, orthogonal_instance, projector, trine_states
 
 
 class TestSolve:
@@ -116,6 +118,78 @@ class TestAcceleration:
             result = solve(ensemble, SolverOptions(max_iterations=k))
             assert result.iterations == k
             validate_povm(result.povm.elements)
+
+
+class TestActiveSetStep:
+    """The try-and-verify drop of states whose optimal element vanishes."""
+
+    TARGET = SolverOptions().kkt_tolerance / solver.POLISH_FACTOR
+
+    @staticmethod
+    def force_drop(monkeypatch, ensemble, state):
+        """Make the first iteration drop state from the full stack, whatever its residuals say."""
+        calls = []
+
+        def vanishing(feas, residual):
+            calls.append(len(feas))
+            return (np.arange(len(feas)) == state) & (len(feas) == len(ensemble))
+
+        monkeypatch.setattr(solver, "FIRST_DROP_CHECK", 1)
+        monkeypatch.setattr(solver, "_vanishing", vanishing)
+        return calls
+
+    @staticmethod
+    def skewed_trine():
+        # The optimal element of state 2 vanishes; those of states 0 and 1 have trace 1.
+        return make_ensemble([0.5, 0.3, 0.2], trine_states())
+
+    @pytest.mark.parametrize("state", [0, 1])
+    def test_wrong_drop_on_the_trine_is_rejected(self, monkeypatch, state):
+        ensemble = self.skewed_trine()
+        calls = self.force_drop(monkeypatch, ensemble, state)
+        result = solve(ensemble)
+        assert len(ensemble) in calls
+        assert result.converged
+        assert abs(result.guess_probability - oracle_grid(ensemble)) <= 1e-9
+        assert np.trace(result.povm.elements[state]).real == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("state", [0, 1])
+    def test_wrong_drop_on_two_states_is_rejected(self, monkeypatch, state):
+        ensemble = random_ensemble(np.random.default_rng(5), 2, 3)
+        calls = self.force_drop(monkeypatch, ensemble, state)
+        result = solve(ensemble)
+        assert len(ensemble) in calls
+        assert result.converged
+        assert abs(result.guess_probability - helstrom(ensemble).value) <= 1e-9
+        assert np.trace(result.povm.elements[state]).real > 0.1
+
+    def test_right_drop_gives_an_exactly_zero_element(self, monkeypatch):
+        ensemble = self.skewed_trine()
+        self.force_drop(monkeypatch, ensemble, 2)
+        result = solve(ensemble)
+        assert result.converged
+        np.testing.assert_array_equal(result.povm.elements[2], np.zeros((2, 2)))
+        assert abs(result.guess_probability - oracle_grid(ensemble)) <= 1e-9
+
+    def test_accepted_drop_meets_the_stop_rule(self, monkeypatch):
+        # A live state's element is exactly zero only after an accepted drop;
+        # the solve's own residual on the full stack must then meet the stop
+        # rule.  Both the solver's own drops and forced ones, right and wrong,
+        # are tried.
+        ensembles = [self.skewed_trine()] + list(corpus_ensembles(1, 40))
+        runs = [(e, None) for e in ensembles] + [(e, x) for e in ensembles[:6] for x in range(len(e))]
+        accepted = 0
+        for ensemble, state in runs:
+            with monkeypatch.context() as patch:
+                if state is not None:
+                    self.force_drop(patch, ensemble, state)
+                result = solve(ensemble)
+            assert result.converged
+            if not result.povm.elements.any(axis=(1, 2)).all():
+                accepted += 1
+                residual, _ = solver._residual(ensemble.weighted_stack(), result.povm.elements)
+                assert residual <= self.TARGET
+        assert accepted >= 5
 
 
 class TestSolverOptions:
