@@ -35,12 +35,18 @@ only sublinearly, the more slowly the smaller lambda_min(sigma_x) is.  An
 active-set step (_iterate) therefore tries, at iteration 20 and then
 whenever the iterations used have doubled, to drop every state whose
 lambda_min(sigma_x) exceeds the current residual: it solves the kept states
-on their own, warm-started from their renormalised factors, and accepts the
-result, padded with zero elements, only if its residual on the full stack
-meets the loop's own stop rule.  Otherwise the full iteration continues from
-where it was, so a wrong drop costs steps but can never be reported as
-converged.  On the same 1600 instances the maximum goes from 10000 (one
-instance out of budget) to 62 iterations, and every instance converges.
+on their own, warm-started from their renormalised factors, and ends the
+solve with the result, padded with zero elements, only if its residual on
+the full stack meets the loop's own stop rule.  Otherwise the result is kept
+if it is the best iterate so far and the full iteration continues from where
+it was, so a wrong drop costs steps but can never be reported as converged.
+On the same 1600 instances the maximum goes from 10000 (one instance out of
+budget) to 56 iterations, and every instance converges.
+
+The stop rule asks for tolerance / POLISH_FACTOR; once the best residual is
+within tolerance the solve also stops after STALL_LIMIT steps without
+improvement, and tries no more drops.  That bounds a solve whose tolerance
+puts the stop rule at round-off level.
 
 Operators are held as (N, d, d) stacks: the weighted states W_x = q_x rho_x,
 the factors and the elements.  One routine each forms K = sum_x W_x M_x
@@ -74,6 +80,9 @@ ZERO_PRIOR = 1e-15
 # Extra polish: after the residuals first drop below tolerance, keep iterating
 # toward tol/POLISH_FACTOR so downstream certificate checks have headroom.
 POLISH_FACTOR = 1e4
+# Once the best residual is within tolerance, stop after this many steps
+# without improvement: round-off can keep tolerance / POLISH_FACTOR out of reach.
+STALL_LIMIT = 100
 # The active-set step first looks for vanishing elements at this iteration.
 FIRST_DROP_CHECK = 20
 # Anderson mixes the differences between the last ANDERSON_MEMORY + 1
@@ -211,7 +220,7 @@ def solve(ensemble: StateEnsemble, options: SolverOptions | None = None) -> Disc
     weighted = ensemble.weighted_stack()[active]
     # The uniform POVM I/N over the live states, as factors I/sqrt(N).
     factors = np.repeat(np.eye(d, dtype=complex)[None] / np.sqrt(len(active)), len(active), axis=0)
-    best_elements, iterations = _iterate(weighted, factors, opts.max_iterations, opts.kkt_tolerance / POLISH_FACTOR)
+    best_elements, _, iterations = _iterate(weighted, factors, opts.max_iterations, opts.kkt_tolerance)
 
     full = np.zeros((len(ensemble), d, d), dtype=complex)
     full[active] = best_elements
@@ -238,28 +247,37 @@ def _iterate(
     weighted: np.ndarray,
     factors: np.ndarray,
     budget: int,
-    target: float,
+    tolerance: float,
     dropped: np.ndarray | None = None,
     limit: float = np.inf,
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, int, int]:
     """The accelerated map on a stack of weighted states, with the active-set step.
 
-    Runs from the given factors for at most budget steps, stopping once the
-    KKT residual is <= target, and returns the best elements seen and the
-    steps taken, those of nested reduced solves included.  At iteration
-    FIRST_DROP_CHECK, and then whenever the steps taken have doubled, the
-    states whose sigma_x = K - W_x has its smallest eigenvalue above the
-    current residual are taken to have vanishing optimal elements: the kept
-    states are solved on their own, warm-started from their renormalised
-    factors, and the result, padded with zero elements, is returned only if
-    its residual on this whole stack is <= target.  Otherwise the iteration
-    continues from where it was.  In such a reduced solve, dropped holds the
-    dropped weighted states and limit the parent's residual at the drop: the
-    first time the residual falls below limit, the solve gives up if K - W_x
-    has an eigenvalue below -limit for a dropped x.
+    Runs from the given factors for at most budget steps and returns the best
+    elements seen, the step at which they were found and the steps taken,
+    those of nested reduced solves included.  It stops once the KKT residual
+    is <= tolerance / POLISH_FACTOR, or once the best residual is <=
+    tolerance and has not improved for STALL_LIMIT steps.
+
+    At iteration FIRST_DROP_CHECK, and then whenever the steps taken have
+    doubled, the states whose sigma_x = K - W_x has its smallest eigenvalue
+    above the current residual are taken to have vanishing optimal elements:
+    the kept states are solved on their own, warm-started from their
+    renormalised factors, and the result, padded with zero elements, ends the
+    iteration if its residual on this whole stack meets the stop rule.
+    Otherwise it becomes the best iterate if it beats it, and the iteration
+    continues from where it was.  No drop is tried once the best residual is
+    within tolerance: the stall exit then bounds the remaining steps, and at
+    round-off level a positive lambda_min(sigma_x) says nothing.  In a
+    reduced solve, dropped holds the dropped weighted states and limit the
+    parent's residual at the drop: the first time the residual falls below
+    limit, the solve gives up if K - W_x has an eigenvalue below -limit for a
+    dropped x.
     """
+    target = tolerance / POLISH_FACTOR
     best_elements = _elements_of(factors)
     best_residual = np.inf
+    best_at = 0
     residual = np.inf
     anderson = _Anderson(factors.shape)
     check = FIRST_DROP_CHECK
@@ -281,29 +299,33 @@ def _iterate(
             residual, feas = _residual(weighted, elements)
 
         if residual < best_residual:
-            best_residual = residual
-            best_elements = elements
+            best_residual, best_elements, best_at = residual, elements, iterations
         if residual <= target:
+            break
+        if best_residual <= tolerance and iterations - best_at >= STALL_LIMIT:
             break
         if dropped is not None and residual < limit:
             violation = -float(np.linalg.eigvalsh(_dual(weighted, elements) - dropped)[:, 0].min())
             if violation > limit:
                 break
             dropped = None
-        if iterations == check:
+        if iterations == check and best_residual > tolerance:
             drop = _vanishing(feas, residual)
             if drop.any() and not drop.all():
                 keep = ~drop
-                reduced, used = _iterate(
-                    weighted[keep], _complete(factors[keep]), budget - iterations, target, weighted[drop], residual
+                reduced, reduced_at, used = _iterate(
+                    weighted[keep], _complete(factors[keep]), budget - iterations, tolerance, weighted[drop], residual
                 )
-                iterations += used
                 padded = np.zeros_like(elements)
                 padded[keep] = reduced
-                if _residual(weighted, padded)[0] <= target:
-                    return padded, iterations
+                padded_residual = _residual(weighted, padded)[0]
+                if padded_residual < best_residual:
+                    best_residual, best_elements, best_at = padded_residual, padded, iterations + reduced_at
+                iterations += used
+                if padded_residual <= target:
+                    break
             check = 2 * iterations
-    return best_elements, iterations
+    return best_elements, best_at, iterations
 
 
 def _vanishing(feas: np.ndarray, residual: float) -> np.ndarray:

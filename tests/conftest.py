@@ -69,3 +69,8 @@ def corpus_ensembles(seed: int, count: int = 200):
         n = int(rng.integers(2, 7))
         d = int(rng.choice([2, 3, 4]))
         yield random_ensemble(rng, n, d, pure=bool(rng.integers(2)))
+
+
+def corpus_member(seed: int, index: int):
+    """The index-th instance of corpus_ensembles(seed)."""
+    return next(e for i, e in enumerate(corpus_ensembles(seed)) if i == index)

@@ -17,7 +17,7 @@ import pytest
 from qsd import kkt_check, make_ensemble, solve
 from qsd.rand import random_density, random_ensemble, random_priors, random_pure
 
-from .conftest import corpus_ensembles
+from .conftest import corpus_member
 
 TOL = 1e-9
 
@@ -88,10 +88,6 @@ def test_hostile_instance_converges_with_every_residual_within_tolerance(kind, i
         assert abs(getattr(report, field)) <= TOL, (kind, index, field, getattr(report, field))
 
 
-def _corpus_member(seed, index):
-    return next(e for i, e in enumerate(corpus_ensembles(seed)) if i == index)
-
-
 def _files_n8_d8():
     # The benchmark's generated N = 8, d = 8 file instance, drawn after its 4 x 4 one.
     rng = np.random.default_rng(20260101)
@@ -103,8 +99,8 @@ def _files_n8_d8():
 # the 10000-iteration budget, seed 5 #37 takes 2193 iterations and the N = 8
 # instance 252.
 TAIL = {
-    "corpus-seed1-35": (lambda: _corpus_member(1, 35), (5, 3)),
-    "corpus-seed5-37": (lambda: _corpus_member(5, 37), (4, 3)),
+    "corpus-seed1-35": (lambda: corpus_member(1, 35), (5, 3)),
+    "corpus-seed5-37": (lambda: corpus_member(5, 37), (4, 3)),
     "files-gen-n8-d8": (_files_n8_d8, (8, 8)),
 }
 

@@ -23,7 +23,7 @@ from qsd.core import hermitian_part
 from qsd.oracle import oracle_grid
 from qsd.rand import random_ensemble
 
-from .conftest import corpus_ensembles, orthogonal_instance, projector, trine_states
+from .conftest import corpus_ensembles, corpus_member, orthogonal_instance, projector, trine_states
 
 
 class TestSolve:
@@ -94,13 +94,9 @@ class TestSolve:
 class TestAcceleration:
     """The Anderson step on square-root factors: the tail converges and every iterate stays a POVM."""
 
-    @staticmethod
-    def corpus_instance(seed: int, index: int):
-        return next(e for i, e in enumerate(corpus_ensembles(seed)) if i == index)
-
     def test_slowest_acceptance_instance_converges_quickly(self):
         # The plain fixed-point map needs 7004 iterations on this pure N = 5, d = 2 instance.
-        ensemble = self.corpus_instance(20260101, 103)
+        ensemble = corpus_member(20260101, 103)
         assert (len(ensemble), ensemble.dim) == (5, 2)
         result = solve(ensemble)
         assert result.converged
@@ -108,7 +104,7 @@ class TestAcceleration:
 
     def test_stalled_pure_instance_now_converges(self):
         # The plain map stops at a residual of 2.25e-9 on this pure N = 4, d = 4 instance.
-        ensemble = self.corpus_instance(1, 90)
+        ensemble = corpus_member(1, 90)
         assert (len(ensemble), ensemble.dim) == (4, 4)
         assert solve(ensemble).converged
 
@@ -190,6 +186,39 @@ class TestActiveSetStep:
                 residual, _ = solver._residual(ensemble.weighted_stack(), result.povm.elements)
                 assert residual <= self.TARGET
         assert accepted >= 5
+
+    def test_cut_short_drop_attempt_keeps_its_progress(self):
+        # A reduced solve starts at iteration 20 and meets the stop rule at
+        # iteration 40.  A budget that ends inside it still returns its best
+        # iterate, so the residual keeps falling as the budget grows.
+        ensemble = random_ensemble(7, 4, 3)
+        results = {k: solve(ensemble, SolverOptions(max_iterations=k)) for k in range(18, 41)}
+        residuals = [r.report.max_residual() for r in results.values()]
+        assert all(later <= earlier for earlier, later in zip(residuals, residuals[1:]))
+        assert results[38].report.max_residual() < 1e-3 * results[20].report.max_residual()
+        assert results[40].converged
+        assert not results[40].povm.elements.any(axis=(1, 2)).all()
+
+    def test_wrong_drop_is_given_up_early(self):
+        # The drop at iteration 20 is wrong.  Its reduced solve gives up once
+        # K visibly violates a dropped state's constraint; run to its end it
+        # makes the solve take 57 iterations.
+        ensemble = corpus_member(20260101, 15)
+        assert (len(ensemble), ensemble.dim) == (4, 4)
+        result = solve(ensemble)
+        assert result.converged
+        assert result.iterations <= 50
+
+    @pytest.mark.parametrize("tolerance, bound", [(1e-12, 100), (1e-13, 300)])
+    def test_tight_tolerance_ends_in_bounded_steps(self, tolerance, bound):
+        # The stop rule asks for tolerance / 1e4, at or below round-off here.
+        # The stall exit ends the solve, and no drop is read off a residual
+        # at round-off level; either mistake runs out the 10000-step budget.
+        ensemble = corpus_member(20260101, 29)
+        assert (len(ensemble), ensemble.dim) == (5, 4)
+        result = solve(ensemble, SolverOptions(kkt_tolerance=tolerance))
+        assert result.converged
+        assert result.iterations <= bound
 
 
 class TestSolverOptions:
