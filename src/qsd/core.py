@@ -117,16 +117,17 @@ def psd_sqrt_pinv(a: np.ndarray) -> np.ndarray:
 
 
 def psd_project(a: np.ndarray) -> np.ndarray:
-    """Clip negative eigenvalues of a Hermitian matrix to zero."""
+    """Clip negative eigenvalues of a Hermitian matrix, or of each matrix in a stack, to zero."""
     w, v = np.linalg.eigh(hermitian_part(a))
-    return (v * np.maximum(w, 0.0)) @ v.conj().T
+    return (v * np.maximum(w, 0.0)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
     """A validated d x d quantum state: Hermitian, PSD, unit trace.
 
-    Construct through validate_density; the stored array is read-only.
+    Construct through validate_density or from a row of validate_densities;
+    the stored array is read-only.
     """
 
     matrix: np.ndarray
@@ -209,19 +210,52 @@ class Povm:
 def validate_density(matrix) -> DensityMatrix:
     """Validate a matrix as a quantum state or raise naming the violation.
 
-    Checks, in order: Hermiticity (scaled tolerance), positive
-    semidefiniteness (min eigenvalue >= -1e-9), unit trace (within 1e-9).
+    The one-matrix case of validate_densities: checks, in order,
+    Hermiticity (scaled tolerance), positive semidefiniteness (min
+    eigenvalue >= -1e-9), unit trace (within 1e-9).
     """
-    a = as_complex_matrix(matrix)
-    check_hermitian(a, "density matrix")
+    a = np.asarray(matrix, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    return DensityMatrix(matrix=validate_densities(a[None])[0])
+
+
+def validate_densities(stack) -> np.ndarray:
+    """Validate every matrix of an (N, d, d) stack as a quantum state, or raise naming the first violation.
+
+    Each check runs over the whole stack before the next: finiteness, then
+    Hermiticity (tolerance scaled by each matrix's largest entry), positive
+    semidefiniteness (one batched eigvalsh, min eigenvalue >= -1e-9), unit
+    trace (within 1e-9).  Returns the read-only stack of Hermitian parts, a
+    new array; its rows are the matrices of DensityMatrix instances.
+    """
+    a = np.asarray(stack, dtype=complex)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise DimensionMismatch(f"expected an (N, d, d) stack, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NonFinite("matrix contains NaN or Inf entries")
+
+    def name(x: int) -> str:
+        return "density matrix" if len(a) == 1 else f"density matrix {x}"
+
+    scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2), initial=0.0))
+    err = np.abs(a - a.conj().swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
+    bad = err > HERMITIAN_TOL * scale
+    if bad.any():
+        x = int(bad.argmax())
+        raise NotHermitian(f"{name(x)}: max |A_ij - conj(A_ji)| = {err[x]:.3e}")
     a = hermitian_part(a)
-    lo = min_eigenvalue(a)
-    if lo < -PSD_TOL:
-        raise NotPsd(f"density matrix: min eigenvalue = {lo:.3e}")
-    tr = float(a.trace().real)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise TraceNotOne(f"density matrix: trace = {tr:.12g}")
-    return DensityMatrix(matrix=_frozen(a))
+    lo = np.linalg.eigvalsh(a)[:, 0]
+    bad = lo < -PSD_TOL
+    if bad.any():
+        x = int(bad.argmax())
+        raise NotPsd(f"{name(x)}: min eigenvalue = {lo[x]:.3e}")
+    tr = np.trace(a, axis1=1, axis2=2).real
+    bad = np.abs(tr - 1.0) > TRACE_TOL
+    if bad.any():
+        x = int(bad.argmax())
+        raise TraceNotOne(f"{name(x)}: trace = {tr[x]:.12g}")
+    return _frozen(a)
 
 
 def make_ensemble(priors, matrices) -> StateEnsemble:

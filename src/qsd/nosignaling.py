@@ -27,7 +27,7 @@ from .core import (
     _frozen,
     psd_project,
     trace_norms,
-    validate_density,
+    validate_densities,
 )
 from .solver import DualCertificate
 from .steering import make_decomposition
@@ -76,15 +76,19 @@ def steering_structure(ensemble: StateEnsemble, certificate: DualCertificate) ->
 
     tr_k = certificate.trace_k
     p = ensemble.priors / tr_k
-    normalized_k = _normalize_psd(certificate.k_operator / tr_k)
-
     traces = np.trace(certificate.sigma, axis1=1, axis2=2).real
     weights = traces / tr_k
-    complementary = tuple(
-        None if t < ABSENT_TRACE else _normalize_psd(sigma / t) for sigma, t in zip(certificate.sigma, traces)
+    present = traces >= ABSENT_TRACE
+    # One stack [K / tr K; sigma_x / tr sigma_x for each present partner],
+    # clipped and validated in two batched steps.
+    normalized = _normalize_psd(
+        np.concatenate([certificate.k_operator[None] / tr_k, certificate.sigma[present] / traces[present, None, None]])
     )
+    normalized_k = DensityMatrix(matrix=normalized[0])
     # An absent partner contributes nothing to its decomposition.
-    partners = np.array([np.zeros_like(normalized_k.matrix) if c is None else c.matrix for c in complementary])
+    partners = np.zeros_like(certificate.sigma)
+    partners[present] = normalized[1:]
+    complementary = tuple(DensityMatrix(matrix=m) if keep else None for m, keep in zip(_frozen(partners), present))
     reconstructed = p[:, None, None] * ensemble.matrices + weights[:, None, None] * partners
     residual = trace_norms(reconstructed - normalized_k.matrix).max()
 
@@ -100,11 +104,12 @@ def steering_structure(ensemble: StateEnsemble, certificate: DualCertificate) ->
     )
 
 
-def _normalize_psd(matrix: np.ndarray) -> DensityMatrix:
+def _normalize_psd(stack: np.ndarray) -> np.ndarray:
+    """The (N, d, d) stack with negative eigenvalues clipped and each matrix scaled to unit trace, validated."""
     # Certificate operators carry eigenvalue noise at the solver tolerance;
     # clip it before unit-trace validation.
-    clipped = psd_project(matrix)
-    return validate_density(clipped / clipped.trace().real)
+    clipped = psd_project(stack)
+    return validate_densities(clipped / np.trace(clipped, axis1=1, axis2=2).real[:, None, None])
 
 
 def decompositions_from_structure(ensemble: StateEnsemble, structure: SteeringStructure):

@@ -51,6 +51,8 @@ def _emit(obj, level: int) -> tuple[str, bool]:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]", False
+        if all(type(v) is float for v in obj):
+            return "[" + ", ".join(map(format_real, obj)) + "]", False
         emitted = [_emit(v, level + 1) for v in obj]
         if not any(holds for _, holds in emitted):
             return "[" + ", ".join(text for text, _ in emitted) + "]", False
@@ -70,8 +72,9 @@ def _emit(obj, level: int) -> tuple[str, bool]:
 
 
 def encode_matrix(matrix: np.ndarray) -> list:
-    a = np.asarray(matrix, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in a]
+    """Rows of [re, im] pairs of a complex matrix, as Python floats."""
+    a = np.array(matrix, dtype=complex, order="C")
+    return a.view(float).reshape(*a.shape, 2).tolist()
 
 
 def decode_matrix(data, context: str) -> np.ndarray:

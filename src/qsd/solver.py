@@ -40,8 +40,11 @@ solve with the result, padded with zero elements, only if its residual on
 the full stack meets the loop's own stop rule.  Otherwise the result is kept
 if it is the best iterate so far and the full iteration continues from where
 it was, so a wrong drop costs steps but can never be reported as converged.
-On the same 1600 instances the maximum goes from 10000 (one instance out of
-budget) to 56 iterations, and every instance converges.
+A reduced solve that has not got below the parent's residual at the drop
+within as many steps as the parent had taken, or within STALL_LIMIT steps
+without improvement, gives up the same way.  On the same 1600 instances
+(tools/fresh_corpora.py) the maximum goes from 10000 (one instance out of
+budget) to 55 iterations, and every instance converges.
 
 The stop rule asks for tolerance / POLISH_FACTOR; once the best residual is
 within tolerance the solve also stops after STALL_LIMIT steps without
@@ -250,6 +253,7 @@ def _iterate(
     tolerance: float,
     dropped: np.ndarray | None = None,
     limit: float = np.inf,
+    patience: int = 0,
 ) -> tuple[np.ndarray, int, int]:
     """The accelerated map on a stack of weighted states, with the active-set step.
 
@@ -269,10 +273,13 @@ def _iterate(
     continues from where it was.  No drop is tried once the best residual is
     within tolerance: the stall exit then bounds the remaining steps, and at
     round-off level a positive lambda_min(sigma_x) says nothing.  In a
-    reduced solve, dropped holds the dropped weighted states and limit the
-    parent's residual at the drop: the first time the residual falls below
-    limit, the solve gives up if K - W_x has an eigenvalue below -limit for a
-    dropped x.
+    reduced solve, dropped holds the dropped weighted states, limit the
+    parent's residual at the drop and patience the steps the parent had
+    taken then: the first time the residual falls below limit, the solve
+    gives up if K - W_x has an eigenvalue below -limit for a dropped x.  It
+    also gives up if it has not got below limit within patience steps, or
+    within STALL_LIMIT steps without improvement: a kept element that starts
+    near zero grows only slowly under the map.
     """
     target = tolerance / POLISH_FACTOR
     best_elements = _elements_of(factors)
@@ -304,17 +311,26 @@ def _iterate(
             break
         if best_residual <= tolerance and iterations - best_at >= STALL_LIMIT:
             break
-        if dropped is not None and residual < limit:
-            violation = -float(np.linalg.eigvalsh(_dual(weighted, elements) - dropped)[:, 0].min())
-            if violation > limit:
+        if dropped is not None:
+            if residual < limit:
+                violation = -float(np.linalg.eigvalsh(_dual(weighted, elements) - dropped)[:, 0].min())
+                if violation > limit:
+                    break
+                dropped = None
+            elif iterations >= patience or iterations - best_at >= STALL_LIMIT:
                 break
-            dropped = None
         if iterations == check and best_residual > tolerance:
             drop = _vanishing(feas, residual)
             if drop.any() and not drop.all():
                 keep = ~drop
                 reduced, reduced_at, used = _iterate(
-                    weighted[keep], _complete(factors[keep]), budget - iterations, tolerance, weighted[drop], residual
+                    weighted[keep],
+                    _complete(factors[keep]),
+                    budget - iterations,
+                    tolerance,
+                    weighted[drop],
+                    residual,
+                    iterations,
                 )
                 padded = np.zeros_like(elements)
                 padded[keep] = reduced
@@ -372,9 +388,10 @@ def _residual(weighted: np.ndarray, elements: np.ndarray) -> tuple[float, np.nda
 
     Also returns the smallest eigenvalue of each sigma_x = K - W_x.
     """
-    k = _dual(weighted, elements)
+    products = weighted @ elements  # W_x M_x, for both K and the objective
+    k = hermitian_part(products.sum(axis=0))
     _, slackness, feas = _residuals(weighted, elements, k)
-    gap = float(k.trace().real) - _objective(weighted, elements)
+    gap = float(k.trace().real) - float(np.einsum("xii->", products).real)
     return max(float(np.abs(slackness).max()), -float(feas.min()), abs(gap)), feas
 
 
@@ -383,8 +400,11 @@ class _Anderson:
 
     Keeps the differences between the last ANDERSON_MEMORY + 1 residuals
     f = image - factor (as real vectors), and between their images, in ring
-    buffers, with the Gram matrix of the residual differences updated one row
-    per step, so that a step reads each stored vector a fixed number of times.
+    buffers, each pair divided by the norm of its residual difference, with
+    the Gram matrix of the residual differences updated one row per step, so
+    that a step reads each stored vector a fixed number of times.  The
+    normalised differences give the Gram matrix a unit diagonal, which keeps
+    a direct solve for the mixing weights well scaled.
     """
 
     def __init__(self, shape: tuple[int, ...]):
@@ -401,26 +421,40 @@ class _Anderson:
         g = image.reshape(-1)
         if self.f is not None:
             slot = self.stored % ANDERSON_MEMORY
-            np.subtract(f, self.f, out=self.df[slot])
-            np.subtract(g, self.g, out=self.dg[slot])
+            df, dg = self.df[slot], self.dg[slot]
+            np.subtract(f, self.f, out=df)
+            np.subtract(g, self.g, out=dg)
+            norm = np.sqrt(df @ df)
+            if norm > 0:
+                df /= norm
+                dg /= norm
             self.stored += 1
             m = min(self.stored, ANDERSON_MEMORY)
-            self.gram[slot, :m] = self.gram[:m, slot] = self.df[:m] @ self.df[slot]
+            self.gram[slot, :m] = self.gram[:m, slot] = self.df[:m] @ df
         self.f, self.g = f, g
 
     def candidate(self) -> np.ndarray | None:
         """The extrapolated factors renormalised onto the POVM set, or None before two pushes.
 
         The weights gamma minimise |f - sum_j gamma_j df_j| in the real
-        inner product; C = g - sum_j gamma_j dg_j is then mapped to
-        S^{-1/2} C with S = sum_x C_x C_x^dagger, so its elements are PSD and
-        complete by construction.  The order of the stored differences does
-        not change the least-squares problem, so the ring needs no rotation.
+        inner product: they solve the normal equations with the unit-diagonal
+        Gram matrix directly, and fall back to a least-squares solve when the
+        Gram matrix is singular (a stored difference is zero, say) or gamma
+        is not finite.  C = g - sum_j gamma_j dg_j is then mapped to S^{-1/2} C
+        with S = sum_x C_x C_x^dagger, so its elements are PSD and complete
+        by construction.  The order of the stored differences does not
+        change the least-squares problem, so the ring needs no rotation.
         """
         m = min(self.stored, ANDERSON_MEMORY)
         if m == 0:
             return None
-        gamma = np.linalg.lstsq(self.gram[:m, :m], self.df[:m] @ self.f, rcond=None)[0]
+        gram, rhs = self.gram[:m, :m], self.df[:m] @ self.f
+        try:
+            gamma = np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError:
+            gamma = None
+        if gamma is None or not np.isfinite(gamma).all():
+            gamma = np.linalg.lstsq(gram, rhs, rcond=None)[0]
         return _complete((self.g - gamma @ self.dg[:m]).reshape(self.shape))
 
 

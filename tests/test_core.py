@@ -21,7 +21,7 @@ from qsd import (
     validate_density,
     validate_povm,
 )
-from qsd.core import psd_sqrt_pinv, trace_norms
+from qsd.core import psd_sqrt_pinv, trace_norms, validate_densities
 from qsd.rand import random_density, random_ensemble, random_povm
 
 from .conftest import projector, trine_states
@@ -57,6 +57,39 @@ class TestValidateDensity:
         dm = validate_density(np.eye(2) / 2)
         with pytest.raises(ValueError):
             dm.matrix[0, 0] = 5.0
+
+
+class TestValidateDensities:
+    GOOD = (np.eye(2) / 2, np.diag([0.0, 1.0]))
+
+    @pytest.mark.parametrize(
+        "bad, error, match",
+        [
+            (np.array([[0.5, 1.0], [0.0, 0.5]]), NotHermitian, "density matrix 1: max"),
+            (np.diag([1.1, -0.1]), NotPsd, "density matrix 1: min eigenvalue = -1"),
+            (np.diag([0.9, 0.0]), TraceNotOne, "density matrix 1: trace = 0.9"),
+        ],
+        ids=["not-hermitian", "negative", "wrong-trace"],
+    )
+    def test_one_bad_member_is_named(self, bad, error, match):
+        with pytest.raises(error, match=match):
+            validate_densities(np.array([self.GOOD[0], bad, self.GOOD[1]]))
+
+    def test_non_finite_member(self):
+        with pytest.raises(NonFinite):
+            validate_densities(np.array([self.GOOD[0], np.diag([np.inf, 0.0])]))
+
+    def test_not_a_stack_of_square_matrices(self):
+        with pytest.raises(DimensionMismatch):
+            validate_densities(np.ones((2, 2, 3)))
+
+    def test_members_match_validate_density(self):
+        stack = np.array([random_density(np.random.default_rng(x), 3).matrix for x in range(4)])
+        validated = validate_densities(stack)
+        assert not validated.flags.writeable
+        assert not np.shares_memory(validated, stack)
+        for member, matrix in zip(validated, stack):
+            np.testing.assert_array_equal(member, validate_density(matrix).matrix)
 
 
 class TestValidatePovm:

@@ -11,6 +11,8 @@ which the plain accelerated map approaches only sublinearly.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -76,11 +78,20 @@ KINDS = {
 CASES = [(kind, i) for kind, (_, count) in KINDS.items() for i in range(count)]
 
 
-@pytest.mark.parametrize("kind,index", CASES, ids=[f"{kind}-{i}" for kind, i in CASES])
-def test_hostile_instance_converges_with_every_residual_within_tolerance(kind, index):
+CASE_IDS = [f"{kind}-{i}" for kind, i in CASES]
+
+
+@functools.cache
+def solved_case(kind, index):
+    """The hostile instance (kind, index) and its solve, shared by every test that reads them."""
     rng = np.random.default_rng([7000 + list(KINDS).index(kind), index])
     ensemble = KINDS[kind][0](rng)
-    result = solve(ensemble)
+    return ensemble, solve(ensemble)
+
+
+@pytest.mark.parametrize("kind,index", CASES, ids=CASE_IDS)
+def test_hostile_instance_converges_with_every_residual_within_tolerance(kind, index):
+    ensemble, result = solved_case(kind, index)
     assert result.converged, (kind, index, result.iterations, result.report)
     report = kkt_check(ensemble, result.povm, result.certificate.k_operator)
     assert report == result.report

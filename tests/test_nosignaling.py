@@ -18,11 +18,15 @@ from qsd import (
     solve,
     steering_structure,
     trace_norm,
+    validate_density,
     validate_povm,
 )
+from qsd.core import psd_project
+from qsd.nosignaling import ABSENT_TRACE
 from qsd.rand import random_ensemble, random_povm
 
-from .conftest import projector
+from .conftest import corpus_ensembles, projector
+from .test_hostile import CASE_IDS, CASES, solved_case
 
 
 def structure_of(ensemble):
@@ -90,6 +94,35 @@ class TestSteeringStructure:
         assert structure.complementary[1] is not None
         decompositions = decompositions_from_structure(ensemble, structure)
         assert len(decompositions[0].members) == 1
+
+
+class TestStackedNormalisation:
+    """The normalised K and partner states, clipped and validated as one stack."""
+
+    @staticmethod
+    def assert_matches_per_matrix_reference(ensemble, certificate):
+        def normalize(matrix):
+            clipped = psd_project(matrix)
+            return validate_density(clipped / clipped.trace().real).matrix
+
+        structure = steering_structure(ensemble, certificate)
+        np.testing.assert_allclose(
+            structure.normalized_k.matrix, normalize(certificate.k_operator / certificate.trace_k), rtol=0, atol=1e-14
+        )
+        traces = np.trace(certificate.sigma, axis1=1, axis2=2).real
+        for partner, sigma, t in zip(structure.complementary, certificate.sigma, traces):
+            assert (partner is None) == (t < ABSENT_TRACE)
+            if partner is not None:
+                np.testing.assert_allclose(partner.matrix, normalize(sigma / t), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("kind,index", CASES, ids=CASE_IDS)
+    def test_hostile_corpus(self, kind, index):
+        ensemble, result = solved_case(kind, index)
+        self.assert_matches_per_matrix_reference(ensemble, result.certificate)
+
+    def test_fresh_corpus(self):
+        for ensemble in corpus_ensembles(1, 40):
+            self.assert_matches_per_matrix_reference(ensemble, solve(ensemble).certificate)
 
 
 class TestPropositionBound:

@@ -116,6 +116,53 @@ class TestAcceleration:
             validate_povm(result.povm.elements)
 
 
+class TestAndersonWeights:
+    """The direct solve on the normalised Gram matrix, and its least-squares fallback."""
+
+    @staticmethod
+    def plain_history(pushes):
+        """An Anderson ring fed by the first steps of the plain map, and the (factor, image) pairs pushed."""
+        weighted = random_ensemble(np.random.default_rng(3), 4, 3).weighted_stack()
+        factors = np.repeat(np.eye(3, dtype=complex)[None] / 2, 4, axis=0)
+        anderson, pairs = solver._Anderson(factors.shape), []
+        for _ in range(pushes):
+            image = solver._step(weighted, factors)
+            anderson.push(factors, image)
+            pairs.append((factors, image))
+            factors = image
+        return anderson, pairs
+
+    def test_direct_solve_matches_least_squares_weights(self):
+        anderson, pairs = self.plain_history(5)
+        m = min(anderson.stored, solver.ANDERSON_MEMORY)
+        assert m == 4
+        assert np.linalg.cond(anderson.gram[:m, :m]) < 1e3
+        # The reference weights: lstsq on the unnormalised differences' Gram matrix.
+        f = np.array([(image - factors).reshape(-1).view(float) for factors, image in pairs])
+        g = np.array([image.reshape(-1) for _, image in pairs])
+        df, dg = np.diff(f, axis=0), np.diff(g, axis=0)
+        gamma = np.linalg.lstsq(df @ df.T, df @ f[-1], rcond=None)[0]
+        reference = solver._complete((g[-1] - gamma @ dg).reshape(pairs[0][0].shape))
+        candidate = anderson.candidate()
+        assert np.abs(candidate - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    def test_repeated_pair_takes_the_fallback_without_a_warning(self, monkeypatch):
+        anderson, pairs = self.plain_history(3)
+        anderson.push(*pairs[-1])  # a zero difference; pytest turns any warning into an error
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        candidate = anderson.candidate()
+        assert calls
+        assert np.isfinite(candidate).all()
+        validate_povm(solver._elements_of(candidate))
+
+
 class TestActiveSetStep:
     """The try-and-verify drop of states whose optimal element vanishes."""
 
@@ -208,6 +255,22 @@ class TestActiveSetStep:
         result = solve(ensemble)
         assert result.converged
         assert result.iterations <= 50
+
+    def test_reduced_solve_that_misses_its_limit_ends_in_bounded_steps(self):
+        # A wrong drop of states 0, 2 and 3 of acceptance #29, read off a
+        # round-off residual at iteration 20 of a solve at tolerance 1e-12:
+        # the kept pair starts from one complete element and one near zero,
+        # and the map then sits at a residual of 2.6e-2 for the rest of the
+        # budget.  The reduced solve gives up after the parent's 20 steps.
+        ensemble = corpus_member(20260101, 29)
+        weighted = ensemble.weighted_stack()
+        elements = solve(ensemble).povm.elements
+        keep = np.array([False, True, False, False, True])
+        w, v = np.linalg.eigh(elements[keep])
+        factors = solver._complete((v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.conj().swapaxes(1, 2))
+        reduced, _, used = solver._iterate(weighted[keep], factors, 9980, 1e-12, weighted[~keep], 1e-16, 20)
+        assert used <= 20
+        assert solver._residual(weighted[keep], reduced)[0] > 1e-3
 
     @pytest.mark.parametrize("tolerance, bound", [(1e-12, 100), (1e-13, 300)])
     def test_tight_tolerance_ends_in_bounded_steps(self, tolerance, bound):
