@@ -94,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="sample the steering protocol with the optimal detector")
     p_sim.add_argument("instance")
     p_sim.add_argument("--shots", type=int, default=100000)
-    p_sim.add_argument("--seed", type=int, default=0, help="seed for sampling (default 0)")
+    p_sim.add_argument("--seed", type=_int_at_least(0), default=0, help="seed for sampling (default 0)")
     _solver_flags(p_sim)
     _output_flag(p_sim)
     p_sim.set_defaults(handler=cmd_simulate)
@@ -104,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _solver_flags(parser) -> None:
     _tolerance_flag(parser)
-    parser.add_argument("--max-iter", type=int, default=10000, help="iteration budget (default 10000)")
+    parser.add_argument("--max-iter", type=_int_at_least(1), default=10000, help="iteration budget (default 10000)")
 
 
 def _tolerance_flag(parser, note: str = "") -> None:
@@ -119,6 +119,21 @@ def _tolerance(text: str) -> float:
     if not 0.0 < value < np.inf:
         raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
     return value
+
+
+def _int_at_least(minimum: int):
+    """An argparse type: an integer >= minimum, or a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _output_flag(parser) -> None:

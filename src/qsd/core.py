@@ -111,7 +111,10 @@ def psd_sqrt_pinv(a: np.ndarray) -> np.ndarray:
     """
     w, v = np.linalg.eigh(a)
     # eigh sorts w ascending: the kept eigenvalues are the tail w[k:].
-    k = np.searchsorted(w, RANK_CUTOFF * max(w[-1], 0.0), side="right")
+    cutoff = RANK_CUTOFF * max(w[-1], 0.0)
+    if w[0] > cutoff:  # full rank: every eigenvalue is kept
+        return (v / np.sqrt(w)) @ v.conj().T
+    k = np.searchsorted(w, cutoff, side="right")
     kept = v[:, k:]
     return (kept / np.sqrt(w[k:])) @ kept.conj().T
 
@@ -143,10 +146,21 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class StateEnsemble:
-    """A discrimination instance: N >= 2 states with prior probabilities."""
+    """A discrimination instance: N >= 2 states with prior probabilities.
+
+    The constructor copies the states' matrices into one read-only stack
+    once, and the stored states become its rows; matrices and
+    weighted_stack() return the same read-only stacks on every call.
+    """
 
     priors: np.ndarray
     states: tuple[DensityMatrix, ...]
+
+    def __post_init__(self):
+        matrices = _frozen(np.array([s.matrix for s in self.states]))
+        object.__setattr__(self, "states", tuple(DensityMatrix(matrix=m) for m in matrices))
+        object.__setattr__(self, "_matrices", matrices)
+        object.__setattr__(self, "_weighted", _frozen(self.priors[:, None, None] * matrices))
 
     def __len__(self) -> int:
         return len(self.states)
@@ -161,12 +175,12 @@ class StateEnsemble:
 
     @property
     def matrices(self) -> np.ndarray:
-        """The (N, d, d) stack of the density matrices rho_x (a fresh array)."""
-        return np.array([s.matrix for s in self.states])
+        """The read-only (N, d, d) stack of the density matrices rho_x."""
+        return self._matrices
 
     def weighted_stack(self) -> np.ndarray:
-        """The (N, d, d) stack of prior-weighted operators q_x rho_x."""
-        return self.priors[:, None, None] * self.matrices
+        """The read-only (N, d, d) stack of prior-weighted operators q_x rho_x."""
+        return self._weighted
 
     def permuted(self, order) -> "StateEnsemble":
         """A new ensemble with states and priors jointly reordered."""
@@ -259,7 +273,12 @@ def validate_densities(stack) -> np.ndarray:
 
 
 def make_ensemble(priors, matrices) -> StateEnsemble:
-    """Build a StateEnsemble from raw priors and matrices, validating both."""
+    """Build a StateEnsemble from priors and matrices, validating both.
+
+    matrices may mix raw d x d matrices and DensityMatrix instances; all of
+    them are validated as one stack by validate_densities, whose errors name
+    the offending state by its index.  A DensityMatrix is unchanged by this.
+    """
     q = np.asarray(priors, dtype=float)
     if q.ndim != 1 or len(q) < 2:
         raise InvalidPriors(f"need at least 2 priors, got shape {q.shape}")
@@ -267,14 +286,16 @@ def make_ensemble(priors, matrices) -> StateEnsemble:
         raise InvalidPriors(f"negative prior: min = {q.min():.3e}")
     if abs(q.sum() - 1.0) > PRIOR_TOL:
         raise InvalidPriors(f"priors sum to {q.sum():.17g}, expected 1")
-    states = tuple(s if isinstance(s, DensityMatrix) else validate_density(s) for s in matrices)
-    if len(states) != len(q):
-        raise DimensionMismatch(f"{len(q)} priors but {len(states)} states")
-    d = states[0].dim
-    for i, s in enumerate(states):
-        if s.dim != d:
-            raise DimensionMismatch(f"state {i} has dimension {s.dim}, expected {d}")
-    return StateEnsemble(priors=_frozen(q.copy()), states=states)
+    raw = [s.matrix if isinstance(s, DensityMatrix) else np.asarray(s, dtype=complex) for s in matrices]
+    if len(raw) != len(q):
+        raise DimensionMismatch(f"{len(q)} priors but {len(raw)} states")
+    for i, a in enumerate(raw):
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise DimensionMismatch(f"state {i}: expected a square matrix, got shape {a.shape}")
+        if len(a) != len(raw[0]):
+            raise DimensionMismatch(f"state {i} has dimension {len(a)}, expected {len(raw[0])}")
+    stack = validate_densities(np.array(raw))
+    return StateEnsemble(priors=_frozen(q.copy()), states=tuple(DensityMatrix(matrix=m) for m in stack))
 
 
 def validate_povm(elements) -> Povm:

@@ -18,12 +18,16 @@ def ginibre(rng, dim: int, rank: int) -> np.ndarray:
     return g
 
 
+def _ginibre_state(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
+    """G G^dagger / tr(G G^dagger) for a dim x rank Ginibre matrix G, not yet validated."""
+    g = ginibre(rng, dim, rank)
+    rho = g @ g.conj().T
+    return rho / rho.trace().real
+
+
 def random_density(seed_or_rng, dim: int, rank: int | None = None) -> DensityMatrix:
     """Random mixed state from the Ginibre ensemble (full rank by default)."""
-    rng = _rng(seed_or_rng)
-    g = ginibre(rng, dim, rank or dim)
-    rho = g @ g.conj().T
-    return validate_density(rho / rho.trace().real)
+    return validate_density(_ginibre_state(_rng(seed_or_rng), dim, rank or dim))
 
 
 def random_pure(seed_or_rng, dim: int) -> DensityMatrix:
@@ -39,8 +43,13 @@ def random_priors(seed_or_rng, n: int) -> np.ndarray:
 
 
 def random_ensemble(seed_or_rng, n: int, dim: int, pure: bool = False) -> StateEnsemble:
+    """n random pure or full-rank mixed states of dimension dim with random priors.
+
+    The states are drawn as random_pure or random_density draws them, and
+    validated as one stack by make_ensemble.
+    """
     rng = _rng(seed_or_rng)
-    states = [random_pure(rng, dim) if pure else random_density(rng, dim) for _ in range(n)]
+    states = [_ginibre_state(rng, dim, 1 if pure else dim) for _ in range(n)]
     return make_ensemble(random_priors(rng, n), states)
 
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from .core import DensityMatrix, QsdError, StateEnsemble, make_ensemble, validate_density
+from .core import QsdError, StateEnsemble, make_ensemble, validate_density
 
 INSTANCE_VERSION = "qsd-1"
 REPORT_VERSION = "qsd-report-1"
@@ -53,6 +54,8 @@ def _emit(obj, level: int) -> tuple[str, bool]:
             return "[]", False
         if all(type(v) is float for v in obj):
             return "[" + ", ".join(map(format_real, obj)) + "]", False
+        if all(type(v) is list and len(v) == 2 and type(v[0]) is float and type(v[1]) is float for v in obj):
+            return _pair_row(obj), False
         emitted = [_emit(v, level + 1) for v in obj]
         if not any(holds for _, holds in emitted):
             return "[" + ", ".join(text for text, _ in emitted) + "]", False
@@ -69,6 +72,20 @@ def _emit(obj, level: int) -> tuple[str, bool]:
     if isinstance(obj, str):
         return json.dumps(obj), False
     raise FormatError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def _pair_row(row: list) -> str:
+    """A matrix row of [re, im] float pairs, as _emit's generic path writes it, with one format."""
+    values = [x for pair in row for x in pair]
+    if not math.isfinite(sum(values)):  # a non-finite value, or finite values whose sum overflows
+        for x in values:
+            format_real(x)
+    return _row_format(len(row)) % tuple(values)
+
+
+@lru_cache(maxsize=64)
+def _row_format(pairs: int) -> str:
+    return "[" + ", ".join(["[%.17g, %.17g]"] * pairs) + "]"
 
 
 def encode_matrix(matrix: np.ndarray) -> list:
@@ -128,7 +145,7 @@ def instance_from_doc(doc) -> tuple[StateEnsemble, list]:
         raise FormatError("states: expected an array of at least 2 entries")
 
     priors = []
-    states: list[DensityMatrix] = []
+    matrices = []
     labels = []
     for x, entry in enumerate(raw_states):
         if not isinstance(entry, dict):
@@ -139,15 +156,18 @@ def instance_from_doc(doc) -> tuple[StateEnsemble, list]:
         matrix = decode_matrix(entry.get("matrix"), f"states[{x}].matrix")
         if matrix.shape[0] != dim:
             raise FormatError(f"states[{x}].matrix: dimension {matrix.shape[0]}, expected {dim}")
-        try:
-            states.append(validate_density(matrix))
-        except QsdError as exc:
-            raise FormatError(f"states[{x}].matrix: {exc}") from None
+        matrices.append(matrix)
         priors.append(float(prior))
         labels.append(entry.get("label"))
     try:
-        ensemble = make_ensemble(priors, states)
+        ensemble = make_ensemble(priors, matrices)
     except QsdError as exc:
+        # The stack failed: name the first state that fails on its own, if one does.
+        for x, matrix in enumerate(matrices):
+            try:
+                validate_density(matrix)
+            except QsdError as state_exc:
+                raise FormatError(f"states[{x}].matrix: {state_exc}") from None
         raise FormatError(f"states: {exc}") from None
     return ensemble, labels
 

@@ -60,6 +60,7 @@ over K - W (_residuals), and the KktReport of a certificate (_report).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -226,10 +227,10 @@ def solve(ensemble: StateEnsemble, options: SolverOptions | None = None) -> Disc
     best_elements, _, iterations = _iterate(weighted, factors, opts.max_iterations, opts.kkt_tolerance)
 
     full = np.zeros((len(ensemble), d, d), dtype=complex)
-    full[active] = best_elements
+    full[active] = hermitian_part(best_elements)
     # Iterates are PSD and complete by construction; this guards against
     # numerical drift producing an invalid certificate.
-    comp = float(np.abs(full.sum(axis=0) - np.eye(d)).max())
+    comp = float(np.abs(full.sum(axis=0) - _identity(d)).max())
     if comp > COMPLETENESS_TOL:
         raise CompletenessDrift(f"iterate completeness deviation {comp:.3e}")
     povm = Povm(elements=full)
@@ -372,10 +373,20 @@ def _gram(factors: np.ndarray) -> np.ndarray:
 
 
 def _elements_of(factors: np.ndarray) -> np.ndarray:
-    """POVM elements A_x A_x^dagger plus the completeness correction."""
-    elements = hermitian_part(factors @ factors.conj().swapaxes(-1, -2))
-    elements += (np.eye(factors.shape[1]) - elements.sum(axis=0)) / len(factors)
+    """POVM elements A_x A_x^dagger plus the completeness correction.
+
+    They are Hermitian up to round-off only: the iteration reads them through
+    traces and K, and solve takes the Hermitian part of the elements it returns.
+    """
+    elements = factors @ factors.conj().swapaxes(-1, -2)
+    elements += (_identity(factors.shape[1]) - elements.sum(axis=0)) / len(factors)
     return elements
+
+
+@lru_cache(maxsize=16)
+def _identity(d: int) -> np.ndarray:
+    """The read-only d x d identity, built once per dimension."""
+    return _frozen(np.eye(d))
 
 
 def _dual(weighted: np.ndarray, elements: np.ndarray) -> np.ndarray:
@@ -391,8 +402,8 @@ def _residual(weighted: np.ndarray, elements: np.ndarray) -> tuple[float, np.nda
     products = weighted @ elements  # W_x M_x, for both K and the objective
     k = hermitian_part(products.sum(axis=0))
     _, slackness, feas = _residuals(weighted, elements, k)
-    gap = float(k.trace().real) - float(np.einsum("xii->", products).real)
-    return max(float(np.abs(slackness).max()), -float(feas.min()), abs(gap)), feas
+    gap = (k.trace() - np.einsum("xii->", products)).real
+    return float(max(abs(slackness).max(), -feas.min(), abs(gap))), feas
 
 
 class _Anderson:
@@ -480,7 +491,7 @@ def _objective(weighted: np.ndarray, elements: np.ndarray) -> float:
 def _report(ensemble: StateEnsemble, povm: Povm, certificate: DualCertificate) -> KktReport:
     """KktReport of a POVM and its certificate from certificate_from_povm on this ensemble."""
     elements = povm.elements
-    comp = float(np.abs(elements.sum(axis=0) - np.eye(povm.dim)).max())
+    comp = float(np.abs(elements.sum(axis=0) - _identity(povm.dim)).max())
     return KktReport(
         primal_residual=max(hermiticity_error(elements), -min_eigenvalue(elements), comp),
         dual_residual=max(0.0, -float(certificate.dual_feasibility.min())),

@@ -281,14 +281,46 @@ class TestUsageErrors:
             ["certify", "x.json", "r.json", "--tolerance", "0"],
             ["solve", "x.json", "--tolerance", "inf"],
             ["solve", "x.json", "--tolerance", "tight"],
+            ["solve", "x.json", "--max-iter", "0"],
+            ["simulate", "x.json", "--max-iter", "-5"],
+            ["simulate", "x.json", "--seed", "-1"],
         ],
-        ids=["unknown-flag", "missing-argument", "non-integer", "zero-tolerance", "infinite-tolerance", "text-tolerance"],
+        ids=[
+            "unknown-flag",
+            "missing-argument",
+            "non-integer",
+            "zero-tolerance",
+            "infinite-tolerance",
+            "text-tolerance",
+            "zero-budget",
+            "negative-budget",
+            "negative-seed",
+        ],
     )
     def test_usage_error_exits_one(self, args, capsys):
         with pytest.raises(SystemExit) as exc:
             main(args)
         assert exc.value.code == 1
         assert "usage: qsd" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["solve", "{}", "--max-iter", "0"], "argument --max-iter: expected an integer >= 1, got '0'"),
+            (["simulate", "{}", "--max-iter", "-1"], "argument --max-iter: expected an integer >= 1, got '-1'"),
+            (["simulate", "{}", "--seed", "-1"], "argument --seed: expected an integer >= 0, got '-1'"),
+            (["simulate", "{}", "--seed", "1.5"], "argument --seed: expected an integer >= 0, got '1.5'"),
+        ],
+        ids=["solve-budget", "simulate-budget", "negative-seed", "fractional-seed"],
+    )
+    def test_integer_flags_are_usage_errors(self, trine_file, args, message, capsys):
+        # Before these flags were checked, SolverOptions and default_rng raised ValueError.
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(trine_file) for a in args])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from qsd import (
     validate_povm,
 )
 from qsd.core import psd_sqrt_pinv, trace_norms, validate_densities
-from qsd.rand import random_density, random_ensemble, random_povm
+from qsd.rand import random_density, random_ensemble, random_povm, random_priors, random_pure
 
 from .conftest import projector, trine_states
 
@@ -90,6 +92,91 @@ class TestValidateDensities:
         assert not np.shares_memory(validated, stack)
         for member, matrix in zip(validated, stack):
             np.testing.assert_array_equal(member, validate_density(matrix).matrix)
+
+
+class TestStateEnsemble:
+    """One validated read-only stack per ensemble, built by make_ensemble in one validation call."""
+
+    def test_stacks_are_built_once_and_read_only(self):
+        ensemble = random_ensemble(np.random.default_rng(30), 4, 3)
+        assert ensemble.matrices is ensemble.matrices
+        assert ensemble.weighted_stack() is ensemble.weighted_stack()
+        for stack in (ensemble.matrices, ensemble.weighted_stack()):
+            with pytest.raises(ValueError):
+                stack[0, 0, 0] = 1.0
+        for x, state in enumerate(ensemble.states):
+            np.testing.assert_array_equal(ensemble.matrices[x], state.matrix)
+            np.testing.assert_array_equal(ensemble.weighted_stack()[x], ensemble.weighted(x))
+
+    def test_permuted_ensemble_has_its_own_stacks(self):
+        ensemble = random_ensemble(np.random.default_rng(31), 3, 2)
+        permuted = ensemble.permuted([2, 0, 1])
+        np.testing.assert_array_equal(permuted.matrices, ensemble.matrices[[2, 0, 1]])
+        np.testing.assert_array_equal(permuted.weighted_stack(), ensemble.weighted_stack()[[2, 0, 1]])
+
+    # sha256 of matrices then priors, as random_ensemble drew them before it
+    # validated the states as one stack (numpy 2.4.6, OpenBLAS, x86-64).
+    PINNED = [
+        ((11, 4, 3, False), "afd9eae955695d063b8d6b8d2b223103a96ebc10c07a71c53522187eaa3bc1af"),
+        ((12, 5, 2, True), "6fc980ea1a7dc6bb8dc5ea915ac11bb381f54107177c341635a733c7449af571"),
+        ((13, 3, 8, False), "1219b53a2a064eebae8da60e116043533c2136b3a7734add700d866b83b29f9d"),
+    ]
+
+    @pytest.mark.parametrize("args, digest", PINNED, ids=["mixed-n4-d3", "pure-n5-d2", "mixed-n3-d8"])
+    def test_random_ensemble_draws_are_pinned(self, args, digest):
+        ensemble = random_ensemble(*args)
+        data = np.ascontiguousarray(ensemble.matrices).tobytes() + ensemble.priors.tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize("pure", [False, True])
+    def test_random_ensemble_matches_one_state_at_a_time(self, pure):
+        # The same draws in the same order as random_density / random_pure per state.
+        rng = np.random.default_rng(32)
+        states = [random_pure(rng, 3) if pure else random_density(rng, 3) for _ in range(4)]
+        priors = random_priors(rng, 4)
+        ensemble = random_ensemble(np.random.default_rng(32), 4, 3, pure)
+        np.testing.assert_array_equal(ensemble.matrices, np.array([s.matrix for s in states]))
+        np.testing.assert_array_equal(ensemble.priors, priors)
+
+    @pytest.mark.parametrize(
+        "bad, error, match",
+        [
+            (np.array([[0.5, 1.0], [0.0, 0.5]]), NotHermitian, "density matrix 2: max"),
+            (np.diag([1.1, -0.1]), NotPsd, "density matrix 2: min eigenvalue"),
+            (np.diag([0.9, 0.0]), TraceNotOne, "density matrix 2: trace = 0.9"),
+            (np.diag([np.nan, 1.0]), NonFinite, "NaN"),
+        ],
+        ids=["not-hermitian", "negative", "wrong-trace", "non-finite"],
+    )
+    def test_mixed_inputs_name_the_bad_state(self, bad, error, match):
+        with pytest.raises(error):
+            validate_density(bad)
+        good = [validate_density(np.eye(2) / 2), projector(1, 0), validate_density(projector(0, 1))]
+        with pytest.raises(error, match=match):
+            make_ensemble([0.25] * 4, [good[0], good[1], bad, good[2]])
+
+    def test_density_matrix_inputs_are_kept_bit_for_bit(self):
+        states = [random_density(np.random.default_rng(x), 3) for x in range(3)]
+        ensemble = make_ensemble([0.2, 0.3, 0.5], [states[0], states[1].matrix, states[2]])
+        np.testing.assert_array_equal(ensemble.matrices, np.array([s.matrix for s in states]))
+
+    @pytest.mark.parametrize(
+        "matrices, match",
+        [
+            ([np.eye(2) / 2, np.eye(3) / 3], "state 1 has dimension 3, expected 2"),
+            ([validate_density(np.eye(3) / 3), np.eye(2) / 2], "state 1 has dimension 2, expected 3"),
+            ([np.eye(2) / 2, validate_density(np.eye(3) / 3)], "state 1 has dimension 3, expected 2"),
+            ([np.eye(2) / 2, np.ones((2, 3)) / 4], "state 1: expected a square matrix"),
+        ],
+        ids=["raw", "density-first", "density-second", "not-square"],
+    )
+    def test_mixed_dimensions_rejected(self, matrices, match):
+        with pytest.raises(DimensionMismatch, match=match):
+            make_ensemble([0.5, 0.5], matrices)
+
+    def test_prior_count_must_match(self):
+        with pytest.raises(DimensionMismatch, match="3 priors but 2 states"):
+            make_ensemble([0.2, 0.3, 0.5], [np.eye(2) / 2, np.eye(2) / 2])
 
 
 class TestValidatePovm:
@@ -296,6 +383,13 @@ class TestPsdSqrtPinv:
         expected = self.reference(a)
         got = psd_sqrt_pinv(a)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_full_rank_boundary(self):
+        # An eigenvalue at exactly RANK_CUTOFF times the largest counts as zero;
+        # one just above it keeps the matrix full rank.
+        np.testing.assert_array_equal(psd_sqrt_pinv(np.diag([1e-12, 1.0])), np.diag([0.0, 1.0]))
+        above = np.nextafter(1e-12, 1.0)
+        np.testing.assert_array_equal(psd_sqrt_pinv(np.diag([above, 1.0])), np.diag([1.0 / np.sqrt(above), 1.0]))
 
     def test_exact_zeros_on_the_kernel(self):
         np.testing.assert_array_equal(psd_sqrt_pinv(np.zeros((3, 3))), np.zeros((3, 3)))

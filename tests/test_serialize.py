@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,56 @@ class TestFloatFormatting:
         assert dump_json(doc) == expected
 
 
+def generic(obj):
+    """obj with every list turned into a tuple: dump_json writes it as before, but never by the pair-row path."""
+    if isinstance(obj, dict):
+        return {key: generic(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return tuple(generic(value) for value in obj)
+    return obj
+
+
+class TestPairRows:
+    """Matrix rows of [re, im] float pairs take one format per row and write the generic path's bytes."""
+
+    EXTREMES = [-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1.7976931348623157e308, -1e-300, 1e300]
+
+    def test_random_rows_match_the_generic_path(self):
+        rng = np.random.default_rng(85)
+        for _ in range(200):
+            d = int(rng.integers(1, 9))
+            values = rng.standard_normal((d, d, 2)) * 10.0 ** rng.integers(-300, 301, size=(d, d, 2))
+            values = np.where(rng.random(values.shape) < 0.2, rng.choice(self.EXTREMES, size=values.shape), values)
+            matrix = encode_matrix(values[..., 0] + 1j * values[..., 1])
+            assert matrix == values.tolist()
+            assert dump_json(matrix) == dump_json(generic(matrix))
+            doc = {"matrices": [matrix, matrix[:1]], "row": matrix[0]}
+            assert dump_json(doc) == dump_json(generic(doc))
+
+    def test_overflowing_sum_of_finite_values_is_written(self):
+        row = [[1.7976931348623157e308, 1.7976931348623157e308], [-0.0, 5e-324]]
+        assert dump_json(row) == "[[1.7976931348623157e+308, 1.7976931348623157e+308], [-0, 4.9406564584124654e-324]]\n"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(FormatError, match="non-finite"):
+            dump_json([[0.5, 0.0], [0.25, bad]])
+        with pytest.raises(FormatError, match="non-finite"):
+            dump_json([[[0.5, 0.0], [bad, -bad]]])
+
+    def test_int_and_bool_pairs_take_the_generic_path(self):
+        big = 10**17 + 1  # "%.17g" would write 1.0000000000000000e+17
+        assert dump_json([[big, 0.5], [0.25, 0.125]]) == "[[100000000000000001, 0.5], [0.25, 0.125]]\n"
+        assert dump_json([[0.5, 0.0], [True, 0.25]]) == "[[0.5, 0], [true, 0.25]]\n"
+        assert dump_json([[np.float64(0.1), 0.5]]) == "[[0.10000000000000001, 0.5]]\n"
+
+    def test_instance_hash_matches_the_generic_path(self):
+        ensemble = random_ensemble(np.random.default_rng(86), 4, 3)
+        canonical = dump_json(generic(ensemble_to_doc(ensemble, ["a", None, "c", None])))
+        expected = "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
+        assert instance_hash(ensemble, ["a", None, "c", None]) == expected
+
+
 class TestInstanceRoundtrip:
     def test_states_and_priors_survive_bit_exactly(self):
         rng = np.random.default_rng(81)
@@ -162,6 +214,19 @@ class TestInstanceDiagnostics:
         doc = self.good_doc()
         doc["states"][1]["matrix"] = [[[0.9, 0], [0, 0]], [[0, 0], [0, 0]]]
         with pytest.raises(FormatError, match=r"states\[1\].matrix.*trace"):
+            parse_instance(dump_json(doc))
+
+    def test_priors_checked_after_states(self):
+        doc = self.good_doc()
+        doc["states"][0]["prior"] = 0.7
+        with pytest.raises(FormatError, match="states: priors sum to"):
+            parse_instance(dump_json(doc))
+
+    def test_bad_state_named_with_bad_priors(self):
+        doc = self.good_doc()
+        doc["states"][0]["prior"] = 0.7
+        doc["states"][1]["matrix"] = [[[0.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]]
+        with pytest.raises(FormatError, match=r"states\[1\].matrix: density matrix: min eigenvalue"):
             parse_instance(dump_json(doc))
 
     def test_ragged_matrix(self):
