@@ -32,6 +32,7 @@ from .serialize import (
     parse_instance,
     parse_report,
     FormatError,
+    _is_number,
 )
 from .solver import SolverOptions, certificate_from_povm, dual_operator, kkt_check, solve
 from .steering import mixture_of, simulate_protocol
@@ -290,7 +291,7 @@ def _section(report: dict, key: str) -> dict:
 def _number(section: dict, key: str, default: float, context: str) -> float:
     """The numeric field key of a report section (default when absent)."""
     value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise FormatError(f"{context}.{key}: expected a number, got {value!r}")
     return float(value)
 

@@ -14,6 +14,7 @@ same thing in every module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -335,6 +336,13 @@ def trace_norms(stack: np.ndarray) -> np.ndarray:
     """
     check_hermitian(stack, "trace_norm input")
     return np.abs(np.linalg.eigvalsh(hermitian_part(stack))).sum(axis=-1)
+
+
+@lru_cache(maxsize=32)
+def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only index arrays (first, second) of the pairs first < second of n items, built once per n."""
+    first, second = np.triu_indices(n, k=1)
+    return _frozen(first), _frozen(second)
 
 
 def born_table(states: np.ndarray, elements: np.ndarray) -> np.ndarray:

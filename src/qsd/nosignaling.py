@@ -25,6 +25,7 @@ from .core import (
     QsdError,
     StateEnsemble,
     _frozen,
+    pair_indices,
     psd_project,
     trace_norms,
     validate_densities,
@@ -164,12 +165,12 @@ def norm_identity_check(structure: SteeringStructure, ensemble: StateEnsemble) -
     complementary difference must have equal trace norms, because both equal
     the difference of two decompositions of the same operator.
     """
-    first, second = np.triu_indices(len(ensemble), k=1)
-    states = structure.p[:, None, None] * ensemble.matrices
-    partners = structure.sigma / structure.trace_k
-    lhs = trace_norms(states[first] - states[second])
-    rhs = trace_norms(partners[first] - partners[second])
-    return float(np.abs(lhs - rhs).max())
+    first, second = pair_indices(len(ensemble))
+    # The weighted states and the weighted partners as one (2, N, d, d) stack,
+    # so that one trace_norms call serves both sides.
+    sides = np.stack([structure.p[:, None, None] * ensemble.matrices, structure.sigma / structure.trace_k])
+    norms = trace_norms(sides[:, first] - sides[:, second])
+    return float(np.abs(norms[0] - norms[1]).max())
 
 
 def detector_nosignaling_check(stats, tolerance: float) -> tuple[float, bool]:

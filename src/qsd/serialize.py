@@ -105,11 +105,18 @@ def decode_matrix(data, context: str) -> np.ndarray:
         for j, pair in enumerate(row):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise FormatError(f"{context}: entry ({i},{j}) is not a [re, im] pair")
+            if not (_is_number(pair[0]) and _is_number(pair[1])):
+                raise FormatError(f"{context}: entry ({i},{j}) is not numeric, got {pair!r}")
             try:
-                out[i, j] = complex(float(pair[0]), float(pair[1]))
-            except (TypeError, ValueError):
-                raise FormatError(f"{context}: entry ({i},{j}) is not numeric") from None
+                out[i, j] = complex(pair[0], pair[1])
+            except OverflowError:
+                raise FormatError(f"{context}: entry ({i},{j}) is out of range") from None
     return out
+
+
+def _is_number(value) -> bool:
+    """Whether value is a JSON number: an int or a float, but not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def ensemble_to_doc(ensemble: StateEnsemble, labels=None) -> dict:
@@ -127,7 +134,7 @@ def parse_instance(text: str) -> tuple[StateEnsemble, list]:
     """Parse instance JSON into a validated ensemble, or fail naming the field."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise FormatError(f"not valid JSON: {exc}") from None
     return instance_from_doc(doc)
 
@@ -138,7 +145,7 @@ def instance_from_doc(doc) -> tuple[StateEnsemble, list]:
     if doc.get("version") != INSTANCE_VERSION:
         raise FormatError(f'version: expected "{INSTANCE_VERSION}", got {doc.get("version")!r}')
     dim = doc.get("dimension")
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise FormatError(f"dimension: expected a positive integer, got {dim!r}")
     raw_states = doc.get("states")
     if not isinstance(raw_states, list) or len(raw_states) < 2:
@@ -151,13 +158,16 @@ def instance_from_doc(doc) -> tuple[StateEnsemble, list]:
         if not isinstance(entry, dict):
             raise FormatError(f"states[{x}]: expected an object")
         prior = entry.get("prior")
-        if not isinstance(prior, (int, float)):
+        if not _is_number(prior):
             raise FormatError(f"states[{x}].prior: expected a number, got {prior!r}")
+        try:
+            priors.append(float(prior))
+        except OverflowError:
+            raise FormatError(f"states[{x}].prior: out of range") from None
         matrix = decode_matrix(entry.get("matrix"), f"states[{x}].matrix")
         if matrix.shape[0] != dim:
             raise FormatError(f"states[{x}].matrix: dimension {matrix.shape[0]}, expected {dim}")
         matrices.append(matrix)
-        priors.append(float(prior))
         labels.append(entry.get("label"))
     try:
         ensemble = make_ensemble(priors, matrices)
@@ -181,7 +191,7 @@ def instance_hash(ensemble: StateEnsemble, labels=None) -> str:
 def parse_report(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise FormatError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise FormatError("report must be a JSON object")

@@ -32,19 +32,22 @@ to 9 and the 99th percentile from about 2000 to 41.
 Where an optimal element vanishes, sigma_x = K - q_x rho_x is positive
 definite (tr[sigma_x M_x] = 0 with sigma_x >= 0), yet the map shrinks M_x
 only sublinearly, the more slowly the smaller lambda_min(sigma_x) is.  An
-active-set step (_iterate) therefore tries, at iteration 20 and then
-whenever the iterations used have doubled, to drop every state whose
-lambda_min(sigma_x) exceeds the current residual: it solves the kept states
-on their own, warm-started from their renormalised factors, and ends the
-solve with the result, padded with zero elements, only if its residual on
-the full stack meets the loop's own stop rule.  Otherwise the result is kept
-if it is the best iterate so far and the full iteration continues from where
-it was, so a wrong drop costs steps but can never be reported as converged.
-A reduced solve that has not got below the parent's residual at the drop
-within as many steps as the parent had taken, or within STALL_LIMIT steps
-without improvement, gives up the same way.  On the same 1600 instances
-(tools/fresh_corpora.py) the maximum goes from 10000 (one instance out of
-budget) to 55 iterations, and every instance converges.
+active-set step (_iterate) therefore tries, at the first iteration and then
+whenever the iterations used have doubled (1, 2, 4, 8, ...), to drop every
+state whose lambda_min(sigma_x) exceeds the current residual: it solves the
+kept states on their own, warm-started from their renormalised factors, and
+ends the solve with the result, padded with zero elements, only if its
+residual on the full stack meets the loop's own stop rule.  Otherwise the
+result is kept if it is the best iterate so far and the full iteration
+continues from where it was, so a wrong drop costs steps but can never be
+reported as converged.
+A reduced solve gives up the same way if it has not got below the parent's
+residual at the drop within as many steps as the parent had taken, and, at
+any residual level, after STALL_LIMIT steps without improvement.  On the
+same 1600 instances (tools/fresh_corpora.py) every instance converges, in
+13806 iterations in all and at most 82 (without the step one instance ran
+out of its 10000-step budget; with the first drop tried at iteration 20
+they took 17612, at most 55).
 
 The stop rule asks for tolerance / POLISH_FACTOR; once the best residual is
 within tolerance the solve also stops after STALL_LIMIT steps without
@@ -88,7 +91,7 @@ POLISH_FACTOR = 1e4
 # without improvement: round-off can keep tolerance / POLISH_FACTOR out of reach.
 STALL_LIMIT = 100
 # The active-set step first looks for vanishing elements at this iteration.
-FIRST_DROP_CHECK = 20
+FIRST_DROP_CHECK = 1
 # Anderson mixes the differences between the last ANDERSON_MEMORY + 1
 # (factor, image) pairs.
 ANDERSON_MEMORY = 5
@@ -262,25 +265,29 @@ def _iterate(
     elements seen, the step at which they were found and the steps taken,
     those of nested reduced solves included.  It stops once the KKT residual
     is <= tolerance / POLISH_FACTOR, or once the best residual is <=
-    tolerance and has not improved for STALL_LIMIT steps.
+    tolerance (in a reduced solve, at any level) and has not improved for
+    STALL_LIMIT steps.
 
-    At iteration FIRST_DROP_CHECK, and then whenever the steps taken have
-    doubled, the states whose sigma_x = K - W_x has its smallest eigenvalue
-    above the current residual are taken to have vanishing optimal elements:
-    the kept states are solved on their own, warm-started from their
-    renormalised factors, and the result, padded with zero elements, ends the
-    iteration if its residual on this whole stack meets the stop rule.
-    Otherwise it becomes the best iterate if it beats it, and the iteration
-    continues from where it was.  No drop is tried once the best residual is
-    within tolerance: the stall exit then bounds the remaining steps, and at
-    round-off level a positive lambda_min(sigma_x) says nothing.  In a
-    reduced solve, dropped holds the dropped weighted states, limit the
-    parent's residual at the drop and patience the steps the parent had
-    taken then: the first time the residual falls below limit, the solve
-    gives up if K - W_x has an eigenvalue below -limit for a dropped x.  It
-    also gives up if it has not got below limit within patience steps, or
-    within STALL_LIMIT steps without improvement: a kept element that starts
-    near zero grows only slowly under the map.
+    At iteration FIRST_DROP_CHECK (the first), and then whenever the steps
+    taken have doubled, the states whose sigma_x = K - W_x has its smallest
+    eigenvalue above the current residual are taken to have vanishing optimal
+    elements: the kept states are solved on their own, warm-started from
+    their renormalised factors, and the result, padded with zero elements,
+    ends the iteration if its residual on this whole stack meets the stop
+    rule.  Otherwise it becomes the best iterate if it beats it, and the
+    iteration continues from where it was.  No drop is tried once the best
+    residual is within tolerance: the stall exit then bounds the remaining
+    steps, and at round-off level a positive lambda_min(sigma_x) says
+    nothing.  In a reduced solve, dropped holds the dropped weighted states,
+    limit the parent's residual at the drop and patience the steps the
+    parent had taken then: the first time the residual falls below limit,
+    the solve gives up if K - W_x has an eigenvalue below -limit for a
+    dropped x.  It also gives up if it has not got below limit within
+    patience steps, as a kept element that starts near zero grows only
+    slowly under the map.  Its stall exit holds at any residual level, so
+    one that stalls above tolerance after getting below limit ends after
+    STALL_LIMIT steps without improvement instead of running out the
+    parent's budget.
     """
     target = tolerance / POLISH_FACTOR
     best_elements = _elements_of(factors)
@@ -288,6 +295,7 @@ def _iterate(
     best_at = 0
     residual = np.inf
     anderson = _Anderson(factors.shape)
+    nested = dropped is not None
     check = FIRST_DROP_CHECK
     iterations = 0
     while iterations < budget:
@@ -310,7 +318,7 @@ def _iterate(
             best_residual, best_elements, best_at = residual, elements, iterations
         if residual <= target:
             break
-        if best_residual <= tolerance and iterations - best_at >= STALL_LIMIT:
+        if iterations - best_at >= STALL_LIMIT and (nested or best_residual <= tolerance):
             break
         if dropped is not None:
             if residual < limit:
@@ -318,7 +326,7 @@ def _iterate(
                 if violation > limit:
                     break
                 dropped = None
-            elif iterations >= patience or iterations - best_at >= STALL_LIMIT:
+            elif iterations >= patience:
                 break
         if iterations == check and best_residual > tolerance:
             drop = _vanishing(feas, residual)

@@ -25,6 +25,7 @@ from .core import (
     born_table,
     hermitian_part,
     min_eigenvalue,
+    pair_indices,
     trace_norm,
     trace_norms,
     validate_density,
@@ -252,5 +253,5 @@ def marginal_indistinguishability_check(ensembles) -> float:
     the premise that makes the protocol signal-free.
     """
     mixtures = np.array([mixture_of(e) for e in ensembles])
-    first, second = np.triu_indices(len(mixtures), k=1)
+    first, second = pair_indices(len(mixtures))
     return float(trace_norms(mixtures[first] - mixtures[second]).max(initial=0.0))

@@ -23,7 +23,7 @@ from qsd import (
     validate_density,
     validate_povm,
 )
-from qsd.core import psd_sqrt_pinv, trace_norms, validate_densities
+from qsd.core import pair_indices, psd_sqrt_pinv, trace_norms, validate_densities
 from qsd.rand import random_density, random_ensemble, random_povm, random_priors, random_pure
 
 from .conftest import projector, trine_states
@@ -261,6 +261,15 @@ class TestTraceNorm:
             # A stack minus one matrix, as in the identical-ensemble residual.
             shifted = stack - random_density(rng, d).matrix
             assert trace_norms(shifted).tolist() == [trace_norm(m) for m in shifted]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 6])
+    def test_pair_indices_are_the_upper_triangle_built_once(self, n):
+        first, second = pair_indices(n)
+        expected = np.triu_indices(n, k=1)
+        np.testing.assert_array_equal(first, expected[0])
+        np.testing.assert_array_equal(second, expected[1])
+        assert not first.flags.writeable and not second.flags.writeable
+        assert pair_indices(n)[0] is first
 
     def test_stacked_norms_check_hermiticity(self):
         stack = np.array([np.zeros((2, 2)), [[0.0, 1.0], [0.0, 0.0]]])

@@ -21,7 +21,7 @@ from qsd import (
     validate_density,
     validate_povm,
 )
-from qsd.core import psd_project
+from qsd.core import psd_project, trace_norms
 from qsd.nosignaling import ABSENT_TRACE
 from qsd.rand import random_ensemble, random_povm
 
@@ -179,6 +179,27 @@ class TestNormIdentity:
     def test_trine_all_pairs(self, trine_ensemble):
         _, structure = structure_of(trine_ensemble)
         assert norm_identity_check(structure, trine_ensemble) <= 1e-8
+
+    @staticmethod
+    def assert_matches_two_call_form(ensemble, certificate):
+        # The reference: separate trace_norms calls over the state and the
+        # partner pair stacks.
+        structure = steering_structure(ensemble, certificate)
+        first, second = np.triu_indices(len(ensemble), k=1)
+        states = structure.p[:, None, None] * ensemble.matrices
+        partners = structure.sigma / structure.trace_k
+        lhs = trace_norms(states[first] - states[second])
+        rhs = trace_norms(partners[first] - partners[second])
+        assert norm_identity_check(structure, ensemble) == float(np.abs(lhs - rhs).max())
+
+    @pytest.mark.parametrize("kind,index", CASES, ids=CASE_IDS)
+    def test_hostile_corpus_matches_the_two_call_form(self, kind, index):
+        ensemble, result = solved_case(kind, index)
+        self.assert_matches_two_call_form(ensemble, result.certificate)
+
+    def test_acceptance_corpus_matches_the_two_call_form(self):
+        for ensemble in corpus_ensembles(20260101):
+            self.assert_matches_two_call_form(ensemble, solve(ensemble).certificate)
 
 
 class TestDetectorCheck:

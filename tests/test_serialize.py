@@ -186,6 +186,12 @@ class TestInstanceDiagnostics:
         with pytest.raises(FormatError, match="JSON"):
             parse_instance("not json at all {")
 
+    def test_integer_too_long_to_read(self):
+        # Python caps int conversion at 4300 digits by default, where json
+        # raises a plain ValueError.
+        with pytest.raises(FormatError):
+            parse_instance('{"version": "qsd-1", "dimension": ' + "1" * 5000 + "}")
+
     def test_wrong_version(self):
         doc = self.good_doc()
         doc["version"] = "qsd-2"
@@ -209,6 +215,47 @@ class TestInstanceDiagnostics:
         doc["states"][1]["prior"] = "half"
         with pytest.raises(FormatError, match=r"states\[1\].prior"):
             parse_instance(dump_json(doc))
+
+    def test_boolean_prior_rejected(self):
+        doc = self.good_doc()
+        doc["states"][1]["prior"] = True
+        with pytest.raises(FormatError, match=r"states\[1\].prior: expected a number, got True"):
+            parse_instance(dump_json(doc))
+
+    def test_huge_integer_prior_rejected(self):
+        doc = self.good_doc()
+        doc["states"][1]["prior"] = 10**400
+        with pytest.raises(FormatError, match=r"states\[1\].prior: out of range"):
+            parse_instance(dump_json(doc))
+
+    def test_boolean_dimension_rejected(self):
+        doc = self.good_doc()
+        doc["dimension"] = True
+        with pytest.raises(FormatError, match="dimension: expected a positive integer, got True"):
+            parse_instance(dump_json(doc))
+
+    @pytest.mark.parametrize("pair", [[True, False], ["1", "0"], [1, None]], ids=["booleans", "strings", "null"])
+    def test_non_number_entry_rejected(self, pair):
+        doc = self.good_doc()
+        doc["states"][0]["matrix"][1][1] = pair
+        with pytest.raises(FormatError, match=r"states\[0\].matrix: entry \(1,1\) is not numeric"):
+            parse_instance(dump_json(doc))
+
+    def test_huge_integer_entry_rejected(self):
+        doc = self.good_doc()
+        doc["states"][0]["matrix"][0][0] = [10**400, 0]
+        with pytest.raises(FormatError, match=r"states\[0\].matrix: entry \(0,0\) is out of range"):
+            parse_instance(dump_json(doc))
+
+    def test_integer_entries_and_prior_stay_valid(self):
+        doc = self.good_doc()
+        doc["states"] = [
+            {"prior": 1, "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
+            {"prior": 0, "matrix": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]},
+        ]
+        ensemble, _ = parse_instance(dump_json(doc))
+        assert ensemble.priors.tolist() == [1.0, 0.0]
+        np.testing.assert_array_equal(ensemble.matrices[1], np.diag([0.0, 1.0]))
 
     def test_trace_deficient_state_names_index(self):
         doc = self.good_doc()
@@ -246,6 +293,10 @@ class TestReportParsing:
     def test_wrong_version_rejected(self):
         with pytest.raises(FormatError, match="version"):
             parse_report('{"version": "other"}')
+
+    def test_integer_too_long_to_read(self):
+        with pytest.raises(FormatError):
+            parse_report('{"version": "other", "iterations": ' + "1" * 5000 + "}")
 
     def test_not_an_object(self):
         with pytest.raises(FormatError):

@@ -109,7 +109,9 @@ class TestAcceleration:
         assert solve(ensemble).converged
 
     def test_every_truncated_iterate_is_a_valid_povm(self):
-        ensemble = random_ensemble(np.random.default_rng(52), 6, 3)  # mixed; converges after 35 iterations
+        # Mixed; converges after 37 iterations, and from iteration 2 on runs
+        # inside nested reduced solves.
+        ensemble = random_ensemble(np.random.default_rng(40), 6, 3)
         for k in range(1, 16):
             result = solve(ensemble, SolverOptions(max_iterations=k))
             assert result.iterations == k
@@ -235,21 +237,23 @@ class TestActiveSetStep:
         assert accepted >= 5
 
     def test_cut_short_drop_attempt_keeps_its_progress(self):
-        # A reduced solve starts at iteration 20 and meets the stop rule at
-        # iteration 40.  A budget that ends inside it still returns its best
-        # iterate, so the residual keeps falling as the budget grows.
+        # The drop at iteration 1 starts a reduced solve, which drops again
+        # at its own first step and meets the stop rule at iteration 46.  A
+        # budget that ends inside it still returns its best iterate, so the
+        # residual keeps falling as the budget grows.
         ensemble = random_ensemble(7, 4, 3)
-        results = {k: solve(ensemble, SolverOptions(max_iterations=k)) for k in range(18, 41)}
+        results = {k: solve(ensemble, SolverOptions(max_iterations=k)) for k in range(1, 47)}
         residuals = [r.report.max_residual() for r in results.values()]
         assert all(later <= earlier for earlier, later in zip(residuals, residuals[1:]))
-        assert results[38].report.max_residual() < 1e-3 * results[20].report.max_residual()
-        assert results[40].converged
-        assert not results[40].povm.elements.any(axis=(1, 2)).all()
+        assert results[41].report.max_residual() < 1e-3 * results[2].report.max_residual()
+        assert results[46].converged
+        assert not results[46].povm.elements.any(axis=(1, 2)).all()
 
     def test_wrong_drop_is_given_up_early(self):
-        # The drop at iteration 20 is wrong.  Its reduced solve gives up once
-        # K visibly violates a dropped state's constraint; run to its end it
-        # makes the solve take 57 iterations.
+        # The drops at iterations 8 and 18 are wrong.  Their reduced solves
+        # give up once K visibly violates a dropped state's constraint, after
+        # 1 and 3 steps; run to their end they make the solve take 58
+        # iterations.
         ensemble = corpus_member(20260101, 15)
         assert (len(ensemble), ensemble.dim) == (4, 4)
         result = solve(ensemble)
@@ -271,6 +275,32 @@ class TestActiveSetStep:
         reduced, _, used = solver._iterate(weighted[keep], factors, 9980, 1e-12, weighted[~keep], 1e-16, 20)
         assert used <= 20
         assert solver._residual(weighted[keep], reduced)[0] > 1e-3
+
+    def test_reduced_solve_that_stalls_above_tolerance_ends_in_bounded_steps(self, monkeypatch):
+        # With the first check at iteration 3, fresh seed 8 #192 drops state
+        # 1 there.  The reduced solve of states 0, 2 and 3 gets below the
+        # parent's residual at once and then stalls at 9e-6, above
+        # tolerance, from step 10.  It ends after STALL_LIMIT steps without
+        # improvement and the parent goes on to converge; without that exit
+        # it runs out the remaining 9997 steps.
+        monkeypatch.setattr(solver, "FIRST_DROP_CHECK", 3)
+        ensemble = corpus_member(8, 192)
+        assert (len(ensemble), ensemble.dim) == (4, 2)
+        iterate, calls = solver._iterate, []
+
+        def recording(*args):
+            if len(args) > 4:
+                calls.append(args)
+            return iterate(*args)
+
+        monkeypatch.setattr(solver, "_iterate", recording)
+        assert solve(ensemble).converged
+        weighted, _, budget, _, _, limit, patience = calls[0]
+        np.testing.assert_array_equal(weighted, ensemble.weighted_stack()[[0, 2, 3]])
+        assert (budget, patience) == (9997, 3)
+        assert limit == pytest.approx(9.8e-4, rel=0.01)
+        _, _, used = iterate(*calls[0])
+        assert used <= solver.STALL_LIMIT + 20
 
     @pytest.mark.parametrize("tolerance, bound", [(1e-12, 100), (1e-13, 300)])
     def test_tight_tolerance_ends_in_bounded_steps(self, tolerance, bound):

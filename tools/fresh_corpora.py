@@ -7,8 +7,11 @@ acceptance corpus (200 instances each, N in 2..6, d in {2, 3, 4}, pure or
 mixed), from seeds 1 to 8 instead of 20260101.  Prints one line per seed and
 then the totals: the instances that converged, the total, median and maximum
 iteration counts, and the worst KKT residual (primal, dual, slackness and
-gap).  Exits 1 if any instance does not converge or has a residual above
-1e-9, and 0 otherwise.
+gap).  Exits 1 if any instance does not converge, has a residual above
+1e-9 or takes more than 150 iterations, and 0 otherwise.  The iteration cap
+sits well above the largest count seen (82) and far below the budget, so a
+reduced solve that eats the budget fails here before it leaves an instance
+unconverged.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from tests.conftest import corpus_ensembles  # noqa: E402
 
 SEEDS = range(1, 9)
 RESIDUAL_LIMIT = 1e-9
+ITERATION_LIMIT = 150
 
 
 def summary(label: str, iterations: list[int], converged: int, worst: float) -> str:
@@ -48,7 +52,8 @@ def main() -> int:
         converged += seed_converged
         worst = max(worst, seed_worst)
     print(summary("all", iterations, converged, worst))
-    return 0 if converged == len(iterations) and worst <= RESIDUAL_LIMIT else 1
+    ok = converged == len(iterations) and worst <= RESIDUAL_LIMIT and max(iterations) <= ITERATION_LIMIT
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
