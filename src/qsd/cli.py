@@ -19,6 +19,7 @@ from .bounds import best_cyclic_bound, lower_bound
 from .core import COMPLETENESS_TOL, Povm, QsdError, born_table
 from .nosignaling import (
     decompositions_from_structure,
+    detector_nosignaling_check,
     norm_identity_check,
     proposition_bound_check,
     steering_structure,
@@ -34,7 +35,7 @@ from .serialize import (
     FormatError,
     _is_number,
 )
-from .solver import SolverOptions, certificate_from_povm, dual_operator, kkt_check, solve
+from .solver import SolverOptions, _certify, solve
 from .steering import mixture_of, simulate_protocol
 
 EXIT_OK = 0
@@ -141,13 +142,13 @@ def _output_flag(parser) -> None:
     parser.add_argument("--output", help="write the report here instead of stdout")
 
 
-def _read_instance(path: str):
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 instance or report file, or a FormatError naming a path that cannot be read."""
     try:
         with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise FormatError(f"{path}: {exc.strerror or exc}") from None
-    return parse_instance(text)
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def _write_report(doc: dict, output) -> None:
@@ -164,7 +165,7 @@ def _options(args) -> SolverOptions:
 
 
 def cmd_solve(args) -> int:
-    ensemble, labels = _read_instance(args.instance)
+    ensemble, labels = parse_instance(_read_text(args.instance))
     opts = _options(args)
     result = solve(ensemble, opts)
     log.info("solve: value=%.12g converged=%s iterations=%d", result.guess_probability, result.converged, result.iterations)
@@ -202,7 +203,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    ensemble, labels = _read_instance(args.instance)
+    ensemble, labels = parse_instance(_read_text(args.instance))
     report = lower_bound(ensemble)
     doc = {
         "version": REPORT_VERSION,
@@ -226,9 +227,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    ensemble, labels = _read_instance(args.instance)
-    with open(args.report, encoding="utf-8") as handle:
-        report = parse_report(handle.read())
+    ensemble, labels = parse_instance(_read_text(args.instance))
+    report = parse_report(_read_text(args.report))
     if report.get("command") != "solve":
         raise FormatError(f'certify needs a solve report, got command {report.get("command")!r}')
 
@@ -252,9 +252,7 @@ def cmd_certify(args) -> int:
     value = _number(_section(report, "result"), "guess_probability", np.nan, "result")
 
     povm = Povm(elements=elements)  # deliberately unvalidated: residuals are reported
-    checks = kkt_check(ensemble, povm, k)
-    certificate = certificate_from_povm(ensemble, povm, k)
-    recomputed = float(dual_operator(ensemble, povm).trace().real)
+    certificate, checks, recomputed = _certify(ensemble, povm, k)
     rows = [
         ("povm_validity", checks.primal_residual, COMPLETENESS_TOL),
         ("dual_feasibility", checks.dual_residual, tolerance),
@@ -271,11 +269,9 @@ def cmd_certify(args) -> int:
         rows.append(("ensemble_identity", np.inf, certificate_tolerance))
         log.warning("steering structure unavailable: %s", exc)
 
-    ok = True
     for name, residual, limit in rows:
-        verdict = "ok" if residual <= limit else "FAIL"
-        ok = ok and residual <= limit
-        print(f"{name:20s} {residual: .3e}  (tolerance {limit:.1e})  {verdict}")
+        print(f"{name:20s} {residual: .3e}  (tolerance {limit:.1e})  {'ok' if residual <= limit else 'FAIL'}")
+    ok = all(residual <= limit for _, residual, limit in rows)
     print(f"certification {'PASSED' if ok else 'FAILED'}")
     return EXIT_OK if ok else EXIT_CERTIFICATION
 
@@ -300,7 +296,7 @@ def cmd_simulate(args) -> int:
     if args.shots <= 0:
         print("error: shots must be positive", file=sys.stderr)
         return EXIT_INPUT
-    ensemble, labels = _read_instance(args.instance)
+    ensemble, labels = parse_instance(_read_text(args.instance))
     opts = _options(args)
     result = solve(ensemble, opts)
     if not result.converged:
@@ -311,9 +307,8 @@ def cmd_simulate(args) -> int:
     decompositions = decompositions_from_structure(ensemble, structure)
     stats = simulate_protocol(decompositions, result.povm, args.shots, args.seed)
     analytic = born_table(np.array([mixture_of(e) for e in decompositions]), result.povm.elements)
-    diag = stats.diagonal_sum()
     threshold = 3.0 * float(np.sqrt(len(ensemble) / (4.0 * args.shots)))
-    ok = diag <= 1.0 + threshold
+    diag, ok = detector_nosignaling_check(stats, threshold)
     log.info("simulate: diagonal sum=%.6f threshold=%.2e ok=%s", diag, threshold, ok)
 
     doc = {
@@ -329,7 +324,7 @@ def cmd_simulate(args) -> int:
             "analytic_probabilities": [[float(p) for p in row] for row in analytic],
             "diagonal_sum": diag,
             "statistical_threshold": threshold,
-            "nosignaling_ok": bool(ok),
+            "nosignaling_ok": ok,
         },
     }
     _write_report(doc, args.output)
@@ -337,11 +332,7 @@ def cmd_simulate(args) -> int:
 
 
 def _instance_echo(ensemble, labels) -> dict:
-    return {
-        "hash": instance_hash(ensemble, labels),
-        "dimension": ensemble.dim,
-        "num_states": len(ensemble),
-    }
+    return {"hash": instance_hash(ensemble, labels), "dimension": ensemble.dim, "num_states": len(ensemble)}
 
 
 def _options_block(opts: SolverOptions) -> dict:

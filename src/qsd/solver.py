@@ -49,10 +49,10 @@ same 1600 instances (tools/fresh_corpora.py) every instance converges, in
 out of its 10000-step budget; with the first drop tried at iteration 20
 they took 17612, at most 55).
 
-The stop rule asks for tolerance / POLISH_FACTOR; once the best residual is
-within tolerance the solve also stops after STALL_LIMIT steps without
-improvement, and tries no more drops.  That bounds a solve whose tolerance
-puts the stop rule at round-off level.
+The stop rule asks for min(tolerance, max(tolerance / POLISH_FACTOR, 4 d
+eps)), 4 d eps being where a d x d residual stops falling.  Once the best
+residual is within tolerance the solve also stops after STALL_LIMIT steps
+without improvement and tries no more drops, bounding a stall above the floor.
 
 Operators are held as (N, d, d) stacks: the weighted states W_x = q_x rho_x,
 the factors and the elements.  One routine each forms K = sum_x W_x M_x
@@ -88,7 +88,7 @@ ZERO_PRIOR = 1e-15
 # toward tol/POLISH_FACTOR so downstream certificate checks have headroom.
 POLISH_FACTOR = 1e4
 # Once the best residual is within tolerance, stop after this many steps
-# without improvement: round-off can keep tolerance / POLISH_FACTOR out of reach.
+# without improvement: round-off can keep the stop rule out of reach.
 STALL_LIMIT = 100
 # The active-set step first looks for vanishing elements at this iteration.
 FIRST_DROP_CHECK = 1
@@ -202,12 +202,13 @@ def certificate_from_povm(ensemble: StateEnsemble, povm: Povm, k=None) -> DualCe
 def kkt_check(ensemble: StateEnsemble, povm: Povm, k) -> KktReport:
     """Residuals of the optimality conditions for (povm, k) on the ensemble.
 
-    k is checked as in certificate_from_povm.  primal_residual: worst POVM
-    invariant violation (Hermiticity, negativity, completeness).
+    k is checked as in certificate_from_povm, or is a DualCertificate it built
+    for this ensemble and povm, read as it stands.  primal_residual: worst
+    POVM invariant violation (Hermiticity, negativity, completeness).
     dual_residual: worst violation of K >= q_x rho_x.  slackness_residual:
     max |tr[(K - q_x rho_x) M_x]|.  gap: tr K minus the primal objective.
     """
-    return _report(ensemble, povm, certificate_from_povm(ensemble, povm, k))
+    return _report(ensemble, povm, k if isinstance(k, DualCertificate) else certificate_from_povm(ensemble, povm, k))
 
 
 def solve(ensemble: StateEnsemble, options: SolverOptions | None = None) -> DiscriminationResult:
@@ -264,9 +265,9 @@ def _iterate(
     Runs from the given factors for at most budget steps and returns the best
     elements seen, the step at which they were found and the steps taken,
     those of nested reduced solves included.  It stops once the KKT residual
-    is <= tolerance / POLISH_FACTOR, or once the best residual is <=
-    tolerance (in a reduced solve, at any level) and has not improved for
-    STALL_LIMIT steps.
+    is <= min(tolerance, max(tolerance / POLISH_FACTOR, 4 d eps)), or once
+    the best residual is <= tolerance (in a reduced solve, at any level) and
+    has not improved for STALL_LIMIT steps.
 
     At iteration FIRST_DROP_CHECK (the first), and then whenever the steps
     taken have doubled, the states whose sigma_x = K - W_x has its smallest
@@ -289,7 +290,7 @@ def _iterate(
     STALL_LIMIT steps without improvement instead of running out the
     parent's budget.
     """
-    target = tolerance / POLISH_FACTOR
+    target = min(tolerance, max(tolerance / POLISH_FACTOR, 4 * weighted.shape[1] * np.finfo(float).eps))
     best_elements = _elements_of(factors)
     best_residual = np.inf
     best_at = 0
@@ -494,6 +495,12 @@ def _residuals(weighted: np.ndarray, elements: np.ndarray, k: np.ndarray):
 def _objective(weighted: np.ndarray, elements: np.ndarray) -> float:
     """The primal objective sum_x tr[W_x M_x] of two (N, d, d) stacks."""
     return float(np.einsum("xij,xji->", weighted, elements).real)
+
+
+def _certify(ensemble: StateEnsemble, povm: Povm, k) -> tuple[DualCertificate, KktReport, float]:
+    """Certificate of a stored POVM and K, its KktReport and objective: qsd certify's rows, one dual side."""
+    certificate = certificate_from_povm(ensemble, povm, k)
+    return certificate, kkt_check(ensemble, povm, certificate), _objective(ensemble.weighted_stack(), povm.elements)
 
 
 def _report(ensemble: StateEnsemble, povm: Povm, certificate: DualCertificate) -> KktReport:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsd import DetectorStatistics, kkt_check, make_ensemble, Povm
+from qsd import DetectorStatistics, kkt_check, make_ensemble, Povm, solver
 from qsd.cli import main
 from qsd.rand import random_ensemble
 from qsd.serialize import decode_matrix, dump_json, ensemble_to_doc, parse_instance
@@ -216,6 +216,34 @@ class TestCertifyCommand:
         assert main(["certify", trine_file, str(out)]) == 1
         assert "dual operator" in capsys.readouterr().err
 
+    def test_edited_value_fails_only_value_recorded(self, trine_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        main(["solve", trine_file, "--output", str(out)])
+        report = json.loads(out.read_text())
+        report["result"]["guess_probability"] += 1e-10
+        out.write_text(json.dumps(report))
+        assert main(["certify", trine_file, str(out)]) == 3
+        verdicts = {line.split()[0]: line.split()[-1] for line in capsys.readouterr().out.splitlines()}
+        assert verdicts.pop("value_recorded") == "FAIL"
+        assert verdicts.pop("certification") == "FAILED"
+        assert set(verdicts.values()) == {"ok"}
+
+    def test_one_run_evaluates_the_dual_side_once(self, trine_file, tmp_path, monkeypatch):
+        out = tmp_path / "report.json"
+        main(["solve", trine_file, "--output", str(out)])
+        # kkt_check still runs once: the benchmark times the certify check through it.
+        calls = {"_residuals": 0, "_dual": 0, "kkt_check": 0}
+        for name in calls:
+            original = getattr(solver, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(solver, name, counted)
+        assert main(["certify", trine_file, str(out)]) == 0
+        assert calls == {"_residuals": 1, "_dual": 0, "kkt_check": 1}
+
     def test_round_trip_reproduces_residuals(self, trine_file, tmp_path):
         out = tmp_path / "report.json"
         main(["solve", trine_file, "--output", str(out)])
@@ -267,6 +295,27 @@ class TestSimulateCommand:
         # messages prepare identical mixtures, so the columns must coincide
         np.testing.assert_allclose(np.diag(table), [0.7, 0.3], atol=0.01)
         np.testing.assert_allclose(table[:, 0], table[:, 1], atol=0.01)
+
+
+class TestUnreadableFiles:
+    @pytest.fixture
+    def paths(self, trine_file, tmp_path):
+        report = tmp_path / "report.json"
+        main(["solve", trine_file, "--output", str(report)])
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes('{"version": "qsd-1", "name": "\u00e9"}'.encode("latin-1"))
+        return {"instance": trine_file, "latin1": str(latin1), "missing": str(tmp_path / "missing.json")}
+
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [(["solve", "latin1"], "latin1"), (["certify", "instance", "latin1"], "latin1"), (["certify", "instance", "missing"], "missing")],
+        ids=["non-utf8-instance", "non-utf8-report", "missing-report"],
+    )
+    def test_is_an_input_error_naming_the_path(self, paths, capsys, argv, bad):
+        assert main([argv[0]] + [paths[key] for key in argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and paths[bad] in err
+        assert "Traceback" not in err
 
 
 class TestUsageErrors:

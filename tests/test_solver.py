@@ -10,6 +10,7 @@ from qsd import (
     NotHermitian,
     Povm,
     SolverOptions,
+    certificate_from_povm,
     dual_operator,
     guess_value,
     helstrom,
@@ -302,13 +303,26 @@ class TestActiveSetStep:
         _, _, used = iterate(*calls[0])
         assert used <= solver.STALL_LIMIT + 20
 
-    @pytest.mark.parametrize("tolerance, bound", [(1e-12, 100), (1e-13, 300)])
-    def test_tight_tolerance_ends_in_bounded_steps(self, tolerance, bound):
-        # The stop rule asks for tolerance / 1e4, at or below round-off here.
-        # The stall exit ends the solve, and no drop is read off a residual
-        # at round-off level; either mistake runs out the 10000-step budget.
-        ensemble = corpus_member(20260101, 29)
-        assert (len(ensemble), ensemble.dim) == (5, 4)
+    @pytest.mark.parametrize(
+        "seed, index, shape, tolerance, bound",
+        [
+            (20260101, 29, (5, 4), 1e-12, 100),
+            (20260101, 29, (5, 4), 1e-13, 300),
+            (2, 192, (5, 3), 1e-13, 100),
+            (1, 3, (2, 2), 1e-15, 100),
+        ],
+        ids=["1e-12-100", "1e-13-300", "seed2-192-1e-13-100", "seed1-3-below-floor-1e-15-100"],
+    )
+    def test_tight_tolerance_ends_in_bounded_steps(self, seed, index, shape, tolerance, bound):
+        # tolerance / 1e4 lies below round-off here, so the stop rule asks for
+        # 4 d eps instead; the stall exit still ends a solve that stalls above
+        # that floor, and no drop is read off a residual at round-off level.
+        # Without the floor, fresh seed 2 #192's reduced solve, started by a
+        # correct drop, polishes until its own stall exit: 484 steps, not 5.
+        # Below the floor (1.8e-15 at d = 2) the stop rule asks for tolerance
+        # itself: a floor above it stops seed 1 #3 at 1.4e-15, unconverged.
+        ensemble = corpus_member(seed, index)
+        assert (len(ensemble), ensemble.dim) == shape
         result = solve(ensemble, SolverOptions(kkt_tolerance=tolerance))
         assert result.converged
         assert result.iterations <= bound
@@ -399,6 +413,14 @@ class TestKktCheck:
         for ensemble in (random_ensemble(rng, 4, 3), zero_prior):
             result = solve(ensemble)
             assert result.report == kkt_check(ensemble, result.povm, result.certificate.k_operator)
+
+    def test_certificate_is_read_as_it_stands(self, monkeypatch):
+        ensemble = random_ensemble(np.random.default_rng(47), 4, 3)
+        povm = solve(ensemble).povm
+        certificate = certificate_from_povm(ensemble, povm, dual_operator(ensemble, povm))
+        expected = kkt_check(ensemble, povm, certificate.k_operator)
+        monkeypatch.setattr(solver, "_residuals", None)  # the dual side is not evaluated again
+        assert kkt_check(ensemble, povm, certificate) == expected
 
     def test_primal_violation_alone_is_not_within_tolerance(self):
         # Orthogonal states in d = 3 leave |2> unused: moving weight there

@@ -4,14 +4,17 @@
 
 The corpora are drawn as tests/conftest.corpus_ensembles draws the
 acceptance corpus (200 instances each, N in 2..6, d in {2, 3, 4}, pure or
-mixed), from seeds 1 to 8 instead of 20260101.  Prints one line per seed and
-then the totals: the instances that converged, the total, median and maximum
-iteration counts, and the worst KKT residual (primal, dual, slackness and
-gap).  Exits 1 if any instance does not converge, has a residual above
-1e-9 or takes more than 150 iterations, and 0 otherwise.  The iteration cap
-sits well above the largest count seen (82) and far below the budget, so a
-reduced solve that eats the budget fails here before it leaves an instance
-unconverged.
+mixed), from seeds 1 to 8 instead of 20260101, and solved at the default
+kkt_tolerance 1e-9; seeds 1 and 2 are solved again at 1e-13, where the stop
+rule sits at its round-off floor.  Prints one line per seed and tolerance
+and then the totals: the instances that converged, the total, median and
+maximum iteration counts, and the worst KKT residual (primal, dual,
+slackness and gap).  Exits 1 if any instance does not converge, has a
+residual above its tolerance or takes more than 150 iterations, and 0
+otherwise.  The iteration cap sits well above the largest counts seen (82 at
+1e-9, 96 at 1e-13) and far below the budget, so a reduced solve that eats
+the budget, or a stop rule below round-off, fails here before it leaves an
+instance unconverged.
 """
 
 from __future__ import annotations
@@ -23,36 +26,39 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from qsd import solve  # noqa: E402
+from qsd import SolverOptions, solve  # noqa: E402
 from tests.conftest import corpus_ensembles  # noqa: E402
 
-SEEDS = range(1, 9)
-RESIDUAL_LIMIT = 1e-9
+# (kkt_tolerance, seeds) of each sweep.
+SWEEPS = ((1e-9, range(1, 9)), (1e-13, range(1, 3)))
 ITERATION_LIMIT = 150
 
 
-def summary(label: str, iterations: list[int], converged: int, worst: float) -> str:
+def summary(label: str, tolerance: float, iterations: list[int], converged: int, worst: float) -> str:
     return (
-        f"{label:8s} converged {converged}/{len(iterations)}  iterations total {sum(iterations)}"
+        f"{label:8s} at {tolerance:.0e}  converged {converged}/{len(iterations)}  iterations total {sum(iterations)}"
         f" median {statistics.median(iterations):g} max {max(iterations)}  worst residual {worst:.2e}"
     )
 
 
 def main() -> int:
-    iterations, converged, worst = [], 0, 0.0
-    for seed in SEEDS:
-        seed_iterations, seed_converged, seed_worst = [], 0, 0.0
-        for ensemble in corpus_ensembles(seed):
-            result = solve(ensemble)
-            seed_iterations.append(result.iterations)
-            seed_converged += result.converged
-            seed_worst = max(seed_worst, result.report.max_residual())
-        print(summary(f"seed {seed}", seed_iterations, seed_converged, seed_worst))
-        iterations += seed_iterations
-        converged += seed_converged
-        worst = max(worst, seed_worst)
-    print(summary("all", iterations, converged, worst))
-    ok = converged == len(iterations) and worst <= RESIDUAL_LIMIT and max(iterations) <= ITERATION_LIMIT
+    ok = True
+    for tolerance, seeds in SWEEPS:
+        options = SolverOptions(kkt_tolerance=tolerance)
+        iterations, converged, worst = [], 0, 0.0
+        for seed in seeds:
+            seed_iterations, seed_converged, seed_worst = [], 0, 0.0
+            for ensemble in corpus_ensembles(seed):
+                result = solve(ensemble, options)
+                seed_iterations.append(result.iterations)
+                seed_converged += result.converged
+                seed_worst = max(seed_worst, result.report.max_residual())
+            print(summary(f"seed {seed}", tolerance, seed_iterations, seed_converged, seed_worst))
+            iterations += seed_iterations
+            converged += seed_converged
+            worst = max(worst, seed_worst)
+        print(summary("all", tolerance, iterations, converged, worst))
+        ok = ok and converged == len(iterations) and worst <= tolerance and max(iterations) <= ITERATION_LIMIT
     return 0 if ok else 1
 
 
