@@ -7,8 +7,11 @@ one d-dimensional space (an ensemble's states, a POVM's elements, a dual
 certificate's complementary operators) is one complex (N, d, d) array, and
 the batched routines here act on the whole family at once.  A single
 Hermitian eigendecomposition backend (`numpy.linalg.eigh`) drives positivity
-checks, trace norms, and operator square roots so that tolerances mean the
-same thing in every module.
+checks, trace norms, and operator square roots, and one tolerance regime
+holds for every family: states, POVM elements, a given dual operator K and
+trace_norm inputs are all checked by _hermitian (finite, and Hermitian
+within HERMITIAN_TOL times each matrix's own largest entry, at least 1) and,
+where positivity is required, by _positive (min eigenvalue >= -PSD_TOL).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 # One tolerance regime for the whole package: absolute 1e-9 on eigenvalues and
-# traces, Hermiticity scaled by the largest entry, 1e-12 on probability sums.
+# traces, Hermiticity scaled by each matrix's largest entry, 1e-12 on probability sums.
 HERMITIAN_TOL = 1e-9
 PSD_TOL = 1e-9
 TRACE_TOL = 1e-9
@@ -66,16 +69,6 @@ class InvalidProbability(QsdError):
     """A Born-rule probability falls outside [0, 1] beyond float noise."""
 
 
-def as_complex_matrix(matrix) -> np.ndarray:
-    """Coerce input to a square, finite complex128 array (a defensive copy)."""
-    a = np.array(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise NonFinite("matrix contains NaN or Inf entries")
-    return a
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -89,13 +82,6 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 def hermiticity_error(a: np.ndarray) -> float:
     """Largest entrywise deviation |A_ij - conj(A_ji)| (over a stack too)."""
     return float(np.abs(a - a.conj().swapaxes(-1, -2)).max(initial=0.0))
-
-
-def check_hermitian(a: np.ndarray, context: str = "matrix") -> None:
-    scale = max(1.0, float(np.abs(a).max()) if a.size else 0.0)
-    err = hermiticity_error(a)
-    if err > HERMITIAN_TOL * scale:
-        raise NotHermitian(f"{context}: max |A_ij - conj(A_ji)| = {err:.3e}")
 
 
 def min_eigenvalue(a: np.ndarray) -> float:
@@ -149,35 +135,29 @@ class DensityMatrix:
 class StateEnsemble:
     """A discrimination instance: N >= 2 states with prior probabilities.
 
-    The constructor copies the states' matrices into one read-only stack
-    once, and the stored states become its rows; matrices and
-    weighted_stack() return the same read-only stacks on every call.
+    priors and matrices, the (N, d, d) stack of the density matrices rho_x,
+    are read-only arrays, validated by make_ensemble.  The constructor builds,
+    once, the states (DensityMatrix views of the rows of matrices) and the
+    read-only stack of q_x rho_x that weighted_stack() returns.
     """
 
     priors: np.ndarray
-    states: tuple[DensityMatrix, ...]
+    matrices: np.ndarray
 
     def __post_init__(self):
-        matrices = _frozen(np.array([s.matrix for s in self.states]))
-        object.__setattr__(self, "states", tuple(DensityMatrix(matrix=m) for m in matrices))
-        object.__setattr__(self, "_matrices", matrices)
-        object.__setattr__(self, "_weighted", _frozen(self.priors[:, None, None] * matrices))
+        object.__setattr__(self, "states", tuple(DensityMatrix(matrix=m) for m in self.matrices))
+        object.__setattr__(self, "_weighted", _frozen(self.priors[:, None, None] * self.matrices))
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.matrices)
 
     @property
     def dim(self) -> int:
-        return self.states[0].dim
+        return self.matrices.shape[-1]
 
     def weighted(self, x: int) -> np.ndarray:
-        """The prior-weighted operator of state x."""
-        return self.priors[x] * self.states[x].matrix
-
-    @property
-    def matrices(self) -> np.ndarray:
-        """The read-only (N, d, d) stack of the density matrices rho_x."""
-        return self._matrices
+        """The read-only prior-weighted operator q_x rho_x: row x of weighted_stack()."""
+        return self._weighted[x]
 
     def weighted_stack(self) -> np.ndarray:
         """The read-only (N, d, d) stack of prior-weighted operators q_x rho_x."""
@@ -186,10 +166,7 @@ class StateEnsemble:
     def permuted(self, order) -> "StateEnsemble":
         """A new ensemble with states and priors jointly reordered."""
         order = list(order)
-        return StateEnsemble(
-            priors=_frozen(self.priors[order].copy()),
-            states=tuple(self.states[i] for i in order),
-        )
+        return StateEnsemble(priors=_frozen(self.priors[order]), matrices=_frozen(self.matrices[order]))
 
 
 @dataclass(frozen=True)
@@ -222,12 +199,48 @@ class Povm:
         return self.elements.shape[-1]
 
 
+def _reject(bad: np.ndarray, name: str, error: type[QsdError], detail) -> None:
+    """Raise error naming the first matrix flagged in bad, one flag per matrix of a stack, if any.
+
+    The message is "name x: detail(x)" for x the flat index of that matrix,
+    or "name: detail(x)" when the stack holds one matrix.
+    """
+    if bad.any():
+        x = int(bad.argmax())
+        raise error(f"{name if bad.size == 1 else f'{name} {x}'}: {detail(x)}")
+
+
+def _hermitian(stack, name: str) -> np.ndarray:
+    """The Hermitian parts of a (..., d, d) stack, as a new array, after checking it.
+
+    Every entry must be finite (else NonFinite), and every matrix A Hermitian
+    within its own scale: max |A_ij - conj(A_ji)| <= HERMITIAN_TOL * max(1,
+    max |A_ij|) (else NotHermitian).  Errors name the first offending matrix
+    as _reject does.
+    """
+    a = np.asarray(stack, dtype=complex)
+    scale = np.abs(a).max(axis=(-2, -1), initial=1.0)  # NaN or Inf where an entry is (or |A_ij| overflows)
+    _reject(~np.isfinite(scale), name, NonFinite, lambda x: "NaN or Inf entries")
+    err = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    _reject(err > HERMITIAN_TOL * scale, name, NotHermitian, lambda x: f"max |A_ij - conj(A_ji)| = {err.flat[x]:.3e}")
+    return hermitian_part(a)
+
+
+def _positive(stack: np.ndarray, name: str) -> None:
+    """Check every matrix of a Hermitian (..., d, d) stack for min eigenvalue >= -PSD_TOL (one batched eigvalsh).
+
+    Raises NotPsd naming the first offending matrix as _reject does.
+    """
+    lowest = np.linalg.eigvalsh(stack)[..., 0]
+    _reject(lowest < -PSD_TOL, name, NotPsd, lambda x: f"min eigenvalue = {lowest.flat[x]:.3e}")
+
+
 def validate_density(matrix) -> DensityMatrix:
     """Validate a matrix as a quantum state or raise naming the violation.
 
     The one-matrix case of validate_densities: checks, in order,
-    Hermiticity (scaled tolerance), positive semidefiniteness (min
-    eigenvalue >= -1e-9), unit trace (within 1e-9).
+    finiteness, Hermiticity (scaled tolerance), positive semidefiniteness
+    (min eigenvalue >= -1e-9), unit trace (within 1e-9).
     """
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -238,44 +251,25 @@ def validate_density(matrix) -> DensityMatrix:
 def validate_densities(stack) -> np.ndarray:
     """Validate every matrix of an (N, d, d) stack as a quantum state, or raise naming the first violation.
 
-    Each check runs over the whole stack before the next: finiteness, then
-    Hermiticity (tolerance scaled by each matrix's largest entry), positive
-    semidefiniteness (one batched eigvalsh, min eigenvalue >= -1e-9), unit
+    Each check runs over the whole stack before the next: finiteness and
+    Hermiticity (_hermitian), positive semidefiniteness (_positive), unit
     trace (within 1e-9).  Returns the read-only stack of Hermitian parts, a
     new array; its rows are the matrices of DensityMatrix instances.
     """
     a = np.asarray(stack, dtype=complex)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise DimensionMismatch(f"expected an (N, d, d) stack, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise NonFinite("matrix contains NaN or Inf entries")
-
-    def name(x: int) -> str:
-        return "density matrix" if len(a) == 1 else f"density matrix {x}"
-
-    scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2), initial=0.0))
-    err = np.abs(a - a.conj().swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
-    bad = err > HERMITIAN_TOL * scale
-    if bad.any():
-        x = int(bad.argmax())
-        raise NotHermitian(f"{name(x)}: max |A_ij - conj(A_ji)| = {err[x]:.3e}")
-    a = hermitian_part(a)
-    lo = np.linalg.eigvalsh(a)[:, 0]
-    bad = lo < -PSD_TOL
-    if bad.any():
-        x = int(bad.argmax())
-        raise NotPsd(f"{name(x)}: min eigenvalue = {lo[x]:.3e}")
+    a = _hermitian(a, "density matrix")
+    _positive(a, "density matrix")
     tr = np.trace(a, axis1=1, axis2=2).real
-    bad = np.abs(tr - 1.0) > TRACE_TOL
-    if bad.any():
-        x = int(bad.argmax())
-        raise TraceNotOne(f"{name(x)}: trace = {tr[x]:.12g}")
+    _reject(np.abs(tr - 1.0) > TRACE_TOL, "density matrix", TraceNotOne, lambda x: f"trace = {tr[x]:.12g}")
     return _frozen(a)
 
 
 def make_ensemble(priors, matrices) -> StateEnsemble:
     """Build a StateEnsemble from priors and matrices, validating both.
 
+    The priors must be at least two finite, nonnegative numbers summing to 1.
     matrices may mix raw d x d matrices and DensityMatrix instances; all of
     them are validated as one stack by validate_densities, whose errors name
     the offending state by its index.  A DensityMatrix is unchanged by this.
@@ -283,6 +277,8 @@ def make_ensemble(priors, matrices) -> StateEnsemble:
     q = np.asarray(priors, dtype=float)
     if q.ndim != 1 or len(q) < 2:
         raise InvalidPriors(f"need at least 2 priors, got shape {q.shape}")
+    if not np.isfinite(q).all():
+        raise InvalidPriors(f"non-finite prior: {q[~np.isfinite(q)][0]}")
     if np.any(q < 0):
         raise InvalidPriors(f"negative prior: min = {q.min():.3e}")
     if abs(q.sum() - 1.0) > PRIOR_TOL:
@@ -295,47 +291,49 @@ def make_ensemble(priors, matrices) -> StateEnsemble:
             raise DimensionMismatch(f"state {i}: expected a square matrix, got shape {a.shape}")
         if len(a) != len(raw[0]):
             raise DimensionMismatch(f"state {i} has dimension {len(a)}, expected {len(raw[0])}")
-    stack = validate_densities(np.array(raw))
-    return StateEnsemble(priors=_frozen(q.copy()), states=tuple(DensityMatrix(matrix=m) for m in stack))
+    return StateEnsemble(priors=_frozen(q.copy()), matrices=validate_densities(np.array(raw)))
 
 
 def validate_povm(elements) -> Povm:
-    """Validate a sequence or stack of matrices as a POVM or raise on the first violation."""
+    """Validate a sequence or stack of matrices as a POVM or raise on the first violation.
+
+    Povm's shape check runs first, then each check over all elements before
+    the next: finiteness and Hermiticity (_hermitian), positive
+    semidefiniteness (_positive), completeness (within 1e-9).  An error
+    names the first element that fails the first failing check.
+    """
     if len(elements) == 0:
         raise DimensionMismatch("POVM needs at least one element")
-    mats = [as_complex_matrix(e) for e in elements]
-    d = mats[0].shape[0]
-    for i, m in enumerate(mats):
-        if m.shape[0] != d:
-            raise DimensionMismatch(f"element {i} has dimension {m.shape[0]}, expected {d}")
-        check_hermitian(m, f"POVM element {i}")
-        lo = min_eigenvalue(m)
-        if lo < -PSD_TOL:
-            raise NotPsd(f"POVM element {i}: min eigenvalue = {lo:.3e}")
-    total = sum(mats)
-    dev = float(np.abs(total - np.eye(d)).max())
+    stack = Povm(elements=elements).elements
+    hermitian = _hermitian(stack, "POVM element")
+    _positive(hermitian, "POVM element")
+    dev = float(np.abs(stack.sum(axis=0) - np.eye(stack.shape[-1])).max())
     if dev > COMPLETENESS_TOL:
         raise CompletenessViolated(f"sum of elements deviates from identity by {dev:.3e}")
-    return Povm(elements=hermitian_part(np.array(mats)))
+    return Povm(elements=hermitian)
 
 
 def trace_norm(a) -> float:
     """Trace norm of a Hermitian matrix: the sum of its absolute eigenvalues.
 
-    The input must be square and finite; its Hermiticity is asserted.
+    The input must be square and finite; its Hermiticity is checked as in
+    trace_norms.
     """
-    return float(trace_norms(as_complex_matrix(a)[None])[0])
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    return float(trace_norms(a[None])[0])
 
 
 def trace_norms(stack: np.ndarray) -> np.ndarray:
     """Trace norms of the Hermitian matrices in a (..., d, d) stack.
 
-    One Hermiticity check over the stack and one batched eigvalsh.  The batch
-    runs the same LAPACK routine per matrix, so each norm equals trace_norm
-    of that matrix bit for bit.
+    Each matrix is checked on its own by _hermitian, as trace_norm checks it
+    alone, and one batched eigvalsh gives the norms.  The batch runs the same
+    LAPACK routine per matrix, so each norm equals trace_norm of that matrix
+    bit for bit.
     """
-    check_hermitian(stack, "trace_norm input")
-    return np.abs(np.linalg.eigvalsh(hermitian_part(stack))).sum(axis=-1)
+    return np.abs(np.linalg.eigvalsh(_hermitian(stack, "trace_norm input"))).sum(axis=-1)
 
 
 @lru_cache(maxsize=32)

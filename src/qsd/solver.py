@@ -75,7 +75,7 @@ from .core import (
     StateEnsemble,
     _elements,
     _frozen,
-    check_hermitian,
+    _hermitian,
     guess_value,
     hermitian_part,
     hermiticity_error,
@@ -109,10 +109,10 @@ class SolverOptions:
     kkt_tolerance: float = 1e-9
 
     def __post_init__(self):
-        if self.kkt_tolerance <= 0:
-            raise ValueError(f"kkt_tolerance must be positive, got {self.kkt_tolerance}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if not 0.0 < self.kkt_tolerance < np.inf:
+            raise ValueError(f"kkt_tolerance must be positive and finite, got {self.kkt_tolerance}")
+        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, int) or self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,8 @@ class KktReport:
     gap: float
 
     def max_residual(self) -> float:
-        return max(self.primal_residual, self.dual_residual, self.slackness_residual, abs(self.gap))
+        """The largest residual, or NaN if any residual is NaN."""
+        return float(np.max([self.primal_residual, self.dual_residual, self.slackness_residual, abs(self.gap)]))
 
     def within(self, tolerance: float) -> bool:
         return self.max_residual() <= tolerance
@@ -176,8 +177,9 @@ def certificate_from_povm(ensemble: StateEnsemble, povm: Povm, k=None) -> DualCe
 
     K defaults to dual_operator(ensemble, povm); pass a Hermitian d x d k to
     build the certificate of a given dual operator instead (a stored report's
-    K).  The certificate holds its own copy of k; DimensionMismatch and
-    NotHermitian name a k of the wrong shape or one that is not Hermitian.
+    K).  The certificate holds its own copy of k; DimensionMismatch,
+    NonFinite and NotHermitian name a k of the wrong shape, one with a NaN
+    or Inf entry and one that is not Hermitian.
     """
     elements = _elements(ensemble, povm)
     weighted = ensemble.weighted_stack()
@@ -187,8 +189,7 @@ def certificate_from_povm(ensemble: StateEnsemble, povm: Povm, k=None) -> DualCe
         k = np.asarray(k, dtype=complex)
         if k.shape != (ensemble.dim, ensemble.dim):
             raise DimensionMismatch(f"K has shape {k.shape}, expected {(ensemble.dim,) * 2}")
-        check_hermitian(k, "dual operator")
-        k = hermitian_part(k)
+        k = _hermitian(k, "dual operator")
     sigma, slackness, feas = _residuals(weighted, elements, k)
     return DualCertificate(
         k_operator=_frozen(k),
@@ -507,9 +508,10 @@ def _report(ensemble: StateEnsemble, povm: Povm, certificate: DualCertificate) -
     """KktReport of a POVM and its certificate from certificate_from_povm on this ensemble."""
     elements = povm.elements
     comp = float(np.abs(elements.sum(axis=0) - _identity(povm.dim)).max())
+    lowest = float(certificate.dual_feasibility.min())
     return KktReport(
         primal_residual=max(hermiticity_error(elements), -min_eigenvalue(elements), comp),
-        dual_residual=max(0.0, -float(certificate.dual_feasibility.min())),
+        dual_residual=0.0 if lowest >= 0.0 else -lowest,  # a NaN fails the test and stays NaN
         slackness_residual=float(np.abs(certificate.slackness).max()),
         gap=certificate.trace_k - _objective(ensemble.weighted_stack(), elements),
     )

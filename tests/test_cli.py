@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,20 @@ class TestSolveCommand:
         report = json.loads(out.read_text())
         assert report["result"]["converged"] is False
         assert "steering" not in report["result"]
+
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    def test_non_finite_prior_is_an_input_error(self, trine_file, tmp_path, capsys, command):
+        doc = json.loads(Path(trine_file).read_text())
+        doc["states"][0]["prior"] = float("nan")
+        bad = tmp_path / "nan-prior.json"
+        bad.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: states: ") and "prior" in err
+        assert "serialize" not in err and "Warning" not in err
+        assert caught == []
 
 
 class TestBoundCommand:
@@ -216,6 +231,33 @@ class TestCertifyCommand:
         assert main(["certify", trine_file, str(out)]) == 1
         assert "dual operator" in capsys.readouterr().err
 
+    def test_non_finite_dual_operator_is_an_input_error(self, trine_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        main(["solve", trine_file, "--output", str(out)])
+        report = json.loads(out.read_text())
+        report["matrices"]["k_operator"][0][0][0] = float("nan")
+        out.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main(["certify", trine_file, str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: dual operator") and "Traceback" not in captured.err
+
+    def test_bound_report_is_an_input_error(self, trine_file, tmp_path, capsys):
+        out = tmp_path / "bound.json"
+        assert main(["bound", trine_file, "--output", str(out)]) == 0
+        assert main(["certify", trine_file, str(out)]) == 1
+        assert "certify needs a solve report" in capsys.readouterr().err
+
+    def test_report_without_povm_is_an_input_error(self, trine_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        main(["solve", trine_file, "--output", str(out)])
+        report = json.loads(out.read_text())
+        del report["matrices"]["povm"]
+        out.write_text(json.dumps(report))
+        assert main(["certify", trine_file, str(out)]) == 1
+        assert "missing POVM" in capsys.readouterr().err
+
     def test_edited_value_fails_only_value_recorded(self, trine_file, tmp_path, capsys):
         out = tmp_path / "report.json"
         main(["solve", trine_file, "--output", str(out)])
@@ -279,6 +321,18 @@ class TestSimulateCommand:
         report = json.loads(out.read_text())
         assert report["result"]["diagonal_sum"] == pytest.approx(3.0)
         assert report["result"]["nosignaling_ok"] is False
+
+    def test_exhausted_budget_exits_two(self, slow_file, capsys):
+        assert main(["simulate", slow_file, "--max-iter", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "did not converge" in captured.err
+
+    def test_zero_prior_instance_passes(self, tmp_path):
+        ensemble = make_ensemble([0.5, 0.5, 0.0], [projector(1, 0), projector(1, 1), np.eye(2) / 2])
+        instance = write_instance(tmp_path / "zero-prior.json", ensemble)
+        out = tmp_path / "sim.json"
+        assert main(["simulate", instance, "--shots", "10000", "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["result"]["nosignaling_ok"] is True
 
     def test_zero_shots_rejected(self, trine_file, capsys):
         assert main(["simulate", trine_file, "--shots", "0"]) == 1

@@ -10,11 +10,13 @@ import pytest
 from qsd import (
     CompletenessViolated,
     DimensionMismatch,
+    InvalidPriors,
     InvalidProbability,
     NonFinite,
     NotHermitian,
     NotPsd,
     Povm,
+    StateEnsemble,
     TraceNotOne,
     born_probabilities,
     guess_value,
@@ -108,6 +110,29 @@ class TestStateEnsemble:
             np.testing.assert_array_equal(ensemble.matrices[x], state.matrix)
             np.testing.assert_array_equal(ensemble.weighted_stack()[x], ensemble.weighted(x))
 
+    def test_constructor_keeps_the_stack_and_reads_states_off_its_rows(self):
+        ensemble = random_ensemble(np.random.default_rng(33), 3, 2)
+        rebuilt = StateEnsemble(ensemble.priors, ensemble.matrices)
+        assert rebuilt.matrices is ensemble.matrices
+        for x, state in enumerate(rebuilt.states):
+            assert np.shares_memory(state.matrix, rebuilt.matrices)
+            assert np.shares_memory(rebuilt.weighted(x), rebuilt.weighted_stack())
+            assert not rebuilt.weighted(x).flags.writeable
+
+    @pytest.mark.parametrize(
+        "priors, match",
+        [
+            ([np.nan, 0.5], "non-finite prior"),
+            ([np.inf, 0.5], "non-finite prior"),
+            ([1.0], "at least 2 priors"),
+            ([1.5, -0.5], "negative prior"),
+        ],
+        ids=["nan", "inf", "one-prior", "negative"],
+    )
+    def test_bad_priors_rejected(self, priors, match):
+        with pytest.raises(InvalidPriors, match=match):
+            make_ensemble(priors, [np.eye(2) / 2] * len(priors))
+
     def test_permuted_ensemble_has_its_own_stacks(self):
         ensemble = random_ensemble(np.random.default_rng(31), 3, 2)
         permuted = ensemble.permuted([2, 0, 1])
@@ -199,6 +224,12 @@ class TestValidatePovm:
         with pytest.raises(DimensionMismatch):
             validate_povm([np.eye(2), np.eye(3)])
 
+    def test_each_check_runs_over_all_elements_before_the_next(self):
+        # Element 0 is Hermitian but not PSD; element 1 is not Hermitian.
+        not_psd, not_hermitian = np.diag([1.0, -0.1]), np.array([[0.0, 0.1], [0.0, 1.1]])
+        with pytest.raises(NotHermitian, match="POVM element 1"):
+            validate_povm([not_psd, not_hermitian])
+
 
 class TestPovm:
     def test_ragged_element_names_its_index(self):
@@ -275,6 +306,18 @@ class TestTraceNorm:
         stack = np.array([np.zeros((2, 2)), [[0.0, 1.0], [0.0, 0.0]]])
         with pytest.raises(NotHermitian):
             trace_norms(stack)
+
+    def test_stacked_norms_reject_non_finite_entries(self):
+        stack = np.array([np.zeros((2, 2)), np.diag([np.nan, 0.0])])
+        with pytest.raises(NonFinite, match="trace_norm input 1"):
+            trace_norms(stack)
+
+    def test_stacked_norms_judge_each_matrix_on_its_own_scale(self):
+        small = np.array([[0.0, 1e-6], [0.0, 0.0]])
+        with pytest.raises(NotHermitian):
+            trace_norm(small)
+        with pytest.raises(NotHermitian, match="trace_norm input 1"):
+            trace_norms(np.array([1e4 * np.eye(2), small]))
 
     def test_density_difference_within_two(self):
         rng = np.random.default_rng(6)

@@ -261,3 +261,11 @@ class TestDecompositions:
         for decomposition in decompositions:
             mixture = sum(w * s.matrix for w, s in decomposition.members)
             assert trace_norm(mixture - structure.normalized_k.matrix) <= 1e-8
+
+    def test_zero_prior_message_is_its_partner_alone(self):
+        ensemble = make_ensemble([0.5, 0.5, 0.0], [projector(1, 0), projector(1, 1), np.eye(2) / 2])
+        _, structure = structure_of(ensemble)
+        assert structure.p[2] == 0.0
+        ((weight, state),) = decompositions_from_structure(ensemble, structure)[2].members
+        assert weight == 1.0
+        assert state is structure.complementary[2]

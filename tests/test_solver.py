@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qsd import (
     DimensionMismatch,
+    NonFinite,
     NotHermitian,
     Povm,
     SolverOptions,
@@ -337,6 +340,15 @@ class TestSolverOptions:
         with pytest.raises(ValueError):
             SolverOptions(max_iterations=0)
 
+    @pytest.mark.parametrize(
+        "options",
+        [{"kkt_tolerance": np.inf}, {"kkt_tolerance": np.nan}, {"max_iterations": True}, {"max_iterations": 2.5}],
+        ids=["tolerance-inf", "tolerance-nan", "iterations-bool", "iterations-float"],
+    )
+    def test_rejects_non_finite_tolerance_and_non_integer_budget(self, options):
+        with pytest.raises(ValueError):
+            SolverOptions(**options)
+
 
 class TestDualOperator:
     def test_orthogonal_with_matching_projectors(self):
@@ -401,6 +413,23 @@ class TestKktCheck:
         povm = validate_povm([np.eye(2) / 3] * 3)
         with pytest.raises(NotHermitian):
             kkt_check(trine_ensemble, povm, np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_rejects_non_finite_k(self, trine_ensemble):
+        result = solve(trine_ensemble)
+        k = result.certificate.k_operator.copy()
+        k[0, 0] = np.nan
+        with pytest.raises(NonFinite, match="dual operator"):
+            kkt_check(trine_ensemble, result.povm, k)
+
+    def test_nan_residual_is_not_within_tolerance(self, trine_ensemble):
+        assert not solver.KktReport(0.0, 0.0, np.nan, 0.0).within(1.0)
+        result = solve(trine_ensemble)
+        feasibility = result.certificate.dual_feasibility.copy()
+        feasibility[1] = np.nan
+        certificate = dataclasses.replace(result.certificate, dual_feasibility=feasibility)
+        report = kkt_check(trine_ensemble, result.povm, certificate)
+        assert np.isnan(report.dual_residual)
+        assert not report.within(1.0)
 
     def test_rejects_wrong_dimension(self, trine_ensemble):
         povm = validate_povm([np.eye(2) / 3] * 3)
