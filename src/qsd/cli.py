@@ -35,8 +35,8 @@ from .serialize import (
     FormatError,
     _is_number,
 )
-from .solver import SolverOptions, _certify, solve
-from .steering import mixture_of, simulate_protocol
+from .solver import SolverOptions, certificate_from_povm, kkt_check, solve
+from .steering import simulate_protocol
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -252,13 +252,14 @@ def cmd_certify(args) -> int:
     value = _number(_section(report, "result"), "guess_probability", np.nan, "result")
 
     povm = Povm(elements=elements)  # deliberately unvalidated: residuals are reported
-    certificate, checks, recomputed = _certify(ensemble, povm, k)
+    certificate = certificate_from_povm(ensemble, povm, k)
+    checks = kkt_check(ensemble, povm, certificate)
     rows = [
         ("povm_validity", checks.primal_residual, COMPLETENESS_TOL),
         ("dual_feasibility", checks.dual_residual, tolerance),
         ("slackness", checks.slackness_residual, tolerance),
         ("gap", abs(checks.gap), tolerance),
-        ("value_recorded", abs(value - recomputed) if np.isfinite(value) else np.inf, 1e-12),
+        ("value_recorded", abs(value - certificate.objective) if np.isfinite(value) else np.inf, 1e-12),
     ]
     try:
         structure = steering_structure(ensemble, certificate)
@@ -306,7 +307,7 @@ def cmd_simulate(args) -> int:
     structure = steering_structure(ensemble, result.certificate)
     decompositions = decompositions_from_structure(ensemble, structure)
     stats = simulate_protocol(decompositions, result.povm, args.shots, args.seed)
-    analytic = born_table(np.array([mixture_of(e) for e in decompositions]), result.povm.elements)
+    analytic = born_table(np.array([e.mixture for e in decompositions]), result.povm.elements)
     threshold = 3.0 * float(np.sqrt(len(ensemble) / (4.0 * args.shots)))
     diag, ok = detector_nosignaling_check(stats, threshold)
     log.info("simulate: diagonal sum=%.6f threshold=%.2e ok=%s", diag, threshold, ok)

@@ -352,11 +352,16 @@ def born_table(states: np.ndarray, elements: np.ndarray) -> np.ndarray:
 
 
 def _elements(ensemble: StateEnsemble, povm: Povm) -> np.ndarray:
-    """povm.elements, after checking there is one element per state, of the states' dimension."""
+    """povm.elements, after checking there is one finite element per state, of the states' dimension.
+
+    A POVM that may be invalid otherwise (a stored report's, say) passes, so
+    that its residuals can be measured; a NaN or Inf entry raises NonFinite.
+    """
     if len(povm) != len(ensemble):
         raise DimensionMismatch(f"POVM has {len(povm)} elements for {len(ensemble)} states")
     if povm.dim != ensemble.dim:
         raise DimensionMismatch(f"POVM dimension {povm.dim} != state dimension {ensemble.dim}")
+    _reject(~np.isfinite(povm.elements).all(axis=(-2, -1)), "POVM element", NonFinite, lambda x: "NaN or Inf entries")
     return povm.elements
 
 

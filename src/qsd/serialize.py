@@ -130,20 +130,22 @@ def ensemble_to_doc(ensemble: StateEnsemble, labels=None) -> dict:
     return {"version": INSTANCE_VERSION, "dimension": ensemble.dim, "states": states}
 
 
-def parse_instance(text: str) -> tuple[StateEnsemble, list]:
-    """Parse instance JSON into a validated ensemble, or fail naming the field."""
+def _read(text: str, kind: str, version: str) -> dict:
+    """The JSON object in text, after checking it is one and carries the given version tag."""
     try:
         doc = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise FormatError(f"not valid JSON: {exc}") from None
-    return instance_from_doc(doc)
-
-
-def instance_from_doc(doc) -> tuple[StateEnsemble, list]:
     if not isinstance(doc, dict):
-        raise FormatError("instance must be a JSON object")
-    if doc.get("version") != INSTANCE_VERSION:
-        raise FormatError(f'version: expected "{INSTANCE_VERSION}", got {doc.get("version")!r}')
+        raise FormatError(f"{kind} must be a JSON object")
+    if doc.get("version") != version:
+        raise FormatError(f'version: expected "{version}", got {doc.get("version")!r}')
+    return doc
+
+
+def parse_instance(text: str) -> tuple[StateEnsemble, list]:
+    """Parse instance JSON into a validated ensemble, or fail naming the field."""
+    doc = _read(text, "instance", INSTANCE_VERSION)
     dim = doc.get("dimension")
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise FormatError(f"dimension: expected a positive integer, got {dim!r}")
@@ -189,12 +191,5 @@ def instance_hash(ensemble: StateEnsemble, labels=None) -> str:
 
 
 def parse_report(text: str) -> dict:
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-        raise FormatError(f"not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise FormatError("report must be a JSON object")
-    if doc.get("version") != REPORT_VERSION:
-        raise FormatError(f'version: expected "{REPORT_VERSION}", got {doc.get("version")!r}')
-    return doc
+    """The report object in JSON text; its fields are checked where they are read."""
+    return _read(text, "report", REPORT_VERSION)

@@ -41,23 +41,40 @@ residual on the full stack meets the loop's own stop rule.  Otherwise the
 result is kept if it is the best iterate so far and the full iteration
 continues from where it was, so a wrong drop costs steps but can never be
 reported as converged.
-A reduced solve gives up the same way if it has not got below the parent's
-residual at the drop within as many steps as the parent had taken, and, at
-any residual level, after STALL_LIMIT steps without improvement.  On the
-same 1600 instances (tools/fresh_corpora.py) every instance converges, in
-13806 iterations in all and at most 82 (without the step one instance ran
+A reduced solve gives up early in three ways, each kept for what it saves
+on corpora drawn like the acceptance corpus at tolerance 1e-9:
+  - when its residual first falls below the parent's residual at the drop
+    and K - W_x has an eigenvalue below minus that residual for a dropped
+    x (without it the acceptance corpus takes 1772 iterations instead of
+    1705, and fresh seeds 1-8 14486 instead of 13806);
+  - when it has not got below that residual within as many steps as the
+    parent had taken, as a kept element that starts near zero grows only
+    slowly (without it fresh seeds 9-24 take at most 469 instead of 409);
+  - at any residual level, after STALL_LIMIT steps without improvement,
+    instead of running out the parent's budget.
+With the step every instance of fresh seeds 1-8 (tools/fresh_corpora.py)
+converges, in 13806 iterations in all and at most 82 (without it one ran
 out of its 10000-step budget; with the first drop tried at iteration 20
 they took 17612, at most 55).
 
 The stop rule asks for min(tolerance, max(tolerance / POLISH_FACTOR, 4 d
 eps)), 4 d eps being where a d x d residual stops falling.  Once the best
 residual is within tolerance the solve also stops after STALL_LIMIT steps
-without improvement and tries no more drops, bounding a stall above the floor.
+without improvement and tries no more drops.  This exit bounds a stall
+between the tolerance and the floor: at every tolerance <= 1e-11,
+acceptance instance 157 stalls 0.3 % above its floor and stops after 328
+iterations instead of 492.  It waits for the tolerance because a later drop
+can still rescue a stall above it: made unconditional like a reduced
+solve's, it stops fresh seed 9 #190 at 168 iterations with a residual of
+1.1e-7 instead of converging at 409.
 
 Operators are held as (N, d, d) stacks: the weighted states W_x = q_x rho_x,
 the factors and the elements.  One routine each forms K = sum_x W_x M_x
 (_dual), the dual side of the optimality conditions with one batched eigvalsh
-over K - W (_residuals), and the KktReport of a certificate (_report).
+over K - W (_residuals) and the primal objective sum_x tr[W_x M_x]
+(_objective), for the iteration and the certificate alike, and one forms the
+KktReport of a certificate (_report).  A solve's guess_probability is its
+certificate's objective, the value its gap is measured against.
 """
 
 from __future__ import annotations
@@ -76,7 +93,6 @@ from .core import (
     _elements,
     _frozen,
     _hermitian,
-    guess_value,
     hermitian_part,
     hermiticity_error,
     min_eigenvalue,
@@ -124,7 +140,8 @@ class DualCertificate:
     constructed.  slackness and dual_feasibility are read-only float arrays
     of length N: slackness[x] is tr[sigma_x M_x] and dual_feasibility[x] the
     smallest eigenvalue of sigma_x; at an optimum the former vanish and the
-    latter are nonnegative.
+    latter are nonnegative.  objective is the primal value sum_x tr[q_x rho_x
+    M_x] of the measurement, the number trace_k is compared with.
     """
 
     k_operator: np.ndarray
@@ -132,6 +149,7 @@ class DualCertificate:
     slackness: np.ndarray
     dual_feasibility: np.ndarray
     trace_k: float
+    objective: float
 
 
 @dataclass(frozen=True)
@@ -160,7 +178,7 @@ class DiscriminationResult:
     certificate: DualCertificate
     iterations: int
     converged: bool
-    report: KktReport | None = field(repr=False, default=None)
+    report: KktReport = field(repr=False)
 
 
 def dual_operator(ensemble: StateEnsemble, povm: Povm) -> np.ndarray:
@@ -197,6 +215,7 @@ def certificate_from_povm(ensemble: StateEnsemble, povm: Povm, k=None) -> DualCe
         slackness=_frozen(slackness),
         dual_feasibility=_frozen(feas),
         trace_k=float(k.trace().real),
+        objective=_objective(weighted, elements),
     )
 
 
@@ -209,7 +228,7 @@ def kkt_check(ensemble: StateEnsemble, povm: Povm, k) -> KktReport:
     dual_residual: worst violation of K >= q_x rho_x.  slackness_residual:
     max |tr[(K - q_x rho_x) M_x]|.  gap: tr K minus the primal objective.
     """
-    return _report(ensemble, povm, k if isinstance(k, DualCertificate) else certificate_from_povm(ensemble, povm, k))
+    return _report(povm, k if isinstance(k, DualCertificate) else certificate_from_povm(ensemble, povm, k))
 
 
 def solve(ensemble: StateEnsemble, options: SolverOptions | None = None) -> DiscriminationResult:
@@ -241,9 +260,9 @@ def solve(ensemble: StateEnsemble, options: SolverOptions | None = None) -> Disc
     povm = Povm(elements=full)
 
     certificate = certificate_from_povm(ensemble, povm)
-    report = _report(ensemble, povm, certificate)
+    report = _report(povm, certificate)
     return DiscriminationResult(
-        guess_probability=guess_value(ensemble, povm),
+        guess_probability=certificate.objective,
         povm=povm,
         certificate=certificate,
         iterations=iterations,
@@ -265,31 +284,13 @@ def _iterate(
 
     Runs from the given factors for at most budget steps and returns the best
     elements seen, the step at which they were found and the steps taken,
-    those of nested reduced solves included.  It stops once the KKT residual
-    is <= min(tolerance, max(tolerance / POLISH_FACTOR, 4 d eps)), or once
-    the best residual is <= tolerance (in a reduced solve, at any level) and
-    has not improved for STALL_LIMIT steps.
-
-    At iteration FIRST_DROP_CHECK (the first), and then whenever the steps
-    taken have doubled, the states whose sigma_x = K - W_x has its smallest
-    eigenvalue above the current residual are taken to have vanishing optimal
-    elements: the kept states are solved on their own, warm-started from
-    their renormalised factors, and the result, padded with zero elements,
-    ends the iteration if its residual on this whole stack meets the stop
-    rule.  Otherwise it becomes the best iterate if it beats it, and the
-    iteration continues from where it was.  No drop is tried once the best
-    residual is within tolerance: the stall exit then bounds the remaining
-    steps, and at round-off level a positive lambda_min(sigma_x) says
-    nothing.  In a reduced solve, dropped holds the dropped weighted states,
-    limit the parent's residual at the drop and patience the steps the
-    parent had taken then: the first time the residual falls below limit,
-    the solve gives up if K - W_x has an eigenvalue below -limit for a
-    dropped x.  It also gives up if it has not got below limit within
-    patience steps, as a kept element that starts near zero grows only
-    slowly under the map.  Its stall exit holds at any residual level, so
-    one that stalls above tolerance after getting below limit ends after
-    STALL_LIMIT steps without improvement instead of running out the
-    parent's budget.
+    those of nested reduced solves included.  The stop rule, the stall exit
+    and the drops, tried at iteration FIRST_DROP_CHECK and then whenever the
+    steps taken have doubled, are described in the module docstring.  No
+    drop is tried once the best residual is within tolerance: at round-off
+    level a positive lambda_min(sigma_x) says nothing.  In a reduced solve,
+    dropped holds the dropped weighted states, limit the parent's residual
+    at the drop and patience the steps the parent had taken then.
     """
     target = min(tolerance, max(tolerance / POLISH_FACTOR, 4 * weighted.shape[1] * np.finfo(float).eps))
     best_elements = _elements_of(factors)
@@ -409,10 +410,9 @@ def _residual(weighted: np.ndarray, elements: np.ndarray) -> tuple[float, np.nda
 
     Also returns the smallest eigenvalue of each sigma_x = K - W_x.
     """
-    products = weighted @ elements  # W_x M_x, for both K and the objective
-    k = hermitian_part(products.sum(axis=0))
+    k = _dual(weighted, elements)
     _, slackness, feas = _residuals(weighted, elements, k)
-    gap = (k.trace() - np.einsum("xii->", products)).real
+    gap = k.trace().real - _objective(weighted, elements)
     return float(max(abs(slackness).max(), -feas.min(), abs(gap))), feas
 
 
@@ -498,14 +498,8 @@ def _objective(weighted: np.ndarray, elements: np.ndarray) -> float:
     return float(np.einsum("xij,xji->", weighted, elements).real)
 
 
-def _certify(ensemble: StateEnsemble, povm: Povm, k) -> tuple[DualCertificate, KktReport, float]:
-    """Certificate of a stored POVM and K, its KktReport and objective: qsd certify's rows, one dual side."""
-    certificate = certificate_from_povm(ensemble, povm, k)
-    return certificate, kkt_check(ensemble, povm, certificate), _objective(ensemble.weighted_stack(), povm.elements)
-
-
-def _report(ensemble: StateEnsemble, povm: Povm, certificate: DualCertificate) -> KktReport:
-    """KktReport of a POVM and its certificate from certificate_from_povm on this ensemble."""
+def _report(povm: Povm, certificate: DualCertificate) -> KktReport:
+    """KktReport of a POVM and its certificate from certificate_from_povm."""
     elements = povm.elements
     comp = float(np.abs(elements.sum(axis=0) - _identity(povm.dim)).max())
     lowest = float(certificate.dual_feasibility.min())
@@ -513,5 +507,5 @@ def _report(ensemble: StateEnsemble, povm: Povm, certificate: DualCertificate) -
         primal_residual=max(hermiticity_error(elements), -min_eigenvalue(elements), comp),
         dual_residual=0.0 if lowest >= 0.0 else -lowest,  # a NaN fails the test and stays NaN
         slackness_residual=float(np.abs(certificate.slackness).max()),
-        gap=certificate.trace_k - _objective(ensemble.weighted_stack(), elements),
+        gap=certificate.trace_k - certificate.objective,
     )

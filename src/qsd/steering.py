@@ -76,10 +76,15 @@ class BipartitePureState:
 
 @dataclass(frozen=True)
 class SteeringDecomposition:
-    """A convex decomposition sum_y r_y tau_y of a target state."""
+    """A convex decomposition sum_y r_y tau_y of a target state.
+
+    mixture is the read-only matrix sum_y r_y tau_y, formed once by
+    make_decomposition, which checks it against the target.
+    """
 
     target: DensityMatrix
     members: tuple[tuple[float, DensityMatrix], ...]
+    mixture: np.ndarray
 
 
 def make_decomposition(target: DensityMatrix, members) -> SteeringDecomposition:
@@ -96,11 +101,7 @@ def make_decomposition(target: DensityMatrix, members) -> SteeringDecomposition:
     gap = trace_norm(mixture - target.matrix)
     if gap > MARGINAL_TOL:
         raise MarginalMismatch(f"members mix to the target only within {gap:.3e}")
-    return SteeringDecomposition(target=target, members=pairs)
-
-
-def mixture_of(decomposition: SteeringDecomposition) -> np.ndarray:
-    return sum(w * s.matrix for w, s in decomposition.members)
+    return SteeringDecomposition(target=target, members=pairs, mixture=_frozen(mixture))
 
 
 def purify(rho: DensityMatrix) -> BipartitePureState:
@@ -147,7 +148,7 @@ def ghjw_povm(state: BipartitePureState, decomposition: SteeringDecomposition) -
     tolerance.
     """
     rho_b = state.marginal_b()
-    gap = trace_norm(mixture_of(decomposition) - rho_b)
+    gap = trace_norm(decomposition.mixture - rho_b)
     if gap > MARGINAL_TOL:
         raise MarginalMismatch(f"decomposition target is {gap:.3e} from the state's marginal")
 
@@ -226,7 +227,7 @@ def simulate_protocol(ensembles, bob_povm: Povm, shots: int, seed: int) -> Detec
     n = len(ensembles)
     if len(bob_povm) != n:
         raise DimensionMismatch(f"detector has {len(bob_povm)} outcomes for {n} messages")
-    targets = np.array([mixture_of(e) for e in ensembles])
+    targets = np.array([e.mixture for e in ensembles])
     gap = trace_norms(targets[1:] - targets[0]).max(initial=0.0)
     if gap > MARGINAL_TOL:
         raise TargetMismatch(f"steered marginals differ by {gap:.3e}")
@@ -252,6 +253,6 @@ def marginal_indistinguishability_check(ensembles) -> float:
     Zero (to tolerance) exactly when all messages prepare the same marginal,
     the premise that makes the protocol signal-free.
     """
-    mixtures = np.array([mixture_of(e) for e in ensembles])
+    mixtures = np.array([e.mixture for e in ensembles])
     first, second = pair_indices(len(mixtures))
     return float(trace_norms(mixtures[first] - mixtures[second]).max(initial=0.0))

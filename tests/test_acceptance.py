@@ -100,6 +100,13 @@ def test_criterion_3_kkt_certificates(corpus):
     )
 
 
+def test_recorded_value_is_the_objective_the_gap_is_measured_against(corpus):
+    """On every instance the recorded value is exactly tr K less the reported gap."""
+    for ensemble, result in corpus:
+        assert result.certificate.trace_k - result.report.gap == result.guess_probability
+        assert result.guess_probability == result.certificate.objective
+
+
 def test_criterion_4_identical_ensembles(corpus, trine):
     """Every decomposition reproduces the shared state; pairwise norm identity holds."""
     worst_ensemble = worst_norm = 0.0

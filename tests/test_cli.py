@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import warnings
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsd import DetectorStatistics, kkt_check, make_ensemble, Povm, solver
+from qsd import DetectorStatistics, cli, kkt_check, make_ensemble, Povm, solver
 from qsd.cli import main
 from qsd.rand import random_ensemble
 from qsd.serialize import decode_matrix, dump_json, ensemble_to_doc, parse_instance
@@ -243,6 +244,30 @@ class TestCertifyCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: dual operator") and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_povm_is_an_input_error(self, trine_file, tmp_path, capsys, bad):
+        out = tmp_path / "report.json"
+        main(["solve", trine_file, "--output", str(out)])
+        report = json.loads(out.read_text())
+        report["matrices"]["povm"][0][0][0][0] = bad
+        out.write_text(json.dumps(report))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["certify", trine_file, str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: POVM element 0: NaN or Inf entries\n"
+        assert caught == []
+
+    def test_unedited_report_records_its_value_exactly(self, trine_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        main(["solve", trine_file, "--output", str(out)])
+        capsys.readouterr()
+        assert main(["certify", trine_file, str(out)]) == 0
+        rows = {line.split()[0]: line.split()[1] for line in capsys.readouterr().out.splitlines()}
+        assert rows["value_recorded"] == "0.000e+00"
+
     def test_bound_report_is_an_input_error(self, trine_file, tmp_path, capsys):
         out = tmp_path / "bound.json"
         assert main(["bound", trine_file, "--output", str(out)]) == 0
@@ -273,16 +298,18 @@ class TestCertifyCommand:
     def test_one_run_evaluates_the_dual_side_once(self, trine_file, tmp_path, monkeypatch):
         out = tmp_path / "report.json"
         main(["solve", trine_file, "--output", str(out)])
-        # kkt_check still runs once: the benchmark times the certify check through it.
+        # kkt_check still runs once: the benchmark times the certify check through it,
+        # rebinding the name where the command looks it up, as this test does.
         calls = {"_residuals": 0, "_dual": 0, "kkt_check": 0}
         for name in calls:
-            original = getattr(solver, name)
+            module = cli if name == "kkt_check" else solver
+            original = getattr(module, name)
 
             def counted(*args, name=name, original=original):
                 calls[name] += 1
                 return original(*args)
 
-            monkeypatch.setattr(solver, name, counted)
+            monkeypatch.setattr(module, name, counted)
         assert main(["certify", trine_file, str(out)]) == 0
         assert calls == {"_residuals": 1, "_dual": 0, "kkt_check": 1}
 
@@ -450,3 +477,15 @@ class TestDeterminism:
         main(["simulate", trine_file, "--shots", "5000", "--seed", "2", "--output", str(a)])
         main(["simulate", trine_file, "--shots", "5000", "--seed", "2", "--output", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_imports_no_private_solver_name():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("solver", "qsd.solver")
+        for alias in node.names
+    ]
+    assert "solve" in imported
+    assert [name for name in imported if name.startswith("_")] == []

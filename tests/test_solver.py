@@ -13,6 +13,7 @@ from qsd import (
     NotHermitian,
     Povm,
     SolverOptions,
+    born_probabilities,
     certificate_from_povm,
     dual_operator,
     guess_value,
@@ -54,7 +55,10 @@ class TestSolve:
     def test_returned_povm_is_valid_and_value_recorded_exactly(self, trine_ensemble):
         result = solve(trine_ensemble)
         validate_povm(result.povm.elements)
-        assert result.guess_probability == guess_value(trine_ensemble, result.povm)
+        # The recorded value is the certificate's primal objective, the number its gap is measured against.
+        assert result.guess_probability == result.certificate.objective
+        assert result.guess_probability == result.certificate.trace_k - result.report.gap
+        assert result.guess_probability == pytest.approx(guess_value(trine_ensemble, result.povm), abs=1e-15)
 
     def test_zero_prior_state_gets_zero_element(self):
         ensemble = make_ensemble([0.5, 0.5, 0.0], [projector(1, 0), projector(1, 1), np.eye(2) / 2])
@@ -420,6 +424,15 @@ class TestKktCheck:
         k[0, 0] = np.nan
         with pytest.raises(NonFinite, match="dual operator"):
             kkt_check(trine_ensemble, result.povm, k)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_povm(self, trine_ensemble, bad):
+        elements = solve(trine_ensemble).povm.elements.copy()
+        elements[1, 0, 1] = bad
+        povm = Povm(elements=elements)
+        for routine in (certificate_from_povm, dual_operator, born_probabilities):
+            with pytest.raises(NonFinite, match="^POVM element 1: NaN or Inf entries$"):
+                routine(trine_ensemble, povm)
 
     def test_nan_residual_is_not_within_tolerance(self, trine_ensemble):
         assert not solver.KktReport(0.0, 0.0, np.nan, 0.0).within(1.0)

@@ -25,7 +25,7 @@ from qsd import (
 )
 from qsd.core import born_table, hermitian_part
 from qsd.rand import random_density, random_ensemble
-from qsd.steering import mixture_of, pure_components
+from qsd.steering import pure_components
 
 from .conftest import projector
 
@@ -302,7 +302,7 @@ class TestSimulateProtocol:
         stats = simulate_protocol(decompositions, result.povm, shots, seed=8)
         analytic = np.array(
             [
-                [float(np.trace(mixture_of(d) @ m).real) for d in decompositions]
+                [float(np.trace(d.mixture @ m).real) for d in decompositions]
                 for m in result.povm.elements
             ]
         )
@@ -315,7 +315,7 @@ class TestSimulateProtocol:
         assert all(6 <= len(pure_components(d)) <= 8 for d in decompositions)
         shots = 200000
         stats = simulate_protocol(decompositions, result.povm, shots, seed=9)
-        mixtures = np.array([mixture_of(d) for d in decompositions])
+        mixtures = np.array([d.mixture for d in decompositions])
         expected = np.clip(born_table(mixtures, np.array(result.povm.elements)), 0.0, 1.0)
         sigma = np.sqrt(expected * (1.0 - expected) / shots)
         assert np.all(np.abs(stats.probabilities - expected) <= 5.0 * sigma + 1.0 / shots)
