@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from functools import lru_cache, reduce
 
-from .core import QsdError, StateEnsemble, trace_norms
+import numpy as np
+
+from .core import QsdError, StateEnsemble, _frozen, _trace_norms
 
 MAX_CYCLE_STATES = 8
 
@@ -38,14 +40,11 @@ def lower_bound(ensemble: StateEnsemble, ordering=None) -> BoundReport:
     value when N = 2.
     """
     n = len(ensemble)
-    if ordering is None:
-        order = tuple(range(n))
-    else:
-        order = tuple(int(i) for i in ordering)
-        if sorted(order) != list(range(n)):
-            raise BadPermutation(f"{order} is not a permutation of 0..{n - 1}")
+    order = tuple(range(n) if ordering is None else (int(i) for i in ordering))
+    if sorted(order) != list(range(n)):
+        raise BadPermutation(f"{order} is not a permutation of 0..{n - 1}")
     weighted = ensemble.weighted_stack()
-    terms = tuple(trace_norms(weighted[list(order)] - weighted[list(order[1:] + order[:1])]).tolist())
+    terms = tuple(_trace_norms(weighted[list(order)] - weighted[list(order[1:] + order[:1])]).tolist())
     # builtin sum so the value is bit-reproducible from the recorded pair terms
     value = (1.0 + 0.5 * sum(terms)) / n
     return BoundReport(
@@ -58,31 +57,45 @@ def lower_bound(ensemble: StateEnsemble, ordering=None) -> BoundReport:
 def best_cyclic_bound(ensemble: StateEnsemble) -> BoundReport:
     """Maximize the cyclic bound over all orderings (up to rotation and reflection).
 
-    Still a valid lower bound, since each ordering gives one.  Ties are broken
-    toward the lexicographically smallest ordering for deterministic output.
+    Still a valid lower bound, since each ordering gives one.  The orderings
+    are those of _orderings(N), scanned in lexicographic order; a later one
+    wins only if its value exceeds the best so far by more than 1e-15, so
+    ties go to the lexicographically smallest ordering for deterministic
+    output.  Each ordering's value is formed from one table of ordered-pair
+    norms by the additions lower_bound makes, so the winner's value is
+    reproduced bit for bit.
     """
     n = len(ensemble)
     if n > MAX_CYCLE_STATES:
         raise TooLarge(f"cyclic enumeration supports at most {MAX_CYCLE_STATES} states, got {n}")
-    if n <= 2:
-        return lower_bound(ensemble)
-    # Every ordered pair's norm once; each ordering then only sums table
-    # entries, in lower_bound's order, so the winner's value is reproduced.
     weighted = ensemble.weighted_stack()
-    table = trace_norms(weighted[:, None] - weighted[None, :]).tolist()
-    best_order = tuple(range(n))
-    best_value = _cycle_value(table, best_order)
-    # Fix state 0 first and skip mirrored cycles.
-    for rest in permutations(range(1, n)):
-        if rest[0] > rest[-1]:
-            continue
-        order = (0,) + rest
-        value = _cycle_value(table, order)
-        if value > best_value + 1e-15 or (abs(value - best_value) <= 1e-15 and order < best_order):
-            best_order, best_value = order, value
-    return lower_bound(ensemble, best_order)
+    orders = _orderings(n)
+    terms = _trace_norms(weighted[:, None] - weighted[None, :])[orders, np.roll(orders, -1, axis=1)]
+    # The columns added left to right, as the builtin sum in lower_bound adds each ordering's terms.
+    values = (1.0 + 0.5 * reduce(np.add, terms.T)) / n
+    # Follow the running best: each step takes the first later ordering that beats it by more than 1e-15.
+    best = 0
+    later = np.flatnonzero(values > values[0] + 1e-15)
+    while later.size:
+        best = later[0]
+        later = later[values[later] > values[best] + 1e-15]
+    return lower_bound(ensemble, orders[best].tolist())
 
 
-def _cycle_value(table: list[list[float]], order: tuple[int, ...]) -> float:
-    n = len(order)
-    return (1.0 + 0.5 * sum([table[order[i]][order[(i + 1) % n]] for i in range(n)])) / n
+@lru_cache(maxsize=MAX_CYCLE_STATES)
+def _orderings(n: int) -> np.ndarray:
+    """The read-only (M, n) table of the cyclic orderings of n >= 2 states, built once per n.
+
+    Row by row, in lexicographic order, the permutations of 0..n-1 that put
+    state 0 first and, for n >= 3, end above their second entry: one per
+    cycle up to rotation and reflection, M = (n - 1)! / 2 (one for n = 2).
+    """
+    # The permutations of range(k) in lexicographic order, for k = 1..n-1:
+    # each first element f in turn, followed by the permutations of range(k - 1)
+    # with every entry >= f moved up by one.  int8 keeps the build small.
+    table = np.zeros((1, 0), dtype=np.int8)
+    for k in range(1, n):
+        first = np.arange(k, dtype=np.int8)[:, None, None]
+        table = np.concatenate([np.broadcast_to(first, (k, len(table), 1)), table + (table >= first)], axis=2).reshape(-1, k)
+    table = table[table[:, 0] <= table[:, -1]] + 1  # <= keeps the one ordering of n = 2
+    return _frozen(np.pad(table.astype(np.intp), ((0, 0), (1, 0))))  # state 0 first

@@ -36,7 +36,7 @@ from .serialize import (
     _is_number,
 )
 from .solver import SolverOptions, certificate_from_povm, kkt_check, solve
-from .steering import simulate_protocol
+from .steering import MAX_SHOTS, simulate_protocol
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -294,8 +294,8 @@ def _number(section: dict, key: str, default: float, context: str) -> float:
 
 
 def cmd_simulate(args) -> int:
-    if args.shots <= 0:
-        print("error: shots must be positive", file=sys.stderr)
+    if not 0 < args.shots <= MAX_SHOTS:
+        print(f"error: shots must be positive and at most {MAX_SHOTS}", file=sys.stderr)
         return EXIT_INPUT
     ensemble, labels = parse_instance(_read_text(args.instance))
     opts = _options(args)

@@ -9,9 +9,22 @@ the batched routines here act on the whole family at once.  A single
 Hermitian eigendecomposition backend (`numpy.linalg.eigh`) drives positivity
 checks, trace norms, and operator square roots, and one tolerance regime
 holds for every family: states, POVM elements, a given dual operator K and
-trace_norm inputs are all checked by _hermitian (finite, and Hermitian
-within HERMITIAN_TOL times each matrix's own largest entry, at least 1) and,
-where positivity is required, by _positive (min eigenvalue >= -PSD_TOL).
+trace_norm inputs are all checked by _hermitian (finite, no entry above
+MAX_ENTRY, and Hermitian within HERMITIAN_TOL times each matrix's own
+largest entry, at least 1) and, where positivity is required, by _positive
+(min eigenvalue >= -PSD_TOL).
+
+Validation happens once, at the boundary.  The public constructors and
+checks (make_ensemble, validate_density(ies), validate_povm, trace_norm(s),
+and certificate_from_povm for a given K) validate what they are handed, and
+_elements gates a measurement under test.  Inside the library, trace norms
+of differences of stacks those routines built (the bounds, the steering
+structure and its checks, the steering simulation) go through the unchecked
+kernel _trace_norms.  Every such stack holds Hermitian parts (A + A^dagger)
+/ 2, which are exactly Hermitian in floating point, and real multiples,
+sums and differences of exactly Hermitian matrices stay exactly Hermitian,
+so checking them again could only cost time: each norm equals trace_norms'
+bit for bit.
 """
 
 from __future__ import annotations
@@ -31,6 +44,8 @@ PRIOR_TOL = 1e-12
 PROB_CLAMP = 1e-9
 # Numerical rank: eigenvalues at or below RANK_CUTOFF * max_eigenvalue count as zero.
 RANK_CUTOFF = 1e-12
+# Largest accepted entry magnitude: A + A^dagger overflows beyond it.
+MAX_ENTRY = np.finfo(float).max / 2
 
 
 class QsdError(Exception):
@@ -38,7 +53,7 @@ class QsdError(Exception):
 
 
 class NonFinite(QsdError):
-    """Input contains NaN or Inf entries."""
+    """Input contains NaN or Inf entries, or entries above MAX_ENTRY."""
 
 
 class NotHermitian(QsdError):
@@ -210,17 +225,28 @@ def _reject(bad: np.ndarray, name: str, error: type[QsdError], detail) -> None:
         raise error(f"{name if bad.size == 1 else f'{name} {x}'}: {detail(x)}")
 
 
+def _finite(stack: np.ndarray, name: str) -> np.ndarray:
+    """Each matrix's largest |A_ij| (at least 1) in a complex (..., d, d) stack, after checking it.
+
+    Raises NonFinite, naming the first offending matrix as _reject does, if
+    an entry is NaN or Inf or its magnitude exceeds MAX_ENTRY.
+    """
+    scale = np.abs(stack).max(axis=(-2, -1), initial=1.0)  # NaN or Inf where an entry is (or |A_ij| overflows)
+    _reject(~(scale <= MAX_ENTRY), name, NonFinite,
+            lambda x: f"entry of magnitude {scale.flat[x]:.3e} overflows" if np.isfinite(scale.flat[x]) else "NaN or Inf entries")
+    return scale
+
+
 def _hermitian(stack, name: str) -> np.ndarray:
     """The Hermitian parts of a (..., d, d) stack, as a new array, after checking it.
 
-    Every entry must be finite (else NonFinite), and every matrix A Hermitian
-    within its own scale: max |A_ij - conj(A_ji)| <= HERMITIAN_TOL * max(1,
-    max |A_ij|) (else NotHermitian).  Errors name the first offending matrix
-    as _reject does.
+    Every entry must pass _finite (else NonFinite), and every matrix A be
+    Hermitian within its own scale: max |A_ij - conj(A_ji)| <= HERMITIAN_TOL
+    * max(1, max |A_ij|) (else NotHermitian).  Errors name the first
+    offending matrix as _reject does.
     """
     a = np.asarray(stack, dtype=complex)
-    scale = np.abs(a).max(axis=(-2, -1), initial=1.0)  # NaN or Inf where an entry is (or |A_ij| overflows)
-    _reject(~np.isfinite(scale), name, NonFinite, lambda x: "NaN or Inf entries")
+    scale = _finite(a, name)
     err = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
     _reject(err > HERMITIAN_TOL * scale, name, NotHermitian, lambda x: f"max |A_ij - conj(A_ji)| = {err.flat[x]:.3e}")
     return hermitian_part(a)
@@ -333,7 +359,12 @@ def trace_norms(stack: np.ndarray) -> np.ndarray:
     LAPACK routine per matrix, so each norm equals trace_norm of that matrix
     bit for bit.
     """
-    return np.abs(np.linalg.eigvalsh(_hermitian(stack, "trace_norm input"))).sum(axis=-1)
+    return _trace_norms(_hermitian(stack, "trace_norm input"))
+
+
+def _trace_norms(stack: np.ndarray) -> np.ndarray:
+    """Unchecked trace norms of an exactly Hermitian (..., d, d) stack the library built: |eigenvalues| summed."""
+    return np.abs(np.linalg.eigvalsh(stack)).sum(axis=-1)
 
 
 @lru_cache(maxsize=32)
@@ -355,13 +386,14 @@ def _elements(ensemble: StateEnsemble, povm: Povm) -> np.ndarray:
     """povm.elements, after checking there is one finite element per state, of the states' dimension.
 
     A POVM that may be invalid otherwise (a stored report's, say) passes, so
-    that its residuals can be measured; a NaN or Inf entry raises NonFinite.
+    that its residuals can be measured; an entry that fails _finite raises
+    NonFinite.
     """
     if len(povm) != len(ensemble):
         raise DimensionMismatch(f"POVM has {len(povm)} elements for {len(ensemble)} states")
     if povm.dim != ensemble.dim:
         raise DimensionMismatch(f"POVM dimension {povm.dim} != state dimension {ensemble.dim}")
-    _reject(~np.isfinite(povm.elements).all(axis=(-2, -1)), "POVM element", NonFinite, lambda x: "NaN or Inf entries")
+    _finite(povm.elements, "POVM element")
     return povm.elements
 
 

@@ -21,14 +21,15 @@ import numpy as np
 from .core import (
     DensityMatrix,
     DimensionMismatch,
+    NonFinite,
     Povm,
     QsdError,
     StateEnsemble,
     _frozen,
+    _trace_norms,
+    hermitian_part,
     pair_indices,
     psd_project,
-    trace_norms,
-    validate_densities,
 )
 from .solver import DualCertificate
 from .steering import make_decomposition
@@ -70,7 +71,13 @@ class SteeringStructure:
 
 
 def steering_structure(ensemble: StateEnsemble, certificate: DualCertificate) -> SteeringStructure:
-    """Build the identical-ensemble structure from a converged certificate."""
+    """Build the identical-ensemble structure from a converged certificate.
+
+    A certificate with a NaN or Inf in K, sigma or tr K raises NonFinite
+    before any arithmetic on it.
+    """
+    if not all(np.isfinite(a).all() for a in (certificate.k_operator, certificate.sigma, certificate.trace_k)):
+        raise NonFinite("certificate: NaN or Inf entries")
     worst = certificate.dual_feasibility.min()
     if worst < -INFEASIBLE_TOL:
         raise InfeasibleCertificate(f"complementary operator eigenvalue {worst:.3e}")
@@ -81,7 +88,7 @@ def steering_structure(ensemble: StateEnsemble, certificate: DualCertificate) ->
     weights = traces / tr_k
     present = traces >= ABSENT_TRACE
     # One stack [K / tr K; sigma_x / tr sigma_x for each present partner],
-    # clipped and validated in two batched steps.
+    # clipped and normalized in two batched steps.
     normalized = _normalize_psd(
         np.concatenate([certificate.k_operator[None] / tr_k, certificate.sigma[present] / traces[present, None, None]])
     )
@@ -91,7 +98,7 @@ def steering_structure(ensemble: StateEnsemble, certificate: DualCertificate) ->
     partners[present] = normalized[1:]
     complementary = tuple(DensityMatrix(matrix=m) if keep else None for m, keep in zip(_frozen(partners), present))
     reconstructed = p[:, None, None] * ensemble.matrices + weights[:, None, None] * partners
-    residual = trace_norms(reconstructed - normalized_k.matrix).max()
+    residual = _trace_norms(reconstructed - normalized_k.matrix).max()
 
     return SteeringStructure(
         p=_frozen(p),
@@ -106,11 +113,13 @@ def steering_structure(ensemble: StateEnsemble, certificate: DualCertificate) ->
 
 
 def _normalize_psd(stack: np.ndarray) -> np.ndarray:
-    """The (N, d, d) stack with negative eigenvalues clipped and each matrix scaled to unit trace, validated."""
-    # Certificate operators carry eigenvalue noise at the solver tolerance;
-    # clip it before unit-trace validation.
+    """The read-only Hermitian parts of the stack, negative eigenvalues clipped and each matrix scaled to unit trace.
+
+    Certificate operators carry eigenvalue noise at the solver tolerance;
+    clipping removes it, so each result is a density matrix by construction.
+    """
     clipped = psd_project(stack)
-    return validate_densities(clipped / np.trace(clipped, axis1=1, axis2=2).real[:, None, None])
+    return _frozen(hermitian_part(clipped / np.trace(clipped, axis1=1, axis2=2).real[:, None, None]))
 
 
 def decompositions_from_structure(ensemble: StateEnsemble, structure: SteeringStructure):
@@ -167,9 +176,9 @@ def norm_identity_check(structure: SteeringStructure, ensemble: StateEnsemble) -
     """
     first, second = pair_indices(len(ensemble))
     # The weighted states and the weighted partners as one (2, N, d, d) stack,
-    # so that one trace_norms call serves both sides.
+    # so that one _trace_norms call serves both sides.
     sides = np.stack([structure.p[:, None, None] * ensemble.matrices, structure.sigma / structure.trace_k])
-    norms = trace_norms(sides[:, first] - sides[:, second])
+    norms = _trace_norms(sides[:, first] - sides[:, second])
     return float(np.abs(norms[0] - norms[1]).max())
 
 

@@ -4,6 +4,12 @@ Matrices are nested arrays of [re, im] pairs; every real is written with 17
 significant digits so parsed values round-trip bit-exactly and identical runs
 produce identical files.  Instances are hashed over their canonical
 re-serialization, making the hash independent of formatting.
+
+Whole arrays are coded at once.  dump_json writes a regular nested list of
+floats (a row, a matrix of [re, im] pairs, a stack of them) with one cached
+format string, and decode_matrix checks a matrix's shape and entry types in
+one pass over its lists and converts it with one numpy call; the per-entry
+walk runs only to name a malformed entry.
 """
 
 from __future__ import annotations
@@ -11,7 +17,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import suppress
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -52,10 +60,8 @@ def _emit(obj, level: int) -> tuple[str, bool]:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]", False
-        if all(type(v) is float for v in obj):
-            return "[" + ", ".join(map(format_real, obj)) + "]", False
-        if all(type(v) is list and len(v) == 2 and type(v[0]) is float and type(v[1]) is float for v in obj):
-            return _pair_row(obj), False
+        if type(obj) is list and (text := _float_array(obj)) is not None:
+            return text, False
         emitted = [_emit(v, level + 1) for v in obj]
         if not any(holds for _, holds in emitted):
             return "[" + ", ".join(text for text, _ in emitted) + "]", False
@@ -74,18 +80,33 @@ def _emit(obj, level: int) -> tuple[str, bool]:
     raise FormatError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def _pair_row(row: list) -> str:
-    """A matrix row of [re, im] float pairs, as _emit's generic path writes it, with one format."""
-    values = [x for pair in row for x in pair]
+def _leaves(obj: list) -> tuple[tuple[int, ...], list]:
+    """The shape of a nested list, down to the depth where it stops being regular, and its entries at that depth.
+
+    Regular means that every entry at one depth is a list, all of one length.
+    """
+    shape, level = [len(obj)], obj
+    while set(map(type, level)) == {list} and len(lengths := set(map(len, level))) == 1:
+        shape.append(lengths.pop())
+        level = list(chain.from_iterable(level))
+    return tuple(shape), level
+
+
+def _float_array(obj: list) -> str | None:
+    """A regular nested list of floats (a row, a matrix, a stack) as _emit's generic path writes it, or None."""
+    shape, values = _leaves(obj)
+    if set(map(type, values)) != {float}:
+        return None
     if not math.isfinite(sum(values)):  # a non-finite value, or finite values whose sum overflows
         for x in values:
             format_real(x)
-    return _row_format(len(row)) % tuple(values)
+    return _array_format(shape) % tuple(values)
 
 
 @lru_cache(maxsize=64)
-def _row_format(pairs: int) -> str:
-    return "[" + ", ".join(["[%.17g, %.17g]"] * pairs) + "]"
+def _array_format(shape: tuple[int, ...]) -> str:
+    """The one format string that writes a nested list of floats of this shape."""
+    return "[" + ", ".join([_array_format(shape[1:]) if len(shape) > 1 else "%.17g"] * shape[0]) + "]"
 
 
 def encode_matrix(matrix: np.ndarray) -> list:
@@ -95,9 +116,19 @@ def encode_matrix(matrix: np.ndarray) -> list:
 
 
 def decode_matrix(data, context: str) -> np.ndarray:
+    """The complex d x d matrix coded by data, a list of d rows of d [re, im] number pairs.
+
+    A number is a JSON int or float, not a boolean.  Well-formed data is
+    checked and converted whole; anything else is walked entry by entry,
+    which raises a FormatError naming the first malformed entry.
+    """
     if not isinstance(data, list) or not data:
         raise FormatError(f"{context}: expected a non-empty array of rows")
     d = len(data)
+    shape, values = _leaves(data)
+    if shape == (d, d, 2) and set(map(type, values)) <= {int, float}:
+        with suppress(OverflowError):  # an int beyond the float range, which the walk names
+            return np.array(values, dtype=float).view(complex).reshape(d, d)
     out = np.empty((d, d), dtype=complex)
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != d:
@@ -170,7 +201,10 @@ def parse_instance(text: str) -> tuple[StateEnsemble, list]:
         if matrix.shape[0] != dim:
             raise FormatError(f"states[{x}].matrix: dimension {matrix.shape[0]}, expected {dim}")
         matrices.append(matrix)
-        labels.append(entry.get("label"))
+        label = entry.get("label")
+        if not (label is None or isinstance(label, str)):
+            raise FormatError(f"states[{x}].label: expected a string, got {label!r}")
+        labels.append(label)
     try:
         ensemble = make_ensemble(priors, matrices)
     except QsdError as exc:

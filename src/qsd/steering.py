@@ -22,18 +22,20 @@ from .core import (
     Povm,
     QsdError,
     _frozen,
+    _trace_norms,
     born_table,
     hermitian_part,
     min_eigenvalue,
     pair_indices,
     trace_norm,
-    trace_norms,
     validate_density,
 )
 
 MARGINAL_TOL = 1e-9
 SUPPORT_TOL = 1e-9
 WEIGHT_TOL = 1e-12
+# Generator.multinomial draws int64 counts.
+MAX_SHOTS = 2**63 - 1
 
 
 class MarginalMismatch(QsdError):
@@ -220,15 +222,16 @@ def simulate_protocol(ensembles, bob_povm: Povm, shots: int, seed: int) -> Detec
     once, and all shots are drawn from it as one multinomial; the cost does
     not grow with shots.  One seeded generator drives the whole run, so
     identical inputs give identical counts; counts for a given seed differ
-    from versions that drew one shot at a time.
+    from versions that drew one shot at a time.  shots must lie in [0,
+    MAX_SHOTS], else ValueError.
     """
-    if shots < 0:
-        raise ValueError(f"shots must be nonnegative, got {shots}")
+    if not 0 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must be in [0, {MAX_SHOTS}], got {shots}")
     n = len(ensembles)
     if len(bob_povm) != n:
         raise DimensionMismatch(f"detector has {len(bob_povm)} outcomes for {n} messages")
     targets = np.array([e.mixture for e in ensembles])
-    gap = trace_norms(targets[1:] - targets[0]).max(initial=0.0)
+    gap = _trace_norms(targets[1:] - targets[0]).max(initial=0.0)
     if gap > MARGINAL_TOL:
         raise TargetMismatch(f"steered marginals differ by {gap:.3e}")
 
@@ -255,4 +258,4 @@ def marginal_indistinguishability_check(ensembles) -> float:
     """
     mixtures = np.array([e.mixture for e in ensembles])
     first, second = pair_indices(len(mixtures))
-    return float(trace_norms(mixtures[first] - mixtures[second]).max(initial=0.0))
+    return float(_trace_norms(mixtures[first] - mixtures[second]).max(initial=0.0))

@@ -18,6 +18,7 @@ from qsd import (
     solve,
     trace_norm,
 )
+from qsd.bounds import _orderings
 from qsd.rand import random_ensemble
 
 from .conftest import projector, tetrahedron_states
@@ -112,6 +113,13 @@ class TestBestCyclic:
         values = [_cycle_report(ensemble, c)[0] for c in [(0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3)]]
         assert max(values) - min(values) <= 1e-15
         assert best_cyclic_bound(ensemble).ordering == (0, 1, 2, 3)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_ordering_table_lists_one_ordering_per_cycle_in_lexicographic_order(self, n):
+        expected = [(0,) + rest for rest in permutations(range(1, n)) if rest[0] < rest[-1]]
+        table = _orderings(n)
+        assert [tuple(row) for row in table.tolist()] == expected
+        assert not table.flags.writeable
 
     def test_too_many_states(self):
         rng = np.random.default_rng(61)

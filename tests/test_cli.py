@@ -260,6 +260,27 @@ class TestCertifyCommand:
         assert captured.err == "error: POVM element 0: NaN or Inf entries\n"
         assert caught == []
 
+    @pytest.mark.parametrize("field", ["k_operator", "povm"])
+    def test_overflowing_entry_is_an_input_error(self, trine_file, tmp_path, capsys, field):
+        out = tmp_path / "report.json"
+        main(["solve", trine_file, "--output", str(out)])
+        report = json.loads(out.read_text())
+        if field == "k_operator":
+            for i in range(2):
+                report["matrices"]["k_operator"][i][i][0] = 1e308
+        else:
+            report["matrices"]["povm"][0][0][0][0] = 1e308
+        out.write_text(json.dumps(report))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["certify", trine_file, str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        name = "dual operator" if field == "k_operator" else "POVM element 0"
+        assert captured.err == f"error: {name}: entry of magnitude 1.000e+308 overflows\n"
+        assert caught == []
+
     def test_unedited_report_records_its_value_exactly(self, trine_file, tmp_path, capsys):
         out = tmp_path / "report.json"
         main(["solve", trine_file, "--output", str(out)])
@@ -364,6 +385,13 @@ class TestSimulateCommand:
     def test_zero_shots_rejected(self, trine_file, capsys):
         assert main(["simulate", trine_file, "--shots", "0"]) == 1
         assert "shots must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shots", [str(2**63), "100000000000000000000"])
+    def test_shots_beyond_int64_are_an_input_error(self, trine_file, capsys, shots):
+        assert main(["simulate", trine_file, "--shots", shots]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: shots must be positive and at most 9223372036854775807\n"
 
     def test_orthogonal_statistics(self, tmp_path):
         ensemble = make_ensemble([0.7, 0.3], [projector(1, 0), projector(0, 1)])

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import hashlib
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,17 +20,28 @@ from qsd import (
     Povm,
     StateEnsemble,
     TraceNotOne,
+    best_cyclic_bound,
     born_probabilities,
+    bounds,
+    decompositions_from_structure,
     guess_value,
+    lower_bound,
     make_ensemble,
+    norm_identity_check,
+    nosignaling,
+    simulate_protocol,
+    solve,
+    steering,
+    steering_structure,
     trace_norm,
     validate_density,
     validate_povm,
 )
-from qsd.core import pair_indices, psd_sqrt_pinv, trace_norms, validate_densities
+from qsd.core import _trace_norms, pair_indices, psd_sqrt_pinv, trace_norms, validate_densities
 from qsd.rand import random_density, random_ensemble, random_povm, random_priors, random_pure
+from qsd.steering import marginal_indistinguishability_check
 
-from .conftest import projector, trine_states
+from .conftest import corpus_ensembles, projector, trine_states
 
 
 class TestValidateDensity:
@@ -312,6 +325,13 @@ class TestTraceNorm:
         with pytest.raises(NonFinite, match="trace_norm input 1"):
             trace_norms(stack)
 
+    def test_stacked_norms_reject_overflowing_entries(self):
+        stack = np.array([np.zeros((2, 2)), np.diag([1e308, 0.0])])
+        with pytest.raises(NonFinite, match="^trace_norm input 1: entry of magnitude 1.000e\\+308 overflows$"):
+            trace_norms(stack)
+        with pytest.raises(NonFinite):
+            validate_density(np.diag([1e308, 0.0]))
+
     def test_stacked_norms_judge_each_matrix_on_its_own_scale(self):
         small = np.array([[0.0, 1e-6], [0.0, 0.0]])
         with pytest.raises(NotHermitian):
@@ -447,3 +467,35 @@ class TestPsdSqrtPinv:
         np.testing.assert_array_equal(psd_sqrt_pinv(np.zeros((3, 3))), np.zeros((3, 3)))
         np.testing.assert_array_equal(psd_sqrt_pinv(np.diag([4.0, 0.0, 1e-14])), np.diag([0.5, 0.0, 0.0]))
         np.testing.assert_array_equal(psd_sqrt_pinv(1e-12 * np.diag([4.0, 1.0])), np.diag([5e5, 1e6]))
+
+
+def test_unchecked_trace_norms_of_library_stacks_match_the_checked_routine(monkeypatch):
+    """On the acceptance corpus, every internal caller's stack passes trace_norms' checks and gets the same bits."""
+    calls = Counter()
+
+    def compared(stack):
+        calls[sys._getframe(1).f_code.co_name] += 1
+        norms = _trace_norms(stack)
+        assert norms.tobytes() == trace_norms(stack).tobytes()
+        return norms
+
+    for module in (bounds, nosignaling, steering):
+        monkeypatch.setattr(module, "_trace_norms", compared)
+    for ensemble in corpus_ensembles(20260101):
+        result = solve(ensemble)
+        structure = steering_structure(ensemble, result.certificate)
+        norm_identity_check(structure, ensemble)
+        lower_bound(ensemble)
+        best_cyclic_bound(ensemble)
+        decompositions = decompositions_from_structure(ensemble, structure)
+        marginal_indistinguishability_check(decompositions)
+        simulate_protocol(decompositions, result.povm, 10, seed=0)
+    callers = (
+        "lower_bound",
+        "best_cyclic_bound",
+        "steering_structure",
+        "norm_identity_check",
+        "simulate_protocol",
+        "marginal_indistinguishability_check",
+    )
+    assert sorted(calls) == sorted(callers) and min(calls.values()) >= 100

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qsd import (
     InfeasibleCertificate,
+    NonFinite,
     MalformedStatistics,
     certificate_from_povm,
     decompositions_from_structure,
@@ -82,6 +85,27 @@ class TestSteeringStructure:
         certificate = certificate_from_povm(trine_ensemble, uniform)
         with pytest.raises(InfeasibleCertificate):
             steering_structure(trine_ensemble, certificate)
+
+    @pytest.mark.parametrize(
+        "field, index, bad",
+        [
+            ("k_operator", (0, 0), np.inf),
+            ("k_operator", (0, 1), np.nan),
+            ("sigma", (1, 0, 1), np.nan),
+            ("sigma", (2, 1, 1), -np.inf),
+            ("trace_k", None, np.nan),
+        ],
+        ids=["inf-in-k", "nan-in-k", "nan-in-sigma", "inf-in-sigma", "nan-trace"],
+    )
+    def test_non_finite_certificate_rejected_before_any_arithmetic(self, trine_ensemble, field, index, bad):
+        certificate = solve(trine_ensemble).certificate
+        value = bad
+        if index is not None:
+            value = getattr(certificate, field).copy()
+            value[index] = bad
+        broken = dataclasses.replace(certificate, **{field: value})
+        with pytest.raises(NonFinite, match="^certificate: NaN or Inf entries$"):
+            steering_structure(trine_ensemble, broken)
 
     def test_dominant_state_has_absent_complementary(self):
         # q1 rho1 = 0.4 I majorizes q2 rho2, so never guessing state 2 is

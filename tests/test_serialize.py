@@ -6,6 +6,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsd.rand import random_ensemble
 from qsd.serialize import (
@@ -108,8 +110,28 @@ class TestPairRows:
             matrix = encode_matrix(values[..., 0] + 1j * values[..., 1])
             assert matrix == values.tolist()
             assert dump_json(matrix) == dump_json(generic(matrix))
-            doc = {"matrices": [matrix, matrix[:1]], "row": matrix[0]}
+            doc = {"matrices": [matrix, matrix[:1]], "stack": [matrix, matrix], "row": matrix[0]}
             assert dump_json(doc) == dump_json(generic(doc))
+
+    @pytest.mark.parametrize("entry", [3, 10**17 + 1, True, np.float64(0.1)], ids=["int", "big-int", "bool", "numpy"])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_matrices_with_a_non_float_entry_match_the_generic_path(self, entry, d):
+        matrix = encode_matrix(np.arange(d * d).reshape(d, d) * (0.5 - 0.25j))
+        matrix[-1][0][1] = entry
+        doc = {"povm": [matrix, matrix], "k_operator": matrix}
+        assert dump_json(doc) == dump_json(generic(doc))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_matrices_with_a_non_finite_entry_are_rejected_as_by_the_generic_path(self, bad, d):
+        matrix = encode_matrix(np.eye(d))
+        matrix[0][-1][1] = bad
+        for obj in (matrix, [matrix, matrix]):
+            with pytest.raises(FormatError) as generic_error:
+                dump_json(generic(obj))
+            with pytest.raises(FormatError, match="non-finite") as error:
+                dump_json(obj)
+            assert str(error.value) == str(generic_error.value)
 
     def test_overflowing_sum_of_finite_values_is_written(self):
         row = [[1.7976931348623157e308, 1.7976931348623157e308], [-0.0, 5e-324]]
@@ -133,6 +155,85 @@ class TestPairRows:
         canonical = dump_json(generic(ensemble_to_doc(ensemble, ["a", None, "c", None])))
         expected = "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
         assert instance_hash(ensemble, ["a", None, "c", None]) == expected
+
+
+def reference_decode(data, context):
+    """decode_matrix entry by entry: every check and message, one entry at a time."""
+    if not isinstance(data, list) or not data:
+        raise FormatError(f"{context}: expected a non-empty array of rows")
+    d = len(data)
+    out = np.empty((d, d), dtype=complex)
+    for i, row in enumerate(data):
+        if not isinstance(row, list) or len(row) != d:
+            raise FormatError(f"{context}: row {i} has {len(row) if isinstance(row, list) else 'no'} entries, expected {d}")
+        for j, pair in enumerate(row):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise FormatError(f"{context}: entry ({i},{j}) is not a [re, im] pair")
+            if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair):
+                raise FormatError(f"{context}: entry ({i},{j}) is not numeric, got {pair!r}")
+            try:
+                out[i, j] = complex(pair[0], pair[1])
+            except OverflowError:
+                raise FormatError(f"{context}: entry ({i},{j}) is out of range") from None
+    return out
+
+
+NUMBERS = st.one_of(
+    st.floats(),  # NaN, +-Inf, subnormals, -0.0 and the extremes included
+    st.sampled_from([-0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.integers(-(2**80), 2**80),
+)
+MALFORMED = (
+    "bool", "numeric-string", "null", "huge-int", "triple", "short-row", "long-row",
+    "extra-row", "pair-tuple", "row-tuple", "tuple", "not-a-list", "empty",
+)
+
+
+@st.composite
+def matrix_data(draw):
+    """A well-formed d x d matrix of [re, im] pairs, or one malformed variant of it."""
+    d = draw(st.integers(1, 4))
+    values = iter(draw(st.lists(NUMBERS, min_size=2 * d * d, max_size=2 * d * d)))
+    data = [[[next(values), next(values)] for _ in range(d)] for _ in range(d)]
+    kind = draw(st.sampled_from(("well-formed",) * 4 + MALFORMED))
+    i, j, k = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1)), draw(st.integers(0, 1))
+    replacement = {"bool": True, "numeric-string": "1.5", "null": None, "huge-int": -(10**400)}
+    if kind in replacement:
+        data[i][j][k] = replacement[kind]
+    elif kind == "triple":
+        data[i][j].append(0.0)
+    elif kind == "short-row":
+        del data[i][j]
+    elif kind == "long-row":
+        data[i].append([0.0, 0.0])
+    elif kind == "extra-row":
+        data.append([[0.0, 0.0]] * d)
+    elif kind == "pair-tuple":
+        data[i][j] = tuple(data[i][j])
+    elif kind == "row-tuple":
+        data[i] = tuple(data[i])
+    elif kind == "tuple":
+        data = tuple(data)
+    elif kind == "not-a-list":
+        data = draw(st.sampled_from([None, 1.0, "[[[1, 0]]]", {"rows": data}]))
+    elif kind == "empty":
+        data = []
+    return data
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(matrix_data())
+def test_decode_matrix_matches_the_per_entry_reference(data):
+    try:
+        expected = reference_decode(data, "m")
+    except FormatError as exc:
+        with pytest.raises(FormatError) as error:
+            decode_matrix(data, "m")
+        assert str(error.value) == str(exc)
+    else:
+        decoded = decode_matrix(data, "m")
+        assert decoded.dtype == complex and decoded.shape == expected.shape
+        assert decoded.view(float).tobytes() == expected.view(float).tobytes()
 
 
 class TestInstanceRoundtrip:
@@ -281,6 +382,20 @@ class TestInstanceDiagnostics:
         doc["states"][0]["matrix"] = [[[1, 0]], [[0, 0], [0, 0]]]
         with pytest.raises(FormatError, match=r"states\[0\].matrix"):
             parse_instance(dump_json(doc))
+
+    @pytest.mark.parametrize("label", [3, 2.5, True, ["a"], {"name": "a"}], ids=["int", "float", "bool", "list", "dict"])
+    def test_non_string_label_rejected(self, label):
+        doc = self.good_doc()
+        doc["states"][1]["label"] = label
+        with pytest.raises(FormatError) as error:
+            parse_instance(dump_json(doc))
+        assert str(error.value) == f"states[1].label: expected a string, got {label!r}"
+
+    def test_string_and_null_labels_accepted(self):
+        doc = self.good_doc()
+        doc["states"][0]["label"] = "3"
+        doc["states"][1]["label"] = None
+        assert parse_instance(dump_json(doc))[1] == ["3", None]
 
     def test_bad_pair(self):
         doc = self.good_doc()

@@ -425,6 +425,20 @@ class TestKktCheck:
         with pytest.raises(NonFinite, match="dual operator"):
             kkt_check(trine_ensemble, result.povm, k)
 
+    @pytest.mark.parametrize("huge", [1e308, -1.7976931348623157e308, 1e308j], ids=["real", "negative", "imaginary"])
+    def test_rejects_overflowing_k_and_povm_before_any_arithmetic(self, trine_ensemble, huge):
+        # Entries above half the largest float would overflow in A + A^dagger.
+        result = solve(trine_ensemble)
+        k = result.certificate.k_operator.copy()
+        k[1, 1] = huge
+        with pytest.raises(NonFinite, match="^dual operator: entry of magnitude .* overflows$"):
+            kkt_check(trine_ensemble, result.povm, k)
+        elements = result.povm.elements.copy()
+        elements[1, 0, 1] = huge
+        for routine in (certificate_from_povm, dual_operator, born_probabilities):
+            with pytest.raises(NonFinite, match="^POVM element 1: entry of magnitude .* overflows$"):
+                routine(trine_ensemble, Povm(elements=elements))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_rejects_non_finite_povm(self, trine_ensemble, bad):
         elements = solve(trine_ensemble).povm.elements.copy()

@@ -265,6 +265,12 @@ class TestSimulateProtocol:
         with pytest.raises(ValueError):
             simulate_protocol(decompositions, result.povm, -1, seed=0)
 
+    @pytest.mark.parametrize("shots", [2**63, 10**20])
+    def test_shots_beyond_int64_rejected(self, shots):
+        _, result, _, decompositions = self.make_orthogonal_setup()
+        with pytest.raises(ValueError, match="shots must be in"):
+            simulate_protocol(decompositions, result.povm, shots, seed=0)
+
     def test_target_mismatch_rejected(self):
         state_a = validate_density(np.eye(2) / 2)
         state_b = validate_density(np.diag([0.9, 0.1]))
