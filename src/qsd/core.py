@@ -5,14 +5,29 @@ checks, steering simulation) works on the three types defined here: density
 matrices, prior-weighted ensembles, and POVMs.  A family of N operators on
 one d-dimensional space (an ensemble's states, a POVM's elements, a dual
 certificate's complementary operators) is one complex (N, d, d) array, and
-the batched routines here act on the whole family at once.  A single
-Hermitian eigendecomposition backend (`numpy.linalg.eigh`) drives positivity
-checks, trace norms, and operator square roots, and one tolerance regime
-holds for every family: states, POVM elements, a given dual operator K and
-trace_norm inputs are all checked by _hermitian (finite, no entry above
-MAX_ENTRY, and Hermitian within HERMITIAN_TOL times each matrix's own
-largest entry, at least 1) and, where positivity is required, by _positive
-(min eigenvalue >= -PSD_TOL).
+the batched routines here act on the whole family at once.
+
+Every eigenproblem in the package, and the Anderson solve, runs through
+three private kernels: _eigh, _eigvalsh and _solve.  Each calls the LAPACK
+gufunc that numpy.linalg.eigh, eigvalsh or solve calls for complex128 and
+float64 input (eigh_lo, eigvalsh_lo, solve1 of numpy.linalg._umath_linalg),
+inside the same np.errstate, so a failure raises numpy's LinAlgError with
+numpy's message.  numpy.linalg adds only shape and type checks and its
+Python plumbing, which at d <= 4 cost more than LAPACK does; every stack
+passed here is a square complex128 or float64 array that the library built
+or validated, so each result equals numpy.linalg's bit for bit.  The
+gufuncs are imported here and nowhere else, and nothing falls back to
+numpy.linalg.  DensityMatrix.eigensystem stays on numpy.linalg.eigh, whose
+EighResult it returns.
+
+One tolerance regime holds for every family: states, POVM elements, a given
+dual operator K and trace_norm inputs are all checked by _hermitian (finite,
+no entry of a d x d matrix above MAX_ENTRY / d = sqrt(float max) / (2 d),
+and Hermitian within HERMITIAN_TOL times each matrix's own largest entry, at
+least 1) and, where positivity is required, by _positive (min eigenvalue >=
+-PSD_TOL).  The entry bound keeps every later check finite: a product of
+two entries is at most float max / (4 d^2), so no trace, slackness tr[sigma_x
+M_x] or other sum of d^2 such terms can overflow.
 
 Validation happens once, at the boundary.  The public constructors and
 checks (make_ensemble, validate_density(ies), validate_povm, trace_norm(s),
@@ -33,6 +48,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 # One tolerance regime for the whole package: absolute 1e-9 on eigenvalues and
 # traces, Hermiticity scaled by each matrix's largest entry, 1e-12 on probability sums.
@@ -44,8 +60,9 @@ PRIOR_TOL = 1e-12
 PROB_CLAMP = 1e-9
 # Numerical rank: eigenvalues at or below RANK_CUTOFF * max_eigenvalue count as zero.
 RANK_CUTOFF = 1e-12
-# Largest accepted entry magnitude: A + A^dagger overflows beyond it.
-MAX_ENTRY = np.finfo(float).max / 2
+# A d x d matrix accepts entries of magnitude up to MAX_ENTRY / d, so that no
+# product of two entries, nor a sum of d^2 of them, overflows.
+MAX_ENTRY = np.sqrt(np.finfo(float).max) / 2
 
 
 class QsdError(Exception):
@@ -53,7 +70,7 @@ class QsdError(Exception):
 
 
 class NonFinite(QsdError):
-    """Input contains NaN or Inf entries, or entries above MAX_ENTRY."""
+    """Input contains NaN or Inf entries, or a d x d matrix has entries above MAX_ENTRY / d."""
 
 
 class NotHermitian(QsdError):
@@ -99,9 +116,40 @@ def hermiticity_error(a: np.ndarray) -> float:
     return float(np.abs(a - a.conj().swapaxes(-1, -2)).max(initial=0.0))
 
 
+def _lapack_errstate(message: str):
+    """A factory of the floating-point state numpy.linalg runs its gufuncs in: a LAPACK failure raises LinAlgError(message)."""
+
+    def fail(err, flag):
+        raise np.linalg.LinAlgError(message)
+
+    return lambda: np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+_NOT_CONVERGED = _lapack_errstate("Eigenvalues did not converge")
+_SINGULAR = _lapack_errstate("Singular matrix")
+
+
+def _eigh(a: np.ndarray):
+    """numpy.linalg.eigh of a complex128 or float64 (..., d, d) stack: ascending eigenvalues and eigenvectors."""
+    with _NOT_CONVERGED():
+        return _umath_linalg.eigh_lo(a)
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """numpy.linalg.eigvalsh of a complex128 or float64 (..., d, d) stack: ascending eigenvalues."""
+    with _NOT_CONVERGED():
+        return _umath_linalg.eigvalsh_lo(a)
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """numpy.linalg.solve of a float64 or complex128 (m, m) system with a vector right-hand side b."""
+    with _SINGULAR():
+        return _umath_linalg.solve1(a, b)
+
+
 def min_eigenvalue(a: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian matrix, or of all matrices in a stack."""
-    return float(np.linalg.eigvalsh(hermitian_part(a)).min())
+    return float(_eigvalsh(hermitian_part(a)).min())
 
 
 def psd_sqrt_pinv(a: np.ndarray) -> np.ndarray:
@@ -111,7 +159,7 @@ def psd_sqrt_pinv(a: np.ndarray) -> np.ndarray:
     their eigenvectors are left out of the result.  Only the lower triangle
     of a is read.
     """
-    w, v = np.linalg.eigh(a)
+    w, v = _eigh(a)
     # eigh sorts w ascending: the kept eigenvalues are the tail w[k:].
     cutoff = RANK_CUTOFF * max(w[-1], 0.0)
     if w[0] > cutoff:  # full rank: every eigenvalue is kept
@@ -123,7 +171,7 @@ def psd_sqrt_pinv(a: np.ndarray) -> np.ndarray:
 
 def psd_project(a: np.ndarray) -> np.ndarray:
     """Clip negative eigenvalues of a Hermitian matrix, or of each matrix in a stack, to zero."""
-    w, v = np.linalg.eigh(hermitian_part(a))
+    w, v = _eigh(hermitian_part(a))
     return (v * np.maximum(w, 0.0)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
@@ -229,10 +277,10 @@ def _finite(stack: np.ndarray, name: str) -> np.ndarray:
     """Each matrix's largest |A_ij| (at least 1) in a complex (..., d, d) stack, after checking it.
 
     Raises NonFinite, naming the first offending matrix as _reject does, if
-    an entry is NaN or Inf or its magnitude exceeds MAX_ENTRY.
+    an entry is NaN or Inf or its magnitude exceeds MAX_ENTRY / d.
     """
     scale = np.abs(stack).max(axis=(-2, -1), initial=1.0)  # NaN or Inf where an entry is (or |A_ij| overflows)
-    _reject(~(scale <= MAX_ENTRY), name, NonFinite,
+    _reject(~(scale <= MAX_ENTRY / max(stack.shape[-1], 1)), name, NonFinite,
             lambda x: f"entry of magnitude {scale.flat[x]:.3e} overflows" if np.isfinite(scale.flat[x]) else "NaN or Inf entries")
     return scale
 
@@ -257,7 +305,7 @@ def _positive(stack: np.ndarray, name: str) -> None:
 
     Raises NotPsd naming the first offending matrix as _reject does.
     """
-    lowest = np.linalg.eigvalsh(stack)[..., 0]
+    lowest = _eigvalsh(stack)[..., 0]
     _reject(lowest < -PSD_TOL, name, NotPsd, lambda x: f"min eigenvalue = {lowest.flat[x]:.3e}")
 
 
@@ -364,7 +412,7 @@ def trace_norms(stack: np.ndarray) -> np.ndarray:
 
 def _trace_norms(stack: np.ndarray) -> np.ndarray:
     """Unchecked trace norms of an exactly Hermitian (..., d, d) stack the library built: |eigenvalues| summed."""
-    return np.abs(np.linalg.eigvalsh(stack)).sum(axis=-1)
+    return np.abs(_eigvalsh(stack)).sum(axis=-1)
 
 
 @lru_cache(maxsize=32)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from contextlib import suppress
 from functools import lru_cache
 from itertools import chain
 
@@ -27,6 +26,8 @@ from .core import QsdError, StateEnsemble, make_ensemble, validate_density
 
 INSTANCE_VERSION = "qsd-1"
 REPORT_VERSION = "qsd-report-1"
+# The exact types of a JSON number: bool, a subclass of int, is not one.
+_NUMBER_TYPES = frozenset((int, float))
 
 
 class FormatError(QsdError):
@@ -125,10 +126,15 @@ def decode_matrix(data, context: str) -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise FormatError(f"{context}: expected a non-empty array of rows")
     d = len(data)
-    shape, values = _leaves(data)
-    if shape == (d, d, 2) and set(map(type, values)) <= {int, float}:
-        with suppress(OverflowError):  # an int beyond the float range, which the walk names
-            return np.array(values, dtype=float).view(complex).reshape(d, d)
+    if set(map(type, data)) == {list} and set(map(len, data)) == {d}:
+        pairs = list(chain.from_iterable(data))
+        if set(map(type, pairs)) == {list} and set(map(len, pairs)) == {2}:
+            values = list(chain.from_iterable(pairs))
+            if _NUMBER_TYPES.issuperset(map(type, values)):
+                try:
+                    return np.array(values, dtype=float).view(complex).reshape(d, d)
+                except OverflowError:  # an int beyond the float range, which the walk names
+                    pass
     out = np.empty((d, d), dtype=complex)
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != d:

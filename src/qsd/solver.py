@@ -90,9 +90,11 @@ from .core import (
     Povm,
     QsdError,
     StateEnsemble,
+    _eigvalsh,
     _elements,
     _frozen,
     _hermitian,
+    _solve,
     hermitian_part,
     hermiticity_error,
     min_eigenvalue,
@@ -325,7 +327,7 @@ def _iterate(
             break
         if dropped is not None:
             if residual < limit:
-                violation = -float(np.linalg.eigvalsh(_dual(weighted, elements) - dropped)[:, 0].min())
+                violation = -float(_eigvalsh(_dual(weighted, elements) - dropped)[:, 0].min())
                 if violation > limit:
                     break
                 dropped = None
@@ -471,7 +473,7 @@ class _Anderson:
             return None
         gram, rhs = self.gram[:m, :m], self.df[:m] @ self.f
         try:
-            gamma = np.linalg.solve(gram, rhs)
+            gamma = _solve(gram, rhs)
         except np.linalg.LinAlgError:
             gamma = None
         if gamma is None or not np.isfinite(gamma).all():
@@ -489,7 +491,7 @@ def _residuals(weighted: np.ndarray, elements: np.ndarray, k: np.ndarray):
     """
     sigma = k - weighted
     slackness = np.einsum("xij,xji->x", sigma, elements).real
-    feas = np.linalg.eigvalsh(sigma)[:, 0]
+    feas = _eigvalsh(sigma)[:, 0]
     return sigma, slackness, feas
 
 

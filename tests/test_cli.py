@@ -281,6 +281,33 @@ class TestCertifyCommand:
         assert captured.err == f"error: {name}: entry of magnitude 1.000e+308 overflows\n"
         assert caught == []
 
+    @pytest.mark.parametrize(
+        ("huge", "povm_too", "message"),
+        [
+            (8e307, False, "dual operator: entry of magnitude 8.000e+307 overflows"),
+            (1e200, True, "POVM element 0: entry of magnitude 1.000e+200 overflows"),
+        ],
+        ids=["k-diagonal-8e307", "k-and-povm-diagonals-1e200"],
+    )
+    def test_entries_whose_sums_would_overflow_are_an_input_error(self, tmp_path, capsys, huge, povm_too, message):
+        # Below the largest float, yet tr K or a slackness tr[sigma_x M_x] of the qutrit pair would overflow.
+        instance = str(Path(__file__).resolve().parent.parent / "instances" / "qutrit-pair.json")
+        out = tmp_path / "report.json"
+        main(["solve", instance, "--output", str(out)])
+        report = json.loads(out.read_text())
+        for matrix in [report["matrices"]["k_operator"]] + (report["matrices"]["povm"] if povm_too else []):
+            for i, row in enumerate(matrix):
+                row[i][0] = huge
+        out.write_text(json.dumps(report))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["certify", instance, str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert caught == []
+
     def test_unedited_report_records_its_value_exactly(self, trine_file, tmp_path, capsys):
         out = tmp_path / "report.json"
         main(["solve", trine_file, "--output", str(out)])

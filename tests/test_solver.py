@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from qsd import (
     solver,
     validate_povm,
 )
-from qsd.core import hermitian_part
+from qsd.core import MAX_ENTRY, hermitian_part
 from qsd.oracle import oracle_grid
 from qsd.rand import random_ensemble
 
@@ -425,9 +426,29 @@ class TestKktCheck:
         with pytest.raises(NonFinite, match="dual operator"):
             kkt_check(trine_ensemble, result.povm, k)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 32])
+    def test_entries_at_the_bound_go_through_every_check_without_overflow(self, d, sign):
+        ensemble = random_ensemble(d, 3, d)
+        bound = MAX_ENTRY / d
+        k = sign * bound * np.ones((d, d))
+        povm = Povm(elements=bound * np.ones((3, d, d)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            certificate = certificate_from_povm(ensemble, povm, k)
+            report = kkt_check(ensemble, povm, k)
+        assert caught == []
+        assert np.isfinite(certificate.slackness).all() and np.isfinite(certificate.trace_k)
+        assert np.isfinite(report.max_residual())
+        above = np.nextafter(bound, np.inf)
+        with pytest.raises(NonFinite, match="^dual operator: entry of magnitude .* overflows$"):
+            kkt_check(ensemble, povm, np.full((d, d), above))
+        with pytest.raises(NonFinite, match="^POVM element 0: entry of magnitude .* overflows$"):
+            kkt_check(ensemble, Povm(elements=np.full((3, d, d), above)), k)
+
     @pytest.mark.parametrize("huge", [1e308, -1.7976931348623157e308, 1e308j], ids=["real", "negative", "imaginary"])
     def test_rejects_overflowing_k_and_povm_before_any_arithmetic(self, trine_ensemble, huge):
-        # Entries above half the largest float would overflow in A + A^dagger.
+        # Entries above MAX_ENTRY / d could overflow in the checks' sums and products.
         result = solve(trine_ensemble)
         k = result.certificate.k_operator.copy()
         k[1, 1] = huge
