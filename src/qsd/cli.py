@@ -9,6 +9,7 @@ Set QSD_LOG=debug (or info, warning) for diagnostics on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -71,6 +72,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qsd", description="Optimal quantum state discrimination with certificates.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -317,8 +317,8 @@ def validate_density(matrix) -> DensityMatrix:
     (min eigenvalue >= -1e-9), unit trace (within 1e-9).
     """
     a = np.asarray(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise DimensionMismatch(f"expected a nonempty square matrix, got shape {a.shape}")
     return DensityMatrix(matrix=validate_densities(a[None])[0])
 
 
@@ -331,8 +331,8 @@ def validate_densities(stack) -> np.ndarray:
     new array; its rows are the matrices of DensityMatrix instances.
     """
     a = np.asarray(stack, dtype=complex)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise DimensionMismatch(f"expected an (N, d, d) stack, got shape {a.shape}")
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or not a.shape[2]:
+        raise DimensionMismatch(f"expected an (N, d, d) stack with d >= 1, got shape {a.shape}")
     a = _hermitian(a, "density matrix")
     _positive(a, "density matrix")
     tr = np.trace(a, axis1=1, axis2=2).real
@@ -371,14 +371,15 @@ def make_ensemble(priors, matrices) -> StateEnsemble:
 def validate_povm(elements) -> Povm:
     """Validate a sequence or stack of matrices as a POVM or raise on the first violation.
 
-    Povm's shape check runs first, then each check over all elements before
-    the next: finiteness and Hermiticity (_hermitian), positive
-    semidefiniteness (_positive), completeness (within 1e-9).  An error
-    names the first element that fails the first failing check.
+    Povm's shape check runs first (at least one element, of dimension
+    d >= 1), then each check over all elements before the next: finiteness
+    and Hermiticity (_hermitian), positive semidefiniteness (_positive),
+    completeness (within 1e-9).  An error names the first element that
+    fails the first failing check.
     """
-    if len(elements) == 0:
-        raise DimensionMismatch("POVM needs at least one element")
     stack = Povm(elements=elements).elements
+    if not stack.size:
+        raise DimensionMismatch(f"POVM needs at least one element of dimension >= 1, got shape {stack.shape}")
     hermitian = _hermitian(stack, "POVM element")
     _positive(hermitian, "POVM element")
     dev = float(np.abs(stack.sum(axis=0) - np.eye(stack.shape[-1])).max())
@@ -394,20 +395,24 @@ def trace_norm(a) -> float:
     trace_norms.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise DimensionMismatch(f"expected a nonempty square matrix, got shape {a.shape}")
     return float(trace_norms(a[None])[0])
 
 
 def trace_norms(stack: np.ndarray) -> np.ndarray:
     """Trace norms of the Hermitian matrices in a (..., d, d) stack.
 
-    Each matrix is checked on its own by _hermitian, as trace_norm checks it
-    alone, and one batched eigvalsh gives the norms.  The batch runs the same
-    LAPACK routine per matrix, so each norm equals trace_norm of that matrix
-    bit for bit.
+    The matrices must be square with d >= 1 (else DimensionMismatch).  Each
+    is checked on its own by _hermitian, as trace_norm checks it alone, and
+    one batched eigvalsh gives the norms.  The batch runs the same LAPACK
+    routine per matrix, so each norm equals trace_norm of that matrix bit
+    for bit.
     """
-    return _trace_norms(_hermitian(stack, "trace_norm input"))
+    a = np.asarray(stack, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or not a.shape[-1]:
+        raise DimensionMismatch(f"expected a (..., d, d) stack with d >= 1, got shape {a.shape}")
+    return _trace_norms(_hermitian(a, "trace_norm input"))
 
 
 def _trace_norms(stack: np.ndarray) -> np.ndarray:

@@ -514,6 +514,59 @@ class TestUsageErrors:
         assert "--seed" not in capsys.readouterr().out
 
 
+class TestParserReuse:
+    """main builds its parser on the first call and reuses it for every later call in the process."""
+
+    @staticmethod
+    def _help(parse, argv, capsys) -> str:
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    def test_one_build_serves_every_command(self, trine_file, tmp_path, capsys):
+        cli._build_parser.cache_clear()
+        report = str(tmp_path / "report.json")
+        assert main(["solve", trine_file, "--output", report]) == 0
+        assert main(["certify", trine_file, report]) == 0
+        assert main(["bound", trine_file, "--best-cyclic"]) == 0
+        assert main(["simulate", trine_file, "--shots", "1000"]) == 0
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_a_flag_does_not_carry_into_the_next_call(self, slow_file, tmp_path, capsys):
+        # One iteration short of convergence the dual residual is near 3e-7:
+        # within a report edited to claim 1e-5, outside the default 1e-9.
+        out = tmp_path / "report.json"
+        assert main(["solve", slow_file, "--max-iter", "41", "--output", str(out)]) == 2
+        report = json.loads(out.read_text())
+        report["options"]["kkt_tolerance"] = 1e-5
+        out.write_text(json.dumps(report))
+        assert main(["certify", slow_file, str(out), "--tolerance", "1e-5"]) == 0
+        assert main(["certify", slow_file, str(out)]) == 3
+        assert "(tolerance 1.0e-09)" in capsys.readouterr().out.split("certification PASSED")[1]
+
+    def test_a_usage_error_leaves_the_next_call_unchanged(self, trine_file, capsys):
+        assert main(["solve", trine_file]) == 0
+        before = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", trine_file, "--seed", "3"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.startswith("usage: qsd")
+        assert main(["solve", trine_file]) == 0
+        assert capsys.readouterr() == before
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]], ids=["qsd", "solve"])
+    def test_help_equals_a_fresh_parser_help(self, trine_file, argv, capsys):
+        assert main(["bound", trine_file]) == 0
+        capsys.readouterr()
+        reused = self._help(main, argv, capsys)
+        fresh = self._help(cli._build_parser.__wrapped__().parse_args, argv, capsys)
+        assert reused == fresh
+        assert reused.startswith("usage: qsd")
+
+
 def test_log_env_var_enables_diagnostics(orthogonal_file, tmp_path, monkeypatch):
     monkeypatch.setenv("QSD_LOG", "debug")
     out = tmp_path / "report.json"

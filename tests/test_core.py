@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 import sys
 from collections import Counter
 
@@ -70,6 +71,10 @@ class TestValidateDensity:
         with pytest.raises(DimensionMismatch):
             validate_density(np.ones((2, 3)))
 
+    def test_zero_by_zero_is_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch, match=r"got shape \(0, 0\)"):
+            validate_density(np.zeros((0, 0)))
+
     def test_stored_matrix_is_readonly(self):
         dm = validate_density(np.eye(2) / 2)
         with pytest.raises(ValueError):
@@ -99,6 +104,10 @@ class TestValidateDensities:
     def test_not_a_stack_of_square_matrices(self):
         with pytest.raises(DimensionMismatch):
             validate_densities(np.ones((2, 2, 3)))
+
+    def test_zero_dimensional_members_are_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch, match=r"d >= 1, got shape \(2, 0, 0\)"):
+            validate_densities(np.zeros((2, 0, 0)))
 
     def test_members_match_validate_density(self):
         stack = np.array([random_density(np.random.default_rng(x), 3).matrix for x in range(4)])
@@ -237,6 +246,11 @@ class TestValidatePovm:
         with pytest.raises(DimensionMismatch):
             validate_povm([np.eye(2), np.eye(3)])
 
+    @pytest.mark.parametrize("elements", [[], [np.zeros((0, 0))], np.zeros((2, 0, 0))], ids=["none", "one-0x0", "stack-0x0"])
+    def test_empty_or_zero_dimensional_elements_are_a_dimension_mismatch(self, elements):
+        with pytest.raises(DimensionMismatch, match="at least one element of dimension >= 1"):
+            validate_povm(elements)
+
     def test_each_check_runs_over_all_elements_before_the_next(self):
         # Element 0 is Hermitian but not PSD; element 1 is not Hermitian.
         not_psd, not_hermitian = np.diag([1.0, -0.1]), np.array([[0.0, 0.1], [0.0, 1.1]])
@@ -314,6 +328,15 @@ class TestTraceNorm:
         np.testing.assert_array_equal(second, expected[1])
         assert not first.flags.writeable and not second.flags.writeable
         assert pair_indices(n)[0] is first
+
+    def test_zero_by_zero_is_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch, match=r"got shape \(0, 0\)"):
+            trace_norm(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("shape", [(2, 0, 0), (0, 0), (3,), (2, 2, 3)], ids=["stack-0x0", "0x0", "vector", "not-square"])
+    def test_stacked_norms_reject_stacks_not_of_square_nonempty_matrices(self, shape):
+        with pytest.raises(DimensionMismatch, match=f"got shape {re.escape(str(shape))}"):
+            trace_norms(np.zeros(shape))
 
     def test_stacked_norms_check_hermiticity(self):
         stack = np.array([np.zeros((2, 2)), [[0.0, 1.0], [0.0, 0.0]]])
