@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import permutations
 
 import numpy as np
 
@@ -90,12 +91,4 @@ def _orderings(n: int) -> np.ndarray:
     state 0 first and, for n >= 3, end above their second entry: one per
     cycle up to rotation and reflection, M = (n - 1)! / 2 (one for n = 2).
     """
-    # The permutations of range(k) in lexicographic order, for k = 1..n-1:
-    # each first element f in turn, followed by the permutations of range(k - 1)
-    # with every entry >= f moved up by one.  int8 keeps the build small.
-    table = np.zeros((1, 0), dtype=np.int8)
-    for k in range(1, n):
-        first = np.arange(k, dtype=np.int8)[:, None, None]
-        table = np.concatenate([np.broadcast_to(first, (k, len(table), 1)), table + (table >= first)], axis=2).reshape(-1, k)
-    table = table[table[:, 0] <= table[:, -1]] + 1  # <= keeps the one ordering of n = 2
-    return _frozen(np.pad(table.astype(np.intp), ((0, 0), (1, 0))))  # state 0 first
+    return _frozen(np.array([(0,) + p for p in permutations(range(1, n)) if p[0] <= p[-1]], dtype=np.intp))

@@ -190,18 +190,28 @@ def cmd_solve(args) -> int:
             "sigma": [encode_matrix(s) for s in result.certificate.sigma],
         },
     }
+    code = EXIT_OK if result.converged else EXIT_NOT_CONVERGED
     if result.converged:
-        structure = steering_structure(ensemble, result.certificate)
-        doc["result"]["steering"] = {
-            "p": list(structure.p),
-            "bound": structure.bound,
-            "complementary_weights": list(structure.complementary_weights),
-            "ensemble_residual": structure.ensemble_residual,
-            "proposition_residual": proposition_bound_check(structure, result.guess_probability),
-            "norm_identity_residual": norm_identity_check(structure, ensemble),
-        }
+        try:
+            structure = steering_structure(ensemble, result.certificate)
+            doc["result"]["steering"] = {
+                "p": list(structure.p),
+                "bound": structure.bound,
+                "complementary_weights": list(structure.complementary_weights),
+                "ensemble_residual": structure.ensemble_residual,
+                "proposition_residual": proposition_bound_check(structure, result.guess_probability),
+                "norm_identity_residual": norm_identity_check(structure, ensemble),
+            }
+        except QsdError as exc:
+            code = _certification_failed(exc)
     _write_report(doc, args.output)
-    return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
+    return code
+
+
+def _certification_failed(exc: QsdError) -> int:
+    """Print why the steering layer rejected a converged solve's certificate; return EXIT_CERTIFICATION."""
+    print(f"error: certification failed: {exc}", file=sys.stderr)
+    return EXIT_CERTIFICATION
 
 
 def cmd_bound(args) -> int:
@@ -306,9 +316,11 @@ def cmd_simulate(args) -> int:
         print("error: solver did not converge; cannot build steering decompositions", file=sys.stderr)
         return EXIT_NOT_CONVERGED
 
-    structure = steering_structure(ensemble, result.certificate)
-    decompositions = decompositions_from_structure(ensemble, structure)
-    stats = simulate_protocol(decompositions, result.povm, args.shots, args.seed)
+    try:
+        decompositions = decompositions_from_structure(ensemble, steering_structure(ensemble, result.certificate))
+        stats = simulate_protocol(decompositions, result.povm, args.shots, args.seed)
+    except QsdError as exc:
+        return _certification_failed(exc)
     analytic = born_table(np.array([e.mixture for e in decompositions]), result.povm.elements)
     threshold = 3.0 * float(np.sqrt(len(ensemble) / (4.0 * args.shots)))
     diag, ok = detector_nosignaling_check(stats, threshold)

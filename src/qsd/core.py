@@ -17,8 +17,7 @@ Python plumbing, which at d <= 4 cost more than LAPACK does; every stack
 passed here is a square complex128 or float64 array that the library built
 or validated, so each result equals numpy.linalg's bit for bit.  The
 gufuncs are imported here and nowhere else, and nothing falls back to
-numpy.linalg.  DensityMatrix.eigensystem stays on numpy.linalg.eigh, whose
-EighResult it returns.
+numpy.linalg.
 
 One tolerance regime holds for every family: states, POVM elements, a given
 dual operator K and trace_norm inputs are all checked by _hermitian (finite,
@@ -191,7 +190,7 @@ class DensityMatrix:
 
     def eigensystem(self):
         """Eigenvalues (ascending) and eigenvectors of the state."""
-        return np.linalg.eigh(self.matrix)
+        return _eigh(self.matrix)
 
 
 @dataclass(frozen=True)

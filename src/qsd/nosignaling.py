@@ -125,22 +125,18 @@ def _normalize_psd(stack: np.ndarray) -> np.ndarray:
 def decompositions_from_structure(ensemble: StateEnsemble, structure: SteeringStructure):
     """One steering decomposition of the shared state per message.
 
-    Decomposition x mixes rho_x (weight p_x) with its complementary state;
-    when the complementary weight vanishes the decomposition is just rho_x.
+    Decomposition x mixes rho_x (weight p_x) with its complementary state
+    (weight complementary_weights[x]), keeping each that exists with weight at
+    least 1e-15; a lone member, such as rho_x when its partner vanishes or the
+    partner of a zero-prior state, takes weight 1.
     """
-    out = []
-    for x in range(len(ensemble)):
-        if structure.complementary[x] is None:
-            members = [(1.0, ensemble.states[x])]
-        elif structure.p[x] < 1e-15:  # zero-prior state: the message carries only the partner
-            members = [(1.0, structure.complementary[x])]
-        else:
-            members = [
-                (float(structure.p[x]), ensemble.states[x]),
-                (float(structure.complementary_weights[x]), structure.complementary[x]),
-            ]
-        out.append(make_decomposition(structure.normalized_k, members))
-    return out
+
+    def members(x):
+        pairs = ((structure.p[x], ensemble.states[x]), (structure.complementary_weights[x], structure.complementary[x]))
+        kept = [(float(w), s) for w, s in pairs if s is not None and w >= 1e-15]
+        return [(1.0, kept[0][1])] if len(kept) == 1 else kept
+
+    return [make_decomposition(structure.normalized_k, members(x)) for x in range(len(ensemble))]
 
 
 def proposition_bound_check(structure: SteeringStructure, solved_value: float) -> float:
@@ -190,10 +186,7 @@ def detector_nosignaling_check(stats, tolerance: float) -> tuple[float, bool]:
     of correct-answer probabilities exceeding 1 (beyond the caller-supplied
     statistical or numerical tolerance) would enable signaling.
     """
-    table = getattr(stats, "probabilities", stats)
-    if table is None:
-        raise MalformedStatistics("statistics carry no probabilities (zero shots)")
-    table = np.asarray(table, dtype=float)
+    table = np.asarray(getattr(stats, "probabilities", stats), dtype=float)
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise MalformedStatistics(f"expected a square table, got shape {table.shape}")
     column_sums = table.sum(axis=0)

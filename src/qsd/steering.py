@@ -21,6 +21,7 @@ from .core import (
     DimensionMismatch,
     Povm,
     QsdError,
+    _eigh,
     _frozen,
     _trace_norms,
     born_table,
@@ -113,8 +114,7 @@ def purify(rho: DensityMatrix) -> BipartitePureState:
     input.
     """
     w, v = rho.eigensystem()
-    wmax = float(w.max())
-    keep = np.where(w > RANK_CUTOFF * wmax)[0][::-1]  # descending eigenvalues
+    keep = np.nonzero(w > RANK_CUTOFF * w[-1])[0][::-1]  # descending eigenvalues
     coefficients = np.sqrt(w[keep])
     basis_b = v[:, keep]
     return BipartitePureState(
@@ -124,20 +124,20 @@ def purify(rho: DensityMatrix) -> BipartitePureState:
     )
 
 
-def pure_components(decomposition: SteeringDecomposition):
-    """Flatten a decomposition into (weight, unit vector, member index) triples.
+def pure_components(decomposition: SteeringDecomposition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pure components of a decomposition: their weights, unit vectors (one per row) and member indices.
 
-    Mixed members are split along their eigenvectors; steering is defined on
-    pure-state ensembles.
+    Mixed members are split along their eigenvectors, member by member and in
+    descending eigenvalue within a member, keeping the eigenvalues above
+    RANK_CUTOFF times the member's largest, the rule purify applies; steering
+    is defined on pure-state ensembles.
     """
-    components = []
-    for y, (r, tau) in enumerate(decomposition.members):
-        w, v = tau.eigensystem()
-        wmax = float(w.max())
-        for k in range(len(w) - 1, -1, -1):
-            if w[k] > RANK_CUTOFF * wmax:
-                components.append((r * float(w[k]), v[:, k].copy(), y))
-    return components
+    members = decomposition.members
+    w, v = _eigh(np.array([tau.matrix for _, tau in members]))
+    w, v = w[:, ::-1], v[..., ::-1]  # descending eigenvalues
+    keep = w > RANK_CUTOFF * w[:, :1]
+    weights = np.array([r for r, _ in members])[:, None] * w
+    return weights[keep], v.swapaxes(1, 2)[keep], np.nonzero(keep)[0]
 
 
 def ghjw_povm(state: BipartitePureState, decomposition: SteeringDecomposition) -> tuple[Povm, tuple[int, ...]]:
@@ -201,15 +201,11 @@ class DetectorStatistics:
     shots_per_message: int
 
     @property
-    def probabilities(self) -> np.ndarray | None:
-        """Conditional frequency table, or None for the degenerate zero-shot case."""
-        if self.shots_per_message == 0:
-            return None
+    def probabilities(self) -> np.ndarray:
+        """Conditional frequency table: counts over shots_per_message (at least 1)."""
         return self.counts / float(self.shots_per_message)
 
     def diagonal_sum(self) -> float:
-        if self.shots_per_message == 0:
-            raise ValueError("diagonal sum undefined with zero shots")
         return float(np.trace(self.probabilities))
 
 
@@ -221,12 +217,11 @@ def simulate_protocol(ensembles, bob_povm: Povm, shots: int, seed: int) -> Detec
     (the Born probabilities of bob_povm on the steered state) is tabulated
     once, and all shots are drawn from it as one multinomial; the cost does
     not grow with shots.  One seeded generator drives the whole run, so
-    identical inputs give identical counts; counts for a given seed differ
-    from versions that drew one shot at a time.  shots must lie in [0,
+    identical inputs give identical counts.  shots must lie in [1,
     MAX_SHOTS], else ValueError.
     """
-    if not 0 <= shots <= MAX_SHOTS:
-        raise ValueError(f"shots must be in [0, {MAX_SHOTS}], got {shots}")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must be in [1, {MAX_SHOTS}], got {shots}")
     n = len(ensembles)
     if len(bob_povm) != n:
         raise DimensionMismatch(f"detector has {len(bob_povm)} outcomes for {n} messages")
@@ -238,9 +233,7 @@ def simulate_protocol(ensembles, bob_povm: Povm, shots: int, seed: int) -> Detec
     rng = np.random.default_rng(seed)
     counts = np.zeros((n, n), dtype=np.int64)
     for message, decomposition in enumerate(ensembles):
-        components = pure_components(decomposition)
-        weights = np.array([w for w, _, _ in components])
-        vectors = np.array([v for _, v, _ in components])
+        weights, vectors, _ = pure_components(decomposition)
         projectors = np.einsum("ki,kj->kij", vectors, vectors.conj())
         # Born distribution of the detector on each pure component, one row each.
         tables = np.maximum(born_table(projectors, bob_povm.elements).T, 0.0)

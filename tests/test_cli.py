@@ -87,6 +87,15 @@ class TestSolveCommand:
         assert report["result"]["converged"] is False
         assert "steering" not in report["result"]
 
+    def test_loose_tolerance_beyond_the_steering_gate_fails_certification(self, slow_file, tmp_path, capsys):
+        # Converged at 1e-5, but sigma's eigenvalue -1.9e-6 lies beyond nosignaling.INFEASIBLE_TOL.
+        out = tmp_path / "report.json"
+        assert main(["solve", slow_file, "--tolerance", "1e-5", "--max-iter", "30", "--output", str(out)]) == 3
+        assert capsys.readouterr().err == "error: certification failed: complementary operator eigenvalue -1.920e-06\n"
+        report = json.loads(out.read_text())
+        assert report["result"]["converged"] is True
+        assert "steering" not in report["result"]
+
     @pytest.mark.parametrize("command", ["solve", "simulate"])
     def test_non_finite_prior_is_an_input_error(self, trine_file, tmp_path, capsys, command):
         doc = json.loads(Path(trine_file).read_text())
@@ -401,6 +410,19 @@ class TestSimulateCommand:
         assert main(["simulate", slow_file, "--max-iter", "2"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "did not converge" in captured.err
+
+    @pytest.mark.parametrize(
+        ("budget", "reason"),
+        [
+            (["--max-iter", "30"], "complementary operator eigenvalue -1.920e-06"),
+            ([], "members mix to the target only within 1.688e-09"),
+        ],
+        ids=["infeasible-certificate", "marginal-mismatch"],
+    )
+    def test_loose_tolerance_beyond_the_steering_gates_fails_certification(self, slow_file, capsys, budget, reason):
+        assert main(["simulate", slow_file, "--tolerance", "1e-5", *budget]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: certification failed: {reason}\n"
 
     def test_zero_prior_instance_passes(self, tmp_path):
         ensemble = make_ensemble([0.5, 0.5, 0.0], [projector(1, 0), projector(1, 1), np.eye(2) / 2])

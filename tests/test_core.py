@@ -405,6 +405,11 @@ class TestBornProbabilities:
         with pytest.raises(DimensionMismatch):
             born_probabilities(ensemble, validate_povm([np.eye(2) / 3] * 3))
 
+    def test_dimension_mismatch(self):
+        ensemble = make_ensemble([0.5, 0.5], [projector(1, 0), projector(0, 1)])
+        with pytest.raises(DimensionMismatch, match="^POVM dimension 3 != state dimension 2$"):
+            born_probabilities(ensemble, validate_povm([np.eye(3) / 2] * 2))
+
     def test_clamps_float_noise_only(self):
         ensemble = make_ensemble([0.5, 0.5], [projector(1, 0), projector(0, 1)])
         noisy = Povm(elements=(projector(1, 0) * (1 + 5e-10), projector(0, 1)))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qsd import (
+    DimensionMismatch,
     InfeasibleCertificate,
     NonFinite,
     MalformedStatistics,
@@ -190,6 +191,19 @@ class TestSlackness:
         )
         assert total == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize(
+        ("elements", "message"),
+        [
+            ([np.eye(2) / 2] * 2, "^POVM has 2 elements for 3 states$"),
+            ([np.eye(3) / 3] * 3, "^POVM dimension 3 != certificate dimension 2$"),
+        ],
+        ids=["count", "dimension"],
+    )
+    def test_povm_of_another_shape_is_a_dimension_mismatch(self, trine_ensemble, elements, message):
+        _, structure = structure_of(trine_ensemble)
+        with pytest.raises(DimensionMismatch, match=message):
+            slackness_check(structure, validate_povm(elements))
+
 
 class TestNormIdentity:
     def test_symmetric_orthogonal_pair(self, orthogonal_ensemble):
@@ -245,6 +259,12 @@ class TestDetectorCheck:
     def test_malformed_columns(self):
         with pytest.raises(MalformedStatistics):
             detector_nosignaling_check(np.full((2, 2), 0.6), 1e-9)
+
+    @pytest.mark.parametrize("table", [np.full((2, 3), 0.5), np.ones(1)], ids=["2x3", "vector"])
+    def test_table_that_is_not_square_is_malformed(self, table):
+        # Each column sums to 1, so only the shape check rejects it.
+        with pytest.raises(MalformedStatistics, match="^expected a square table, got shape"):
+            detector_nosignaling_check(table, 1e-9)
 
     def test_born_statistics_of_steered_ensembles_pass(self, trine_ensemble):
         # Any valid detector on the (identical) steered mixtures is safe.

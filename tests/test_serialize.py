@@ -38,6 +38,11 @@ class TestFloatFormatting:
         with pytest.raises(FormatError):
             format_real(np.inf)
 
+    @pytest.mark.parametrize("value", [1j, {1}, b"1", object()], ids=["complex", "set", "bytes", "object"])
+    def test_unsupported_type_rejected(self, value):
+        with pytest.raises(FormatError, match=f"^cannot serialize object of type {type(value).__name__}$"):
+            dump_json({"a": [0.5, value]})
+
     def test_dump_is_deterministic(self):
         doc = {"a": 1 / 3, "b": [1.0, 2.5e-10], "c": {"d": True, "e": None}}
         assert dump_json(doc) == dump_json(doc)
@@ -120,6 +125,15 @@ class TestPairRows:
         matrix[-1][0][1] = entry
         doc = {"povm": [matrix, matrix], "k_operator": matrix}
         assert dump_json(doc) == dump_json(generic(doc))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_numpy_float_entries_are_decoded_entry_by_entry(self, d):
+        # numpy floats are JSON numbers (float subclasses) but not exact floats,
+        # so decode_matrix walks them entry by entry rather than converting whole.
+        matrix = encode_matrix(np.arange(d * d).reshape(d, d) * (0.5 - 0.25j) + 0.1)
+        walked = [[[np.float64(v) for v in pair] for pair in row] for row in matrix]
+        decoded = decode_matrix(walked, "m")
+        assert decoded.dtype == complex and decoded.tobytes() == decode_matrix(matrix, "m").tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("d", [1, 3])
@@ -304,6 +318,22 @@ class TestInstanceDiagnostics:
         doc["dimension"] = "two"
         with pytest.raises(FormatError, match="dimension"):
             parse_instance(dump_json(doc))
+
+    @pytest.mark.parametrize("dimension", [1, 3])
+    def test_matrix_of_another_dimension_than_declared(self, dimension):
+        doc = self.good_doc()
+        doc["dimension"] = dimension
+        with pytest.raises(FormatError) as error:
+            parse_instance(dump_json(doc))
+        assert str(error.value) == f"states[0].matrix: dimension 2, expected {dimension}"
+
+    @pytest.mark.parametrize("entry", [3, 2.5, True, ["a"], "a", None], ids=["int", "float", "bool", "list", "string", "null"])
+    def test_state_that_is_not_an_object_rejected(self, entry):
+        doc = self.good_doc()
+        doc["states"][1] = entry
+        with pytest.raises(FormatError) as error:
+            parse_instance(dump_json(doc))
+        assert str(error.value) == "states[1]: expected an object"
 
     def test_too_few_states(self):
         doc = self.good_doc()

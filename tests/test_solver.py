@@ -99,6 +99,17 @@ class TestSolve:
         np.testing.assert_array_equal(result.povm.elements[0], np.eye(2))
         np.testing.assert_array_equal(result.povm.elements[1], np.zeros((2, 2)))
 
+    def test_iterate_that_drifts_from_completeness_is_an_error(self, trine_ensemble, monkeypatch):
+        iterate = solver._iterate
+
+        def drifting(*args):
+            elements, at, steps = iterate(*args)
+            return elements * (1 + 1e-8), at, steps
+
+        monkeypatch.setattr(solver, "_iterate", drifting)
+        with pytest.raises(solver.CompletenessDrift, match="^iterate completeness deviation 1.000e-08$"):
+            solve(trine_ensemble)
+
 
 class TestAcceleration:
     """The Anderson step on square-root factors: the tail converges and every iterate stays a POVM."""

@@ -143,6 +143,26 @@ class TestGhjwPovm:
         with pytest.raises(UnsteerableWeight, match="member 0 has weight 1.450e-09 outside the steerable support"):
             ghjw_povm(purify(target), decomposition)
 
+    # A member 4e-10 from the target, within MARGINAL_TOL, moves the target's
+    # small eigenvalue a = 1e-6 by -delta, so that the completion element,
+    # I minus the member's element, is diag(-delta / (1 - a), delta / a).
+    def near_target_decomposition(self, delta):
+        a = 1e-6
+        target = validate_density(np.diag([1 - a, a]))
+        return purify(target), make_decomposition(target, [(1.0, np.diag([1 - a + delta, a - delta]))])
+
+    def test_negative_completion_element_rejected(self):
+        psi, decomposition = self.near_target_decomposition(-4e-10)
+        with pytest.raises(UnsteerableWeight, match="^completion element has eigenvalue -4.000e-04$"):
+            ghjw_povm(psi, decomposition)
+
+    def test_completion_element_is_appended_and_steers_nowhere(self):
+        psi, decomposition = self.near_target_decomposition(4e-10)
+        povm, steers = ghjw_povm(psi, decomposition)
+        assert steers == (0, -1)
+        validate_povm(povm.elements)
+        np.testing.assert_allclose(povm.elements[1], np.diag([-4e-10, 4e-4]), rtol=0.0, atol=1e-12)
+
     def test_pure_target_trivial_decomposition(self):
         target = validate_density(projector(1, 1j))
         psi = purify(target)
@@ -160,7 +180,7 @@ def ghjw_per_component(state, decomposition):
     u_i = conj(<b_i|v>) / c_i for Schmidt coefficients c_i and vectors b_i.
     """
     grouped = {}
-    for weight, vector, member in pure_components(decomposition):
+    for weight, vector, member in zip(*pure_components(decomposition)):
         u = (state.basis_b.conj().T @ vector).conj() / state.coefficients
         grouped[member] = grouped.get(member, 0.0) + weight * np.outer(u, u.conj())
     elements = [hermitian_part(grouped[y]) for y in range(len(decomposition.members))]
@@ -179,7 +199,7 @@ def certificate_decompositions():
     ensemble = random_ensemble(np.random.default_rng(74), 4, 4)
     structure = steering_structure(ensemble, solve(ensemble).certificate)
     decompositions = decompositions_from_structure(ensemble, structure)
-    assert all(6 <= len(pure_components(d)) <= 8 for d in decompositions)
+    assert all(6 <= len(pure_components(d)[0]) <= 8 for d in decompositions)
     return structure.normalized_k, decompositions
 
 
@@ -207,6 +227,10 @@ class TestGhjwMatchesPerComponentConstruction:
 
 
 class TestMakeDecomposition:
+    def test_rejects_no_members(self):
+        with pytest.raises(DimensionMismatch, match="^decomposition needs at least one member$"):
+            make_decomposition(validate_density(np.eye(2) / 2), [])
+
     def test_rejects_weights_not_summing_to_one(self):
         state = validate_density(np.eye(2) / 2)
         with pytest.raises(UnsteerableWeight):
@@ -252,18 +276,11 @@ class TestSimulateProtocol:
         stats = simulate_protocol(decompositions, uniform, 60000, seed=6)
         np.testing.assert_allclose(stats.probabilities, np.full((3, 3), 1 / 3), atol=0.02)
 
-    def test_zero_shots_flags_undefined_probabilities(self):
-        _, result, _, decompositions = self.make_orthogonal_setup()
-        stats = simulate_protocol(decompositions, result.povm, 0, seed=0)
-        assert stats.counts.sum() == 0
-        assert stats.probabilities is None
-        with pytest.raises(ValueError):
-            stats.diagonal_sum()
-
     def test_negative_shots_rejected(self):
         _, result, _, decompositions = self.make_orthogonal_setup()
-        with pytest.raises(ValueError):
-            simulate_protocol(decompositions, result.povm, -1, seed=0)
+        for shots in (-1, 0):
+            with pytest.raises(ValueError, match=r"shots must be in \[1, "):
+                simulate_protocol(decompositions, result.povm, shots, seed=0)
 
     @pytest.mark.parametrize("shots", [2**63, 10**20])
     def test_shots_beyond_int64_rejected(self, shots):
@@ -318,7 +335,7 @@ class TestSimulateProtocol:
         ensemble = random_ensemble(np.random.default_rng(74), 4, 4)
         result = solve(ensemble)
         decompositions = decompositions_from_structure(ensemble, steering_structure(ensemble, result.certificate))
-        assert all(6 <= len(pure_components(d)) <= 8 for d in decompositions)
+        assert all(6 <= len(pure_components(d)[0]) <= 8 for d in decompositions)
         shots = 200000
         stats = simulate_protocol(decompositions, result.povm, shots, seed=9)
         mixtures = np.array([d.mixture for d in decompositions])
