@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import permutations
@@ -41,9 +42,13 @@ def lower_bound(ensemble: StateEnsemble, ordering=None) -> BoundReport:
     value when N = 2.
     """
     n = len(ensemble)
-    order = tuple(range(n) if ordering is None else (int(i) for i in ordering))
+    given = tuple(range(n) if ordering is None else ordering)
+    try:
+        order = tuple(map(operator.index, given))
+    except TypeError:
+        order = ()
     if sorted(order) != list(range(n)):
-        raise BadPermutation(f"{order} is not a permutation of 0..{n - 1}")
+        raise BadPermutation(f"{given} is not a permutation of 0..{n - 1}")
     weighted = ensemble.weighted_stack()
     terms = tuple(_trace_norms(weighted[list(order)] - weighted[list(order[1:] + order[:1])]).tolist())
     # builtin sum so the value is bit-reproducible from the recorded pair terms

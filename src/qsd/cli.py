@@ -49,19 +49,21 @@ log = logging.getLogger("qsd")
 
 def main(argv=None) -> int:
     _configure_logging()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        ensemble, labels = parse_instance(_read_text(args.instance))
+        return args.handler(args, ensemble, labels)
     except (QsdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 
 def _configure_logging() -> None:
-    level_name = os.environ.get("QSD_LOG", "").upper()
-    if level_name:
-        level = getattr(logging, level_name, logging.INFO)
+    name = os.environ.get("QSD_LOG", "")
+    if name:
+        # getLevelName maps a level's name to its number and any other text to a string.
+        level = logging.getLevelName(name.upper())
+        level = level if isinstance(level, int) else logging.INFO
         logging.basicConfig(level=level, stream=sys.stderr, format="%(name)s %(levelname)s %(message)s")
 
 
@@ -77,38 +79,38 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qsd", description="Optimal quantum state discrimination with certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="solve an instance and emit a certificate report")
-    p_solve.add_argument("instance")
+    p_solve = _command(sub, "solve", cmd_solve, "solve an instance and emit a certificate report")
     _solver_flags(p_solve)
     _output_flag(p_solve)
-    p_solve.set_defaults(handler=cmd_solve)
 
-    p_bound = sub.add_parser("bound", help="evaluate the cyclic lower bound")
-    p_bound.add_argument("instance")
+    p_bound = _command(sub, "bound", cmd_bound, "evaluate the cyclic lower bound")
     p_bound.add_argument("--best-cyclic", action="store_true", help="also maximize over cyclic orderings")
     _output_flag(p_bound)
-    p_bound.set_defaults(handler=cmd_bound)
 
-    p_certify = sub.add_parser("certify", help="re-verify a solve report against its instance")
-    p_certify.add_argument("instance")
+    p_certify = _command(sub, "certify", cmd_certify, "re-verify a solve report against its instance")
     p_certify.add_argument("report")
     _tolerance_flag(p_certify, "; a report's own options.kkt_tolerance can only tighten it")
-    p_certify.set_defaults(handler=cmd_certify)
 
-    p_sim = sub.add_parser("simulate", help="sample the steering protocol with the optimal detector")
-    p_sim.add_argument("instance")
-    p_sim.add_argument("--shots", type=int, default=100000)
-    p_sim.add_argument("--seed", type=_int_at_least(0), default=0, help="seed for sampling (default 0)")
+    p_sim = _command(sub, "simulate", cmd_simulate, "sample the steering protocol with the optimal detector")
+    p_sim.add_argument("--shots", type=_int_in(1, MAX_SHOTS), default=100000)
+    p_sim.add_argument("--seed", type=_int_in(0), default=0, help="seed for sampling (default 0)")
     _solver_flags(p_sim)
     _output_flag(p_sim)
-    p_sim.set_defaults(handler=cmd_simulate)
 
+    return parser
+
+
+def _command(sub, name: str, handler, summary: str) -> argparse.ArgumentParser:
+    """A subcommand whose first positional argument is the instance file main reads for handler."""
+    parser = sub.add_parser(name, help=summary)
+    parser.add_argument("instance")
+    parser.set_defaults(handler=handler)
     return parser
 
 
 def _solver_flags(parser) -> None:
     _tolerance_flag(parser)
-    parser.add_argument("--max-iter", type=_int_at_least(1), default=10000, help="iteration budget (default 10000)")
+    parser.add_argument("--max-iter", type=_int_in(1), default=10000, help="iteration budget (default 10000)")
 
 
 def _tolerance_flag(parser, note: str = "") -> None:
@@ -125,16 +127,17 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _int_at_least(minimum: int):
-    """An argparse type: an integer >= minimum, or a usage error."""
+def _int_in(minimum: int, maximum: float = np.inf):
+    """An argparse type: an integer from minimum to maximum, or a usage error."""
+    expected = f">= {minimum}" if maximum == np.inf else f"from {minimum} to {maximum}"
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = minimum - 1
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        if not minimum <= value <= maximum:
+            raise argparse.ArgumentTypeError(f"expected an integer {expected}, got {text!r}")
         return value
 
     return parse
@@ -153,6 +156,12 @@ def _read_text(path: str) -> str:
         raise FormatError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
+def _doc(command: str, ensemble, labels, **sections) -> dict:
+    """A report: its version, command and instance echo, then the given sections in order."""
+    echo = {"hash": instance_hash(ensemble, labels), "dimension": ensemble.dim, "num_states": len(ensemble)}
+    return {"version": REPORT_VERSION, "command": command, "instance": echo, **sections}
+
+
 def _write_report(doc: dict, output) -> None:
     text = dump_json(doc)
     if output:
@@ -166,30 +175,29 @@ def _options(args) -> SolverOptions:
     return SolverOptions(max_iterations=args.max_iter, kkt_tolerance=args.tolerance)
 
 
-def cmd_solve(args) -> int:
-    ensemble, labels = parse_instance(_read_text(args.instance))
+def cmd_solve(args, ensemble, labels) -> int:
     opts = _options(args)
     result = solve(ensemble, opts)
     log.info("solve: value=%.12g converged=%s iterations=%d", result.guess_probability, result.converged, result.iterations)
 
-    doc = {
-        "version": REPORT_VERSION,
-        "command": "solve",
-        "instance": _instance_echo(ensemble, labels),
-        "options": _options_block(opts),
-        "result": {
+    doc = _doc(
+        "solve",
+        ensemble,
+        labels,
+        options=_options_block(opts),
+        result={
             "guess_probability": result.guess_probability,
             "converged": result.converged,
             "iterations": result.iterations,
             "trace_k": result.certificate.trace_k,
             "residuals": _residual_block(result.report),
         },
-        "matrices": {
+        matrices={
             "povm": [encode_matrix(m) for m in result.povm.elements],
             "k_operator": encode_matrix(result.certificate.k_operator),
             "sigma": [encode_matrix(s) for s in result.certificate.sigma],
         },
-    }
+    )
     code = EXIT_OK if result.converged else EXIT_NOT_CONVERGED
     if result.converged:
         try:
@@ -214,32 +222,19 @@ def _certification_failed(exc: QsdError) -> int:
     return EXIT_CERTIFICATION
 
 
-def cmd_bound(args) -> int:
-    ensemble, labels = parse_instance(_read_text(args.instance))
-    report = lower_bound(ensemble)
-    doc = {
-        "version": REPORT_VERSION,
-        "command": "bound",
-        "instance": _instance_echo(ensemble, labels),
-        "result": {
-            "lower_bound": report.lower_bound,
-            "ordering": list(report.ordering),
-            "pair_terms": list(report.pair_terms),
-        },
-    }
+def cmd_bound(args, ensemble, labels) -> int:
+    result = _bound_block(lower_bound(ensemble))
     if args.best_cyclic:
-        best = best_cyclic_bound(ensemble)
-        doc["result"]["best_cyclic"] = {
-            "lower_bound": best.lower_bound,
-            "ordering": list(best.ordering),
-            "pair_terms": list(best.pair_terms),
-        }
-    _write_report(doc, args.output)
+        result["best_cyclic"] = _bound_block(best_cyclic_bound(ensemble))
+    _write_report(_doc("bound", ensemble, labels, result=result), args.output)
     return EXIT_OK
 
 
-def cmd_certify(args) -> int:
-    ensemble, labels = parse_instance(_read_text(args.instance))
+def _bound_block(report) -> dict:
+    return {"lower_bound": report.lower_bound, "ordering": list(report.ordering), "pair_terms": list(report.pair_terms)}
+
+
+def cmd_certify(args, ensemble, labels) -> int:
     report = parse_report(_read_text(args.report))
     if report.get("command") != "solve":
         raise FormatError(f'certify needs a solve report, got command {report.get("command")!r}')
@@ -305,11 +300,7 @@ def _number(section: dict, key: str, default: float, context: str) -> float:
     return float(value)
 
 
-def cmd_simulate(args) -> int:
-    if not 0 < args.shots <= MAX_SHOTS:
-        print(f"error: shots must be positive and at most {MAX_SHOTS}", file=sys.stderr)
-        return EXIT_INPUT
-    ensemble, labels = parse_instance(_read_text(args.instance))
+def cmd_simulate(args, ensemble, labels) -> int:
     opts = _options(args)
     result = solve(ensemble, opts)
     if not result.converged:
@@ -323,15 +314,15 @@ def cmd_simulate(args) -> int:
         return _certification_failed(exc)
     analytic = born_table(np.array([e.mixture for e in decompositions]), result.povm.elements)
     threshold = 3.0 * float(np.sqrt(len(ensemble) / (4.0 * args.shots)))
-    diag, ok = detector_nosignaling_check(stats, threshold)
+    diag, ok = detector_nosignaling_check(stats.probabilities, threshold)
     log.info("simulate: diagonal sum=%.6f threshold=%.2e ok=%s", diag, threshold, ok)
 
-    doc = {
-        "version": REPORT_VERSION,
-        "command": "simulate",
-        "instance": _instance_echo(ensemble, labels),
-        "options": {**_options_block(opts), "seed": args.seed, "shots": args.shots},
-        "result": {
+    doc = _doc(
+        "simulate",
+        ensemble,
+        labels,
+        options={**_options_block(opts), "seed": args.seed, "shots": args.shots},
+        result={
             "guess_probability": result.guess_probability,
             "shots_per_message": stats.shots_per_message,
             "counts": [[int(c) for c in row] for row in stats.counts],
@@ -341,13 +332,9 @@ def cmd_simulate(args) -> int:
             "statistical_threshold": threshold,
             "nosignaling_ok": ok,
         },
-    }
+    )
     _write_report(doc, args.output)
     return EXIT_OK if ok else EXIT_CERTIFICATION
-
-
-def _instance_echo(ensemble, labels) -> dict:
-    return {"hash": instance_hash(ensemble, labels), "dimension": ensemble.dim, "num_states": len(ensemble)}
 
 
 def _options_block(opts: SolverOptions) -> dict:

@@ -178,15 +178,16 @@ def norm_identity_check(structure: SteeringStructure, ensemble: StateEnsemble) -
     return float(np.abs(norms[0] - norms[1]).max())
 
 
-def detector_nosignaling_check(stats, tolerance: float) -> tuple[float, bool]:
+def detector_nosignaling_check(probabilities, tolerance: float) -> tuple[float, bool]:
     """Sum of diagonal detector probabilities and the no-signaling verdict.
 
-    stats may be a DetectorStatistics object or a bare N x N table whose
-    entry (x, x') is the probability of answer x given message x'.  The sum
-    of correct-answer probabilities exceeding 1 (beyond the caller-supplied
-    statistical or numerical tolerance) would enable signaling.
+    probabilities is an N x N table whose entry (x, x') is the probability
+    of answer x given message x' (DetectorStatistics.probabilities, say).
+    The sum of correct-answer probabilities exceeding 1 (beyond the
+    caller-supplied statistical or numerical tolerance) would enable
+    signaling.
     """
-    table = np.asarray(getattr(stats, "probabilities", stats), dtype=float)
+    table = np.asarray(probabilities, dtype=float)
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise MalformedStatistics(f"expected a square table, got shape {table.shape}")
     column_sums = table.sum(axis=0)

@@ -369,9 +369,8 @@ def _vanishing(feas: np.ndarray, residual: float) -> np.ndarray:
 
 
 def _step(weighted: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """The plain fixed-point map on square-root factors: A_x <- G^{-1/2} W_x A_x."""
-    b = weighted @ factors
-    return psd_sqrt_pinv(_gram(b)) @ b
+    """The plain fixed-point map on square-root factors: the completion S^{-1/2} C of C_x = W_x A_x."""
+    return _complete(weighted @ factors)
 
 
 def _complete(factors: np.ndarray) -> np.ndarray:
@@ -457,28 +456,26 @@ class _Anderson:
         self.f, self.g = f, g
 
     def candidate(self) -> np.ndarray | None:
-        """The extrapolated factors renormalised onto the POVM set, or None before two pushes.
+        """The extrapolated factors renormalised onto the POVM set, or None when there is no candidate.
 
         The weights gamma minimise |f - sum_j gamma_j df_j| in the real
         inner product: they solve the normal equations with the unit-diagonal
-        Gram matrix directly, and fall back to a least-squares solve when the
-        Gram matrix is singular (a stored difference is zero, say) or gamma
-        is not finite.  C = g - sum_j gamma_j dg_j is then mapped to S^{-1/2} C
-        with S = sum_x C_x C_x^dagger, so its elements are PSD and complete
-        by construction.  The order of the stored differences does not
-        change the least-squares problem, so the ring needs no rotation.
+        Gram matrix directly.  There is no candidate before two pushes, nor
+        when that Gram matrix is singular (a stored difference is zero, say)
+        or gamma is not finite; the step then takes the plain image.
+        C = g - sum_j gamma_j dg_j is mapped to S^{-1/2} C with
+        S = sum_x C_x C_x^dagger, so its elements are PSD and complete by
+        construction.  The order of the stored differences does not change
+        the least-squares problem, so the ring needs no rotation.
         """
         m = min(self.stored, ANDERSON_MEMORY)
         if m == 0:
             return None
-        gram, rhs = self.gram[:m, :m], self.df[:m] @ self.f
         try:
-            gamma = _solve(gram, rhs)
+            gamma = _solve(self.gram[:m, :m], self.df[:m] @ self.f)
         except np.linalg.LinAlgError:
-            gamma = None
-        if gamma is None or not np.isfinite(gamma).all():
-            gamma = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-        return _complete((self.g - gamma @ self.dg[:m]).reshape(self.shape))
+            return None
+        return _complete((self.g - gamma @ self.dg[:m]).reshape(self.shape)) if np.isfinite(gamma).all() else None
 
 
 def _residuals(weighted: np.ndarray, elements: np.ndarray, k: np.ndarray):

@@ -205,9 +205,6 @@ class DetectorStatistics:
         """Conditional frequency table: counts over shots_per_message (at least 1)."""
         return self.counts / float(self.shots_per_message)
 
-    def diagonal_sum(self) -> float:
-        return float(np.trace(self.probabilities))
-
 
 def simulate_protocol(ensembles, bob_povm: Povm, shots: int, seed: int) -> DetectorStatistics:
     """Sample the steering protocol: message -> steered pure state -> detector click.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from functools import cache
 from itertools import permutations
 
@@ -55,9 +56,14 @@ def test_report_is_self_consistent(trine_ensemble):
     assert all(0.0 <= t <= 2.0 for t in report.pair_terms)
 
 
-def test_bad_permutation(trine_ensemble):
-    with pytest.raises(BadPermutation):
-        lower_bound(trine_ensemble, ordering=[0, 1, 1])
+@pytest.mark.parametrize("ordering", [[0, 1, 1], [0, 1.7, 2], ["0", "1", "2"]], ids=["repeated", "float", "text"])
+def test_bad_permutation(trine_ensemble, ordering):
+    with pytest.raises(BadPermutation, match=rf"^{re.escape(str(tuple(ordering)))} is not a permutation of 0\.\.2$"):
+        lower_bound(trine_ensemble, ordering=ordering)
+
+
+def test_numpy_integer_ordering_is_read_as_indices(trine_ensemble):
+    assert lower_bound(trine_ensemble, ordering=np.array([2, 0, 1])).ordering == (2, 0, 1)
 
 
 def test_explicit_ordering_changes_pairing():

@@ -168,21 +168,11 @@ class TestAndersonWeights:
         candidate = anderson.candidate()
         assert np.abs(candidate - reference).max() <= 1e-12 * np.abs(reference).max()
 
-    def test_repeated_pair_takes_the_fallback_without_a_warning(self, monkeypatch):
+    def test_repeated_pair_yields_no_candidate_without_a_warning(self):
         anderson, pairs = self.plain_history(3)
+        assert anderson.candidate() is not None
         anderson.push(*pairs[-1])  # a zero difference; pytest turns any warning into an error
-        calls = []
-        lstsq = np.linalg.lstsq
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return lstsq(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "lstsq", counting)
-        candidate = anderson.candidate()
-        assert calls
-        assert np.isfinite(candidate).all()
-        validate_povm(solver._elements_of(candidate))
+        assert anderson.candidate() is None
 
 
 class TestActiveSetStep:
