@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import permutations
 
 import numpy as np
 
-from .core import QsdError, StateEnsemble, _frozen, _trace_norms
+from .core import QsdError, StateEnsemble, _frozen, _integer, _trace_norms
 
 MAX_CYCLE_STATES = 8
 
@@ -39,15 +38,14 @@ def lower_bound(ensemble: StateEnsemble, ordering=None) -> BoundReport:
     """Evaluate the cyclic lower bound in the given ordering (input order by default).
 
     The bound holds for every ordering; it reduces to the exact two-state
-    value when N = 2.
+    value when N = 2.  The entries of ordering must be integers (numpy
+    integers too, not bools) forming a permutation of 0..N-1, else
+    BadPermutation.
     """
     n = len(ensemble)
     given = tuple(range(n) if ordering is None else ordering)
-    try:
-        order = tuple(map(operator.index, given))
-    except TypeError:
-        order = ()
-    if sorted(order) != list(range(n)):
+    order = tuple(map(_integer, given))
+    if None in order or sorted(order) != list(range(n)):
         raise BadPermutation(f"{given} is not a permutation of 0..{n - 1}")
     weighted = ensemble.weighted_stack()
     terms = tuple(_trace_norms(weighted[list(order)] - weighted[list(order[1:] + order[:1])]).tolist())
@@ -68,8 +66,8 @@ def best_cyclic_bound(ensemble: StateEnsemble) -> BoundReport:
     wins only if its value exceeds the best so far by more than 1e-15, so
     ties go to the lexicographically smallest ordering for deterministic
     output.  Each ordering's value is formed from one table of ordered-pair
-    norms by the additions lower_bound makes, so the winner's value is
-    reproduced bit for bit.
+    norms by the additions lower_bound makes, so the report read from that
+    table equals lower_bound(ensemble, ordering) of the winner bit for bit.
     """
     n = len(ensemble)
     if n > MAX_CYCLE_STATES:
@@ -85,7 +83,7 @@ def best_cyclic_bound(ensemble: StateEnsemble) -> BoundReport:
     while later.size:
         best = later[0]
         later = later[values[later] > values[best] + 1e-15]
-    return lower_bound(ensemble, orders[best].tolist())
+    return BoundReport(float(values[best]), tuple(orders[best].tolist()), tuple(terms[best].tolist()))
 
 
 @lru_cache(maxsize=MAX_CYCLE_STATES)

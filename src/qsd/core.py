@@ -43,6 +43,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -103,6 +104,18 @@ class InvalidProbability(QsdError):
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _integer(value) -> int | None:
+    """value as a Python int if it is an integer, a numpy integer included, else None.
+
+    bool and numpy.bool_ are not integers here.  They are refused before
+    operator.index, which takes True as 1, and on numpy 1.x numpy.bool_ too.
+    """
+    try:
+        return None if isinstance(value, (bool, np.bool_)) else operator.index(value)
+    except TypeError:
+        return None
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -166,12 +179,6 @@ def psd_sqrt_pinv(a: np.ndarray) -> np.ndarray:
     k = np.searchsorted(w, cutoff, side="right")
     kept = v[:, k:]
     return (kept / np.sqrt(w[k:])) @ kept.conj().T
-
-
-def psd_project(a: np.ndarray) -> np.ndarray:
-    """Clip negative eigenvalues of a Hermitian matrix, or of each matrix in a stack, to zero."""
-    w, v = _eigh(hermitian_part(a))
-    return (v * np.maximum(w, 0.0)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)

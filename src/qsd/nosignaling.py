@@ -25,11 +25,11 @@ from .core import (
     Povm,
     QsdError,
     StateEnsemble,
+    _eigh,
     _frozen,
     _trace_norms,
     hermitian_part,
     pair_indices,
-    psd_project,
 )
 from .solver import DualCertificate
 from .steering import make_decomposition
@@ -118,7 +118,8 @@ def _normalize_psd(stack: np.ndarray) -> np.ndarray:
     Certificate operators carry eigenvalue noise at the solver tolerance;
     clipping removes it, so each result is a density matrix by construction.
     """
-    clipped = psd_project(stack)
+    w, v = _eigh(hermitian_part(stack))
+    clipped = (v * np.maximum(w, 0.0)[..., None, :]) @ v.conj().swapaxes(-1, -2)
     return _frozen(hermitian_part(clipped / np.trace(clipped, axis1=1, axis2=2).real[:, None, None]))
 
 
@@ -185,14 +186,15 @@ def detector_nosignaling_check(probabilities, tolerance: float) -> tuple[float, 
     of answer x given message x' (DetectorStatistics.probabilities, say).
     The sum of correct-answer probabilities exceeding 1 (beyond the
     caller-supplied statistical or numerical tolerance) would enable
-    signaling.
+    signaling.  MalformedStatistics names a table that is not square or
+    whose columns do not sum to 1 within tolerance, a NaN entry included.
     """
     table = np.asarray(probabilities, dtype=float)
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise MalformedStatistics(f"expected a square table, got shape {table.shape}")
     column_sums = table.sum(axis=0)
     off = float(np.abs(column_sums - 1.0).max())
-    if off > tolerance:
+    if not off <= tolerance:
         raise MalformedStatistics(f"column sums deviate from 1 by {off:.3e}")
     diagonal_sum = float(np.trace(table))
     return diagonal_sum, bool(diagonal_sum <= 1.0 + tolerance)

@@ -70,11 +70,15 @@ solve's, it stops fresh seed 9 #190 at 168 iterations with a residual of
 
 Operators are held as (N, d, d) stacks: the weighted states W_x = q_x rho_x,
 the factors and the elements.  One routine each forms K = sum_x W_x M_x
-(_dual), the dual side of the optimality conditions with one batched eigvalsh
-over K - W (_residuals) and the primal objective sum_x tr[W_x M_x]
-(_objective), for the iteration and the certificate alike, and one forms the
-KktReport of a certificate (_report).  A solve's guess_probability is its
-certificate's objective, the value its gap is measured against.
+(_dual) and the dual side of the optimality conditions with one batched
+eigvalsh over K - W (_residuals), for the iteration and the certificate
+alike, and one forms the KktReport of a certificate (_report).  The
+iteration's residual (_residual) tests slackness and dual feasibility only:
+its iterates are POVMs by construction, and tr K equals the objective sum_x
+tr[W_x M_x] because K is built from them, so the gap is round-off.  The
+final report still carries all four residuals, and converged reads them
+all.  A solve's guess_probability is its certificate's objective, the value
+its gap is measured against.
 """
 
 from __future__ import annotations
@@ -94,6 +98,7 @@ from .core import (
     _elements,
     _frozen,
     _hermitian,
+    _integer,
     _solve,
     hermitian_part,
     hermiticity_error,
@@ -127,9 +132,9 @@ class SolverOptions:
     kkt_tolerance: float = 1e-9
 
     def __post_init__(self):
-        if not 0.0 < self.kkt_tolerance < np.inf:
+        if isinstance(self.kkt_tolerance, (bool, np.bool_)) or not 0.0 < self.kkt_tolerance < np.inf:
             raise ValueError(f"kkt_tolerance must be positive and finite, got {self.kkt_tolerance}")
-        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, int) or self.max_iterations < 1:
+        if _integer(self.max_iterations) is None or self.max_iterations < 1:
             raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
 
 
@@ -217,7 +222,7 @@ def certificate_from_povm(ensemble: StateEnsemble, povm: Povm, k=None) -> DualCe
         slackness=_frozen(slackness),
         dual_feasibility=_frozen(feas),
         trace_k=float(k.trace().real),
-        objective=_objective(weighted, elements),
+        objective=float(np.einsum("xij,xji->", weighted, elements).real),
     )
 
 
@@ -241,7 +246,9 @@ def solve(ensemble: StateEnsemble, options: SolverOptions | None = None) -> Disc
     residuals within options.kkt_tolerance, which by SDP duality pins the
     value to the optimum within that tolerance.  If the iteration budget runs
     out the best iterate seen is returned with converged=False (a flagged
-    result, not an exception).
+    result, not an exception).  An iterate that has left the POVM set, its
+    report's primal residual above COMPLETENESS_TOL (a negative element, or
+    elements that do not sum to I), is an internal failure: CompletenessDrift.
     """
     opts = options or SolverOptions()
     d = ensemble.dim
@@ -254,15 +261,13 @@ def solve(ensemble: StateEnsemble, options: SolverOptions | None = None) -> Disc
 
     full = np.zeros((len(ensemble), d, d), dtype=complex)
     full[active] = hermitian_part(best_elements)
-    # Iterates are PSD and complete by construction; this guards against
-    # numerical drift producing an invalid certificate.
-    comp = float(np.abs(full.sum(axis=0) - _identity(d)).max())
-    if comp > COMPLETENESS_TOL:
-        raise CompletenessDrift(f"iterate completeness deviation {comp:.3e}")
     povm = Povm(elements=full)
-
     certificate = certificate_from_povm(ensemble, povm)
     report = _report(povm, certificate)
+    # Iterates are PSD and complete by construction; this guards against
+    # numerical drift producing an invalid certificate.
+    if not report.primal_residual <= COMPLETENESS_TOL:
+        raise CompletenessDrift(f"iterate left the POVM set: primal residual {report.primal_residual:.3e}")
     return DiscriminationResult(
         guess_probability=certificate.objective,
         povm=povm,
@@ -407,14 +412,14 @@ def _dual(weighted: np.ndarray, elements: np.ndarray) -> np.ndarray:
 
 
 def _residual(weighted: np.ndarray, elements: np.ndarray) -> tuple[float, np.ndarray]:
-    """Largest of the slackness, dual-feasibility and gap residuals at K = sum_x W_x M_x.
+    """Largest of the slackness and dual-feasibility residuals at K = sum_x W_x M_x.
 
-    Also returns the smallest eigenvalue of each sigma_x = K - W_x.
+    Also returns the smallest eigenvalue of each sigma_x = K - W_x.  The gap
+    is left out: tr K equals sum_x tr[W_x M_x] by construction, up to
+    round-off, so it could never decide a step or a stop.
     """
-    k = _dual(weighted, elements)
-    _, slackness, feas = _residuals(weighted, elements, k)
-    gap = k.trace().real - _objective(weighted, elements)
-    return float(max(abs(slackness).max(), -feas.min(), abs(gap))), feas
+    _, slackness, feas = _residuals(weighted, elements, _dual(weighted, elements))
+    return float(max(abs(slackness).max(), -feas.min())), feas
 
 
 class _Anderson:
@@ -490,11 +495,6 @@ def _residuals(weighted: np.ndarray, elements: np.ndarray, k: np.ndarray):
     slackness = np.einsum("xij,xji->x", sigma, elements).real
     feas = _eigvalsh(sigma)[:, 0]
     return sigma, slackness, feas
-
-
-def _objective(weighted: np.ndarray, elements: np.ndarray) -> float:
-    """The primal objective sum_x tr[W_x M_x] of two (N, d, d) stacks."""
-    return float(np.einsum("xij,xji->", weighted, elements).real)
 
 
 def _report(povm: Povm, certificate: DualCertificate) -> KktReport:

@@ -23,6 +23,7 @@ from .core import (
     QsdError,
     _eigh,
     _frozen,
+    _integer,
     _trace_norms,
     born_table,
     hermitian_part,
@@ -214,10 +215,10 @@ def simulate_protocol(ensembles, bob_povm: Povm, shots: int, seed: int) -> Detec
     (the Born probabilities of bob_povm on the steered state) is tabulated
     once, and all shots are drawn from it as one multinomial; the cost does
     not grow with shots.  One seeded generator drives the whole run, so
-    identical inputs give identical counts.  shots must lie in [1,
-    MAX_SHOTS], else ValueError.
+    identical inputs give identical counts.  shots must be an integer (a
+    numpy integer too, not a bool) in [1, MAX_SHOTS], else ValueError.
     """
-    if not 1 <= shots <= MAX_SHOTS:
+    if _integer(shots) is None or not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must be in [1, {MAX_SHOTS}], got {shots}")
     n = len(ensembles)
     if len(bob_povm) != n:

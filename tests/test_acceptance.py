@@ -108,6 +108,12 @@ def test_recorded_value_is_the_objective_the_gap_is_measured_against(corpus):
         assert result.guess_probability == result.certificate.objective
 
 
+def test_gap_is_round_off_because_k_is_built_from_the_iterate(corpus):
+    """tr K equals the objective up to N d^2 eps: the identity that lets the iteration skip the gap."""
+    for ensemble, result in corpus:
+        assert abs(result.report.gap) <= len(ensemble) * ensemble.dim**2 * np.finfo(float).eps
+
+
 def test_criterion_4_identical_ensembles(corpus, trine):
     """Every decomposition reproduces the shared state; pairwise norm identity holds."""
     worst_ensemble = worst_norm = 0.0

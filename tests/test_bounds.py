@@ -56,7 +56,11 @@ def test_report_is_self_consistent(trine_ensemble):
     assert all(0.0 <= t <= 2.0 for t in report.pair_terms)
 
 
-@pytest.mark.parametrize("ordering", [[0, 1, 1], [0, 1.7, 2], ["0", "1", "2"]], ids=["repeated", "float", "text"])
+@pytest.mark.parametrize(
+    "ordering",
+    [[0, 1, 1], [0, 1.7, 2], ["0", "1", "2"], [0, True, 2], [0, np.True_, 2]],
+    ids=["repeated", "float", "text", "bool", "numpy-bool"],
+)
 def test_bad_permutation(trine_ensemble, ordering):
     with pytest.raises(BadPermutation, match=rf"^{re.escape(str(tuple(ordering)))} is not a permutation of 0\.\.2$"):
         lower_bound(trine_ensemble, ordering=ordering)

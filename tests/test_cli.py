@@ -5,6 +5,9 @@ from __future__ import annotations
 import ast
 import json
 import logging
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -588,10 +591,17 @@ class TestParserReuse:
         assert reused.startswith("usage: qsd")
 
 
-def test_log_env_var_enables_diagnostics(orthogonal_file, tmp_path, monkeypatch):
-    monkeypatch.setenv("QSD_LOG", "debug")
-    out = tmp_path / "report.json"
-    assert main(["solve", orthogonal_file, "--output", str(out)]) == 0
+def test_log_env_var_enables_diagnostics(tmp_path):
+    # A fresh interpreter: under pytest the root logger already holds handlers, so basicConfig would do nothing.
+    root = Path(__file__).resolve().parent.parent
+    env = {name: value for name, value in os.environ.items() if name != "QSD_LOG"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    instance = str(root / "instances" / "trine.json")
+    argv = [sys.executable, "-m", "qsd.cli", "solve", instance, "--output", str(tmp_path / "r.json")]
+    quiet = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    loud = subprocess.run(argv, env={**env, "QSD_LOG": "info"}, capture_output=True, text=True, check=True)
+    assert quiet.stderr == ""
+    assert "qsd INFO solve: value=" in loud.stderr
 
 
 @pytest.mark.parametrize(

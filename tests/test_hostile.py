@@ -99,6 +99,13 @@ def test_hostile_instance_converges_with_every_residual_within_tolerance(kind, i
         assert abs(getattr(report, field)) <= TOL, (kind, index, field, getattr(report, field))
 
 
+@pytest.mark.parametrize("kind,index", CASES, ids=CASE_IDS)
+def test_hostile_gap_is_round_off(kind, index):
+    # The iteration's stop rule leaves the gap out because K is built from the iterate.
+    ensemble, result = solved_case(kind, index)
+    assert abs(result.report.gap) <= len(ensemble) * ensemble.dim**2 * np.finfo(float).eps
+
+
 def _files_n8_d8():
     # The benchmark's generated N = 8, d = 8 file instance, drawn after its 4 x 4 one.
     rng = np.random.default_rng(20260101)

@@ -25,7 +25,7 @@ from qsd import (
     validate_density,
     validate_povm,
 )
-from qsd.core import psd_project, trace_norms
+from qsd.core import trace_norms
 from qsd.nosignaling import ABSENT_TRACE
 from qsd.rand import random_ensemble, random_povm
 
@@ -127,7 +127,8 @@ class TestStackedNormalisation:
     @staticmethod
     def assert_matches_per_matrix_reference(ensemble, certificate):
         def normalize(matrix):
-            clipped = psd_project(matrix)
+            w, v = np.linalg.eigh((matrix + matrix.conj().T) / 2)
+            clipped = (v * np.maximum(w, 0.0)) @ v.conj().T
             return validate_density(clipped / clipped.trace().real).matrix
 
         structure = steering_structure(ensemble, certificate)
@@ -259,6 +260,10 @@ class TestDetectorCheck:
     def test_malformed_columns(self):
         with pytest.raises(MalformedStatistics):
             detector_nosignaling_check(np.full((2, 2), 0.6), 1e-9)
+
+    def test_nan_entry_is_malformed(self):
+        with pytest.raises(MalformedStatistics, match="^column sums deviate from 1 by nan$"):
+            detector_nosignaling_check([[np.nan, 0.5], [0.5, 0.5]], 0.1)
 
     @pytest.mark.parametrize("table", [np.full((2, 3), 0.5), np.ones(1)], ids=["2x3", "vector"])
     def test_table_that_is_not_square_is_malformed(self, table):

@@ -107,7 +107,15 @@ class TestSolve:
             return elements * (1 + 1e-8), at, steps
 
         monkeypatch.setattr(solver, "_iterate", drifting)
-        with pytest.raises(solver.CompletenessDrift, match="^iterate completeness deviation 1.000e-08$"):
+        with pytest.raises(solver.CompletenessDrift, match="^iterate left the POVM set: primal residual 1.000e-08$"):
+            solve(trine_ensemble)
+
+    def test_iterate_with_a_negative_element_is_an_error(self, trine_ensemble, monkeypatch):
+        # Complete (the elements sum to I) but M_0 and M_1 have eigenvalue -1/6.
+        tilt = np.diag([0.5, -0.5])
+        complete = np.array([np.eye(2) / 3 + tilt, np.eye(2) / 3 - tilt, np.eye(2) / 3], dtype=complex)
+        monkeypatch.setattr(solver, "_iterate", lambda *args: (complete, 1, 1))
+        with pytest.raises(solver.CompletenessDrift, match="^iterate left the POVM set: primal residual 1.667e-01$"):
             solve(trine_ensemble)
 
 
@@ -348,12 +356,29 @@ class TestSolverOptions:
 
     @pytest.mark.parametrize(
         "options",
-        [{"kkt_tolerance": np.inf}, {"kkt_tolerance": np.nan}, {"max_iterations": True}, {"max_iterations": 2.5}],
-        ids=["tolerance-inf", "tolerance-nan", "iterations-bool", "iterations-float"],
+        [
+            {"kkt_tolerance": np.inf},
+            {"kkt_tolerance": np.nan},
+            {"kkt_tolerance": True},
+            {"max_iterations": True},
+            {"max_iterations": np.True_},
+            {"max_iterations": 2.5},
+        ],
+        ids=[
+            "tolerance-inf",
+            "tolerance-nan",
+            "tolerance-bool",
+            "iterations-bool",
+            "iterations-numpy-bool",
+            "iterations-float",
+        ],
     )
     def test_rejects_non_finite_tolerance_and_non_integer_budget(self, options):
         with pytest.raises(ValueError):
             SolverOptions(**options)
+
+    def test_accepts_numpy_integer_budget(self):
+        assert SolverOptions(max_iterations=np.int64(5)) == SolverOptions(max_iterations=5)
 
 
 class TestDualOperator:

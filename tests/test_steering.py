@@ -280,7 +280,7 @@ class TestSimulateProtocol:
 
     def test_negative_shots_rejected(self):
         _, result, _, decompositions = self.make_orthogonal_setup()
-        for shots in (-1, 0):
+        for shots in (-1, 0, 1.5, True, np.True_):
             with pytest.raises(ValueError, match=r"shots must be in \[1, "):
                 simulate_protocol(decompositions, result.povm, shots, seed=0)
 
