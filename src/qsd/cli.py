@@ -92,8 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _tolerance_flag(p_certify, "; a report's own options.kkt_tolerance can only tighten it")
 
     p_sim = _command(sub, "simulate", cmd_simulate, "sample the steering protocol with the optimal detector")
-    p_sim.add_argument("--shots", type=_int_in(1, MAX_SHOTS), default=100000)
-    p_sim.add_argument("--seed", type=_int_in(0), default=0, help="seed for sampling (default 0)")
+    p_sim.add_argument("--shots", type=_in(int, 1, MAX_SHOTS, f"an integer from 1 to {MAX_SHOTS}"), default=100000)
+    p_sim.add_argument("--seed", type=_in(int, 0, np.inf, "an integer >= 0"), default=0, help="seed for sampling (default 0)")
     _solver_flags(p_sim)
     _output_flag(p_sim)
 
@@ -110,34 +110,25 @@ def _command(sub, name: str, handler, summary: str) -> argparse.ArgumentParser:
 
 def _solver_flags(parser) -> None:
     _tolerance_flag(parser)
-    parser.add_argument("--max-iter", type=_int_in(1), default=10000, help="iteration budget (default 10000)")
+    budget = _in(int, 1, np.inf, "an integer >= 1")
+    parser.add_argument("--max-iter", type=budget, default=10000, help="iteration budget (default 10000)")
 
 
 def _tolerance_flag(parser, note: str = "") -> None:
-    parser.add_argument("--tolerance", type=_tolerance, default=1e-9, help=f"certificate tolerance (default 1e-9){note}")
+    positive = _in(float, np.nextafter(0.0, 1.0), np.finfo(float).max, "a positive finite number")
+    parser.add_argument("--tolerance", type=positive, default=1e-9, help=f"certificate tolerance (default 1e-9){note}")
 
 
-def _tolerance(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = np.nan
-    if not 0.0 < value < np.inf:
-        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
-    return value
+def _in(kind, minimum, maximum, expected: str):
+    """An argparse type: kind(text) from minimum to maximum, or a usage error saying what was expected."""
 
-
-def _int_in(minimum: int, maximum: float = np.inf):
-    """An argparse type: an integer from minimum to maximum, or a usage error."""
-    expected = f">= {minimum}" if maximum == np.inf else f"from {minimum} to {maximum}"
-
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
-            value = minimum - 1
+            value = np.nan
         if not minimum <= value <= maximum:
-            raise argparse.ArgumentTypeError(f"expected an integer {expected}, got {text!r}")
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
         return value
 
     return parse

@@ -246,9 +246,10 @@ def solve(ensemble: StateEnsemble, options: SolverOptions | None = None) -> Disc
     residuals within options.kkt_tolerance, which by SDP duality pins the
     value to the optimum within that tolerance.  If the iteration budget runs
     out the best iterate seen is returned with converged=False (a flagged
-    result, not an exception).  An iterate that has left the POVM set, its
-    report's primal residual above COMPLETENESS_TOL (a negative element, or
-    elements that do not sum to I), is an internal failure: CompletenessDrift.
+    result, not an exception).  An iterate that has left the POVM set, a NaN
+    or Inf entry or its report's primal residual above COMPLETENESS_TOL (a
+    negative element, or elements that do not sum to I), is an internal
+    failure: CompletenessDrift.
     """
     opts = options or SolverOptions()
     d = ensemble.dim
@@ -258,6 +259,8 @@ def solve(ensemble: StateEnsemble, options: SolverOptions | None = None) -> Disc
     # The uniform POVM I/N over the live states, as factors I/sqrt(N).
     factors = np.repeat(np.eye(d, dtype=complex)[None] / np.sqrt(len(active)), len(active), axis=0)
     best_elements, _, iterations = _iterate(weighted, factors, opts.max_iterations, opts.kkt_tolerance)
+    if not np.isfinite(best_elements).all():
+        raise CompletenessDrift("iterate left the POVM set: NaN or Inf entries")
 
     full = np.zeros((len(ensemble), d, d), dtype=complex)
     full[active] = hermitian_part(best_elements)

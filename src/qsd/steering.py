@@ -5,8 +5,9 @@ measurements, prepares any convex decomposition of the other party's marginal
 without changing the marginal itself.  Running the other party's detector on
 the steered states yields conditional statistics whose diagonal sum is capped
 at 1 for any valid measurement; this module constructs the steering
-measurements explicitly, samples the protocol reproducibly, and verifies both
-facts numerically.
+measurements explicitly (ghjw_povm, one outcome per decomposition member),
+samples the protocol reproducibly at the granularity of those outcomes, and
+verifies both facts numerically.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .core import (
     DimensionMismatch,
     Povm,
     QsdError,
-    _eigh,
     _frozen,
     _integer,
     _trace_norms,
@@ -125,22 +125,6 @@ def purify(rho: DensityMatrix) -> BipartitePureState:
     )
 
 
-def pure_components(decomposition: SteeringDecomposition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pure components of a decomposition: their weights, unit vectors (one per row) and member indices.
-
-    Mixed members are split along their eigenvectors, member by member and in
-    descending eigenvalue within a member, keeping the eigenvalues above
-    RANK_CUTOFF times the member's largest, the rule purify applies; steering
-    is defined on pure-state ensembles.
-    """
-    members = decomposition.members
-    w, v = _eigh(np.array([tau.matrix for _, tau in members]))
-    w, v = w[:, ::-1], v[..., ::-1]  # descending eigenvalues
-    keep = w > RANK_CUTOFF * w[:, :1]
-    weights = np.array([r for r, _ in members])[:, None] * w
-    return weights[keep], v.swapaxes(1, 2)[keep], np.nonzero(keep)[0]
-
-
 def ghjw_povm(state: BipartitePureState, decomposition: SteeringDecomposition) -> tuple[Povm, tuple[int, ...]]:
     """Measurement on A steering B into the given decomposition of its marginal.
 
@@ -208,36 +192,34 @@ class DetectorStatistics:
 
 
 def simulate_protocol(ensembles, bob_povm: Povm, shots: int, seed: int) -> DetectorStatistics:
-    """Sample the steering protocol: message -> steered pure state -> detector click.
+    """Sample the steering protocol: message -> steered member -> detector click.
 
-    For each message the joint distribution of the sender's outcome (a pure
-    component of that message's decomposition) and the receiver's outcome
-    (the Born probabilities of bob_povm on the steered state) is tabulated
-    once, and all shots are drawn from it as one multinomial; the cost does
-    not grow with shots.  One seeded generator drives the whole run, so
-    identical inputs give identical counts.  shots must be an integer (a
-    numpy integer too, not a bool) in [1, MAX_SHOTS], else ValueError.
+    For each message the joint distribution of the sender's outcome (a member
+    y of that message's decomposition, the outcome ghjw_povm steers to tau_y)
+    and the receiver's outcome x, r_y tr[tau_y M_x] for M = bob_povm, is
+    tabulated once, and all shots are drawn from it as one multinomial; the
+    cost does not grow with shots.  One seeded generator drives the whole
+    run, so identical inputs give identical counts.  shots must be an integer
+    (a numpy integer too, not a bool) in [1, MAX_SHOTS], else ValueError; the
+    decompositions must pass marginal_indistinguishability_check within
+    MARGINAL_TOL, else TargetMismatch.
     """
     if _integer(shots) is None or not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must be in [1, {MAX_SHOTS}], got {shots}")
     n = len(ensembles)
     if len(bob_povm) != n:
         raise DimensionMismatch(f"detector has {len(bob_povm)} outcomes for {n} messages")
-    targets = np.array([e.mixture for e in ensembles])
-    gap = _trace_norms(targets[1:] - targets[0]).max(initial=0.0)
+    gap = marginal_indistinguishability_check(ensembles)
     if gap > MARGINAL_TOL:
         raise TargetMismatch(f"steered marginals differ by {gap:.3e}")
 
     rng = np.random.default_rng(seed)
     counts = np.zeros((n, n), dtype=np.int64)
     for message, decomposition in enumerate(ensembles):
-        weights, vectors, _ = pure_components(decomposition)
-        projectors = np.einsum("ki,kj->kij", vectors, vectors.conj())
-        # Born distribution of the detector on each pure component, one row each.
-        tables = np.maximum(born_table(projectors, bob_povm.elements).T, 0.0)
-        tables /= tables.sum(axis=1, keepdims=True)
-        joint = (weights / weights.sum())[:, None] * tables
-        counts[:, message] = rng.multinomial(shots, joint.ravel()).reshape(joint.shape).sum(axis=0)
+        # Born table of the detector on each weighted member r_y tau_y: rows x, columns y.
+        joint = np.maximum(born_table(np.array([r * tau.matrix for r, tau in decomposition.members]), bob_povm.elements), 0.0)
+        joint /= joint.sum()
+        counts[:, message] = rng.multinomial(shots, joint.ravel()).reshape(joint.shape).sum(axis=1)
     return DetectorStatistics(counts=_frozen(counts), shots_per_message=int(shots))
 
 

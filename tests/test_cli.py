@@ -519,8 +519,26 @@ class TestUsageErrors:
                 ["simulate", "{}", "--shots", str(10**20)],
                 f"argument --shots: expected an integer from 1 to {2**63 - 1}, got '{10**20}'",
             ),
+            (["solve", "{}", "--tolerance", "0"], "argument --tolerance: expected a positive finite number, got '0'"),
+            (["certify", "{}", "r.json", "--tolerance", "nan"], "argument --tolerance: expected a positive finite number, got 'nan'"),
+            (["simulate", "{}", "--tolerance", "inf"], "argument --tolerance: expected a positive finite number, got 'inf'"),
+            (["solve", "{}", "--tolerance", "1e-400"], "argument --tolerance: expected a positive finite number, got '1e-400'"),
+            (["solve", "{}", "--tolerance", "tight"], "argument --tolerance: expected a positive finite number, got 'tight'"),
         ],
-        ids=["solve-budget", "simulate-budget", "negative-seed", "fractional-seed", "zero-shots", "shots-2**63", "shots-10**20"],
+        ids=[
+            "solve-budget",
+            "simulate-budget",
+            "negative-seed",
+            "fractional-seed",
+            "zero-shots",
+            "shots-2**63",
+            "shots-10**20",
+            "zero-tolerance",
+            "nan-tolerance",
+            "infinite-tolerance",
+            "underflow-tolerance",
+            "text-tolerance",
+        ],
     )
     def test_integer_flags_are_usage_errors(self, trine_file, args, message, capsys):
         # Before these flags were checked, SolverOptions and default_rng raised ValueError.
@@ -530,6 +548,9 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+    def test_smallest_positive_tolerance_is_accepted(self):
+        assert cli._build_parser().parse_args(["solve", "x.json", "--tolerance", "5e-324"]).tolerance == 5e-324
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

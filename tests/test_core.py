@@ -523,7 +523,6 @@ def test_unchecked_trace_norms_of_library_stacks_match_the_checked_routine(monke
         "best_cyclic_bound",
         "steering_structure",
         "norm_identity_check",
-        "simulate_protocol",
         "marginal_indistinguishability_check",
     )
     assert sorted(calls) == sorted(callers) and min(calls.values()) >= 100

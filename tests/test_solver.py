@@ -118,6 +118,20 @@ class TestSolve:
         with pytest.raises(solver.CompletenessDrift, match="^iterate left the POVM set: primal residual 1.667e-01$"):
             solve(trine_ensemble)
 
+    def test_iterate_with_a_nan_entry_is_an_error(self, zero_plus_ensemble, monkeypatch):
+        # Not NonFinite, the input-error type certificate_from_povm would raise on it.
+        iterate = solver._iterate
+
+        def corrupted(*args):
+            elements, at, steps = iterate(*args)
+            elements = elements.copy()
+            elements[0, 0, 0] = np.nan
+            return elements, at, steps
+
+        monkeypatch.setattr(solver, "_iterate", corrupted)
+        with pytest.raises(solver.CompletenessDrift, match="^iterate left the POVM set: NaN or Inf entries$"):
+            solve(zero_plus_ensemble)
+
 
 class TestAcceleration:
     """The Anderson step on square-root factors: the tail converges and every iterate stays a POVM."""

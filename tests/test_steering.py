@@ -26,7 +26,6 @@ from qsd import (
 )
 from qsd.core import born_table, hermitian_part
 from qsd.rand import random_density, random_ensemble
-from qsd.steering import pure_components
 
 from .conftest import projector
 
@@ -180,11 +179,15 @@ def ghjw_per_component(state, decomposition):
     An element steering B to sqrt(w) |v> acts on A as w |u><u| with
     u_i = conj(<b_i|v>) / c_i for Schmidt coefficients c_i and vectors b_i.
     """
-    grouped = {}
-    for weight, vector, member in zip(*pure_components(decomposition)):
-        u = (state.basis_b.conj().T @ vector).conj() / state.coefficients
-        grouped[member] = grouped.get(member, 0.0) + weight * np.outer(u, u.conj())
-    elements = [hermitian_part(grouped[y]) for y in range(len(decomposition.members))]
+    elements = []
+    for r, tau in decomposition.members:
+        # The member's pure components: eigenvalues coefficients**2, eigenvectors the columns of basis_b.
+        split = purify(tau)
+        element = 0.0
+        for c, vector in zip(split.coefficients, split.basis_b.T):
+            u = (state.basis_b.conj().T @ vector).conj() / state.coefficients
+            element = element + r * c**2 * np.outer(u, u.conj())
+        elements.append(hermitian_part(element))
     steers_to = list(range(len(elements)))
     completion = np.eye(state.dim_a) - sum(elements)
     if float(np.abs(completion).max()) > 1e-12:
@@ -200,7 +203,7 @@ def certificate_decompositions():
     ensemble = random_ensemble(np.random.default_rng(74), 4, 4)
     structure = steering_structure(ensemble, solve(ensemble).certificate)
     decompositions = decompositions_from_structure(ensemble, structure)
-    assert all(6 <= len(pure_components(d)[0]) <= 8 for d in decompositions)
+    assert all(6 <= sum(purify(tau).dim_a for _, tau in d.members) <= 8 for d in decompositions)
     return structure.normalized_k, decompositions
 
 
@@ -299,6 +302,25 @@ class TestSimulateProtocol:
         with pytest.raises(TargetMismatch):
             simulate_protocol([dec_a, dec_b], povm, 10, seed=0)
 
+    def test_pairwise_marginal_gap_rejected(self):
+        # Each target is 6e-10 from the first but 1.2e-9 from the other: the gap is the pairwise one.
+        targets = [validate_density(np.diag([0.5 + s, 0.5 - s])) for s in (0.0, 3e-10, -3e-10)]
+        decompositions = [make_decomposition(t, [(1.0, t)]) for t in targets]
+        assert marginal_indistinguishability_check(decompositions) == pytest.approx(1.2e-9, rel=1e-6)
+        povm = validate_povm([np.eye(2) / 3] * 3)
+        with pytest.raises(TargetMismatch, match="^steered marginals differ by 1.200e-09$"):
+            simulate_protocol(decompositions, povm, 10, seed=0)
+
+    def test_member_weight_below_the_rank_cutoff_is_sampled(self):
+        # The detector's answer 1 has probability 1e-13 on tau, below purify's RANK_CUTOFF relative to 1 - 1e-13.
+        tau = validate_density(np.diag([1.0 - 1e-13, 1e-13]))
+        decomposition = make_decomposition(tau, [(1.0, tau)])
+        shots = 2**62
+        stats = simulate_protocol([decomposition] * 2, validate_povm([projector(1, 0), projector(0, 1)]), shots, seed=0)
+        mean = shots * 1e-13
+        assert np.all(np.abs(stats.counts[1] - mean) <= 5.0 * np.sqrt(mean))
+        np.testing.assert_array_equal(stats.counts.sum(axis=0), [shots] * 2)
+
     def test_detector_arity_mismatch(self):
         _, result, _, decompositions = self.make_orthogonal_setup()
         with pytest.raises(DimensionMismatch):
@@ -337,7 +359,7 @@ class TestSimulateProtocol:
         ensemble = random_ensemble(np.random.default_rng(74), 4, 4)
         result = solve(ensemble)
         decompositions = decompositions_from_structure(ensemble, steering_structure(ensemble, result.certificate))
-        assert all(6 <= len(pure_components(d)[0]) <= 8 for d in decompositions)
+        assert all(6 <= sum(purify(tau).dim_a for _, tau in d.members) <= 8 for d in decompositions)
         shots = 200000
         stats = simulate_protocol(decompositions, result.povm, shots, seed=9)
         mixtures = np.array([d.mixture for d in decompositions])
