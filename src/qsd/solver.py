@@ -26,8 +26,8 @@ ANDERSON_MEMORY steps, renormalised to S^{-1/2} C with S = sum_x C_x
 C_x^dagger so that its elements are again PSD and complete.  The candidate
 is taken only when its KKT residual is below the current iterate's,
 otherwise the plain image is; the history is kept either way.  On 1600
-random instances (N 2..6, d <= 4) this takes the median from 29 iterations
-to 9 and the 99th percentile from about 2000 to 41.
+random instances (N 2..6, d <= 4) this takes the median from 24 iterations
+to 8 and the 99th percentile from about 1500 to 34.
 
 Where an optimal element vanishes, sigma_x = K - q_x rho_x is positive
 definite (tr[sigma_x M_x] = 0 with sigma_x >= 0), yet the map shrinks M_x
@@ -45,23 +45,26 @@ A reduced solve gives up early in three ways, each kept for what it saves
 on corpora drawn like the acceptance corpus at tolerance 1e-9:
   - when its residual first falls below the parent's residual at the drop
     and K - W_x has an eigenvalue below minus that residual for a dropped
-    x (without it the acceptance corpus takes 1772 iterations instead of
-    1705, and fresh seeds 1-8 14486 instead of 13806);
+    x (without it the acceptance corpus takes 1573 iterations instead of
+    1514, and fresh seeds 1-8 12766 instead of 12219);
   - when it has not got below that residual within as many steps as the
     parent had taken, as a kept element that starts near zero grows only
     slowly (without it fresh seeds 9-24 take at most 469 instead of 409);
   - at any residual level, after STALL_LIMIT steps without improvement,
     instead of running out the parent's budget.
 With the step every instance of fresh seeds 1-8 (tools/fresh_corpora.py)
-converges, in 13806 iterations in all and at most 82 (without it one ran
+converges, in 12219 iterations in all and at most 60 (without it one ran
 out of its 10000-step budget; with the first drop tried at iteration 20
-they took 17612, at most 55).
+they took 15380, at most 48).
 
 The stop rule asks for min(tolerance, max(tolerance / POLISH_FACTOR, 4 d
-eps)), 4 d eps being where a d x d residual stops falling.  Once the best
+eps)), 4 d eps being where a d x d residual stops falling.  The polish below
+tolerance buys headroom for the checks a report is put to; POLISH_FACTOR
+1e2 leaves each of them about 100x (see its comment), where 1e4 cost the
+acceptance corpus 1705 iterations instead of 1514.  Once the best
 residual is within tolerance the solve also stops after STALL_LIMIT steps
 without improvement and tries no more drops.  This exit bounds a stall
-between the tolerance and the floor: at every tolerance <= 1e-11,
+between the tolerance and the floor: at every tolerance <= 1e-13,
 acceptance instance 157 stalls 0.3 % above its floor and stops after 328
 iterations instead of 492.  It waits for the tolerance because a later drop
 can still rescue a stall above it: made unconditional like a reduced
@@ -109,7 +112,12 @@ from .core import (
 ZERO_PRIOR = 1e-15
 # Extra polish: after the residuals first drop below tolerance, keep iterating
 # toward tol/POLISH_FACTOR so downstream certificate checks have headroom.
-POLISH_FACTOR = 1e4
+# At 1e2, over the acceptance corpus and fresh seeds 1-8 at tolerance 1e-9,
+# the worst KKT residual is 1.0e-11 and the worst steering ensemble_residual
+# 5.1e-11 (qsd certify allows 1e-8), and tests/exact.py proves each
+# acceptance value to within 3.8e-11; a factor of 1 leaves residuals at
+# 9.6e-10.
+POLISH_FACTOR = 1e2
 # Once the best residual is within tolerance, stop after this many steps
 # without improvement: round-off can keep the stop rule out of reach.
 STALL_LIMIT = 100

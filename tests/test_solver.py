@@ -292,15 +292,19 @@ class TestActiveSetStep:
         assert result.converged
         assert result.iterations <= 50
 
-    def test_reduced_solve_that_misses_its_limit_ends_in_bounded_steps(self):
+    def test_reduced_solve_that_misses_its_limit_ends_in_bounded_steps(self, monkeypatch):
         # A wrong drop of states 0, 2 and 3 of acceptance #29, read off a
         # round-off residual at iteration 20 of a solve at tolerance 1e-12:
         # the kept pair starts from one complete element and one near zero,
         # and the map then sits at a residual of 2.6e-2 for the rest of the
         # budget.  The reduced solve gives up after the parent's 20 steps.
+        # The starting elements are those of a default solve polished to
+        # tolerance / 1e4, where this start was found.
         ensemble = corpus_member(20260101, 29)
         weighted = ensemble.weighted_stack()
-        elements = solve(ensemble).povm.elements
+        with monkeypatch.context() as m:
+            m.setattr(solver, "POLISH_FACTOR", 1e4)
+            elements = solve(ensemble).povm.elements
         keep = np.array([False, True, False, False, True])
         w, v = np.linalg.eigh(elements[keep])
         factors = solver._complete((v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.conj().swapaxes(1, 2))
@@ -345,8 +349,9 @@ class TestActiveSetStep:
         ids=["1e-12-100", "1e-13-300", "seed2-192-1e-13-100", "seed1-3-below-floor-1e-15-100"],
     )
     def test_tight_tolerance_ends_in_bounded_steps(self, seed, index, shape, tolerance, bound):
-        # tolerance / 1e4 lies below round-off here, so the stop rule asks for
-        # 4 d eps instead; the stall exit still ends a solve that stalls above
+        # tolerance / POLISH_FACTOR lies below round-off at 1e-13, so the stop
+        # rule asks for 4 d eps instead (at 1e-12 it asks for 1e-14, 2.8x that
+        # floor at d = 4); the stall exit still ends a solve that stalls above
         # that floor, and no drop is read off a residual at round-off level.
         # Without the floor, fresh seed 2 #192's reduced solve, started by a
         # correct drop, polishes until its own stall exit: 484 steps, not 5.
@@ -608,6 +613,18 @@ class TestSolverProperties:
             turned = solve(rotated)
             assert abs(base.guess_probability - turned.guess_probability) <= 1e-10
             np.testing.assert_allclose(turned.povm.elements, u @ base.povm.elements @ u.conj().T, rtol=0, atol=1e-10)
+
+    def test_appending_a_fixed_state_keeps_the_value(self):
+        # P(rho_x (x) tau) = P(rho_x): the receiver can ignore tau, and the
+        # partial trace against tau of any joint POVM is a POVM.  Every 10th
+        # acceptance instance, so d <= 8.
+        tau = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+        tol = SolverOptions().kkt_tolerance
+        for ensemble in list(corpus_ensembles(20260101))[::10]:
+            joint = make_ensemble(ensemble.priors, [np.kron(rho, tau) for rho in ensemble.matrices])
+            base, extended = solve(ensemble), solve(joint)
+            assert base.converged and extended.converged
+            assert abs(extended.guess_probability - base.guess_probability) <= 2 * tol
 
     def test_certificate_sigma_is_constructed_exactly(self):
         rng = np.random.default_rng(39)

@@ -8,13 +8,17 @@ mixed), from seeds 1 to 8 instead of 20260101, and solved at the default
 kkt_tolerance 1e-9; seeds 1 and 2 are solved again at 1e-13, where the stop
 rule sits at its round-off floor.  Prints one line per seed and tolerance
 and then the totals: the instances that converged, the total, median and
-maximum iteration counts, and the worst KKT residual (primal, dual,
-slackness and gap).  Exits 1 if any instance does not converge, has a
-residual above its tolerance or takes more than 150 iterations, and 0
-otherwise.  The iteration cap sits well above the largest counts seen (82 at
-1e-9, 96 at 1e-13) and far below the budget, so a reduced solve that eats
-the budget, or a stop rule below round-off, fails here before it leaves an
-instance unconverged.
+maximum iteration counts, the worst KKT residual (primal, dual, slackness
+and gap) and the worst steering ensemble_residual of the solved
+certificates.  Exits 1 if any instance does not converge, has a residual
+above its tolerance, has an ensemble_residual above 10 x its tolerance (the
+limit of qsd certify's ensemble_identity row) or takes more than 150
+iterations, and 0 otherwise.  The iteration cap sits well above the largest
+counts seen (60 at 1e-9, 96 at 1e-13) and far below the budget, so a
+reduced solve that eats the budget, or a stop rule below round-off, fails
+here before it leaves an instance unconverged.  The steering gate watches
+the headroom the solver's polish (solver.POLISH_FACTOR) was chosen from:
+the worst ensemble_residual reads about 5e-11 at 1e-9.
 """
 
 from __future__ import annotations
@@ -26,18 +30,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from qsd import SolverOptions, solve  # noqa: E402
+from qsd import SolverOptions, solve, steering_structure  # noqa: E402
 from tests.conftest import corpus_ensembles  # noqa: E402
 
 # (kkt_tolerance, seeds) of each sweep.
 SWEEPS = ((1e-9, range(1, 9)), (1e-13, range(1, 3)))
 ITERATION_LIMIT = 150
+# qsd certify's ensemble_identity row allows 10 x the tolerance.
+ENSEMBLE_LIMIT = 10
 
 
-def summary(label: str, tolerance: float, iterations: list[int], converged: int, worst: float) -> str:
+def summary(label: str, tolerance: float, iterations: list[int], converged: int, worst: float, ensemble: float) -> str:
     return (
         f"{label:8s} at {tolerance:.0e}  converged {converged}/{len(iterations)}  iterations total {sum(iterations)}"
         f" median {statistics.median(iterations):g} max {max(iterations)}  worst residual {worst:.2e}"
+        f"  worst ensemble_residual {ensemble:.2e}"
     )
 
 
@@ -45,20 +52,28 @@ def main() -> int:
     ok = True
     for tolerance, seeds in SWEEPS:
         options = SolverOptions(kkt_tolerance=tolerance)
-        iterations, converged, worst = [], 0, 0.0
+        iterations, converged, worst, ensemble_worst = [], 0, 0.0, 0.0
         for seed in seeds:
-            seed_iterations, seed_converged, seed_worst = [], 0, 0.0
+            seed_iterations, seed_converged, seed_worst, seed_ensemble = [], 0, 0.0, 0.0
             for ensemble in corpus_ensembles(seed):
                 result = solve(ensemble, options)
                 seed_iterations.append(result.iterations)
                 seed_converged += result.converged
                 seed_worst = max(seed_worst, result.report.max_residual())
-            print(summary(f"seed {seed}", tolerance, seed_iterations, seed_converged, seed_worst))
+                seed_ensemble = max(seed_ensemble, steering_structure(ensemble, result.certificate).ensemble_residual)
+            print(summary(f"seed {seed}", tolerance, seed_iterations, seed_converged, seed_worst, seed_ensemble))
             iterations += seed_iterations
             converged += seed_converged
             worst = max(worst, seed_worst)
-        print(summary("all", tolerance, iterations, converged, worst))
-        ok = ok and converged == len(iterations) and worst <= tolerance and max(iterations) <= ITERATION_LIMIT
+            ensemble_worst = max(ensemble_worst, seed_ensemble)
+        print(summary("all", tolerance, iterations, converged, worst, ensemble_worst))
+        ok = (
+            ok
+            and converged == len(iterations)
+            and worst <= tolerance
+            and ensemble_worst <= ENSEMBLE_LIMIT * tolerance
+            and max(iterations) <= ITERATION_LIMIT
+        )
     return 0 if ok else 1
 
 
