@@ -21,7 +21,6 @@ from .core import (
     StateEnsemble,
     TraceNotOne,
     born_probabilities,
-    guess_value,
     make_ensemble,
     trace_norm,
     validate_density,
@@ -46,7 +45,6 @@ from .solver import (
     KktReport,
     SolverOptions,
     certificate_from_povm,
-    dual_operator,
     kkt_check,
     solve,
 )
@@ -104,9 +102,7 @@ __all__ = [
     "certificate_from_povm",
     "decompositions_from_structure",
     "detector_nosignaling_check",
-    "dual_operator",
     "ghjw_povm",
-    "guess_value",
     "helstrom",
     "kkt_check",
     "lower_bound",

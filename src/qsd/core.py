@@ -224,10 +224,6 @@ class StateEnsemble:
     def dim(self) -> int:
         return self.matrices.shape[-1]
 
-    def weighted(self, x: int) -> np.ndarray:
-        """The read-only prior-weighted operator q_x rho_x: row x of weighted_stack()."""
-        return self._weighted[x]
-
     def weighted_stack(self) -> np.ndarray:
         """The read-only (N, d, d) stack of prior-weighted operators q_x rho_x."""
         return self._weighted
@@ -470,8 +466,3 @@ def born_probabilities(ensemble: StateEnsemble, povm: Povm) -> np.ndarray:
         raise InvalidProbability(f"P({x}|{y}): value {table[x, y]:.12g} outside [0, 1]")
     return np.clip(table, 0.0, 1.0)
 
-
-def guess_value(ensemble: StateEnsemble, povm: Povm) -> float:
-    """Average success probability sum_x q_x tr[rho_x M_x] of a measurement."""
-    table = born_probabilities(ensemble, povm)
-    return float(ensemble.priors @ np.diag(table))

@@ -35,11 +35,12 @@ def helstrom(ensemble: StateEnsemble) -> HelstromResult:
 
     Returns the closed-form value together with the projective measurement
     built from the spectral decomposition of q1 rho1 - q2 rho2, so that
-    guess_value(ensemble, result.povm) reproduces result.value.
+    certificate_from_povm(ensemble, result.povm).objective reproduces
+    result.value.
     """
     if len(ensemble) != 2:
         raise WrongArity(f"two states required, got {len(ensemble)}")
-    h = ensemble.weighted(0) - ensemble.weighted(1)
+    h = ensemble.weighted_stack()[0] - ensemble.weighted_stack()[1]
     value = 0.5 * (1.0 + trace_norm(h))
     w, v = _eigh(h)
     keep = w >= -TIE_TOL

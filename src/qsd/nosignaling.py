@@ -9,7 +9,15 @@ with sigma_hat_x the normalized complementary state of rho_x.  Because all N
 mixtures are literally the same operator, no measurement statistics on them
 can reveal which decomposition was prepared, and the guessing probability is
 pinned to 1 / sum_x p_x = tr K.  This module builds that structure and the
-residual checks that certify it.
+residual checks that state it.
+
+At an optimum the structure and the KKT conditions are one fact, so qsd
+certify keeps only the structure's ensemble_identity row.  The other two
+checks restate the KKT rows.  norm_identity_check holds up to rounding for
+any K, because the certificate builds sigma_x = K - q_x rho_x.
+proposition_bound_check's value - tr K / sum_x q_x equals
+(value - objective) - gap + tr K (1 - 1 / sum_x q_x), which certify's
+value_recorded and gap rows bound while |1 - sum_x q_x| <= PRIOR_TOL.
 """
 
 from __future__ import annotations

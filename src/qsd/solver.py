@@ -196,23 +196,16 @@ class DiscriminationResult:
     report: KktReport = field(repr=False)
 
 
-def dual_operator(ensemble: StateEnsemble, povm: Povm) -> np.ndarray:
-    """The dual variable K = Hermitian part of sum_x q_x rho_x M_x.
-
-    By construction tr K equals the primal objective of the given POVM; K is
-    dual-feasible (K >= q_x rho_x) exactly when the POVM is optimal.
-    """
-    return _dual(ensemble.weighted_stack(), _elements(ensemble, povm))
-
-
 def certificate_from_povm(ensemble: StateEnsemble, povm: Povm, k=None) -> DualCertificate:
     """Assemble the dual certificate of a measurement.
 
-    K defaults to dual_operator(ensemble, povm); pass a Hermitian d x d k to
-    build the certificate of a given dual operator instead (a stored report's
-    K).  The certificate holds its own copy of k; DimensionMismatch,
-    NonFinite and NotHermitian name a k of the wrong shape, one with a NaN
-    or Inf entry and one that is not Hermitian.
+    K defaults to the Hermitian part of sum_x q_x rho_x M_x, whose trace is
+    the objective up to round-off and which is dual-feasible (K >= q_x rho_x)
+    exactly when the POVM is optimal; pass a Hermitian d x d k to build the
+    certificate of a given dual operator instead (a stored report's K).  The
+    certificate holds its own copy of k; DimensionMismatch, NonFinite and
+    NotHermitian name a k of the wrong shape, one with a NaN or Inf entry
+    and one that is not Hermitian.
     """
     elements = _elements(ensemble, povm)
     weighted = ensemble.weighted_stack()

@@ -152,7 +152,7 @@ def test_dominance_against_solver():
 
 
 def _cycle_report(ensemble, order, norm=None):
-    norm = norm or (lambda a, b: trace_norm(ensemble.weighted(a) - ensemble.weighted(b)))
+    norm = norm or (lambda a, b: trace_norm(ensemble.weighted_stack()[a] - ensemble.weighted_stack()[b]))
     n = len(order)
     terms = tuple(norm(order[i], order[(i + 1) % n]) for i in range(n))
     return (1.0 + 0.5 * sum(terms)) / n, order, terms
@@ -164,7 +164,7 @@ def _enumerated_best_cyclic(ensemble):
     trace_norm is memoized per ordered pair only to keep the N = 8 cases fast;
     it returns the same float on every call.
     """
-    norm = cache(lambda a, b: trace_norm(ensemble.weighted(a) - ensemble.weighted(b)))
+    norm = cache(lambda a, b: trace_norm(ensemble.weighted_stack()[a] - ensemble.weighted_stack()[b]))
     n = len(ensemble)
     best = _cycle_report(ensemble, tuple(range(n)), norm)
     for rest in permutations(range(1, n)):

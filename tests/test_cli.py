@@ -52,7 +52,7 @@ class TestSolveCommand:
         report = json.loads(out.read_text())
         assert report["result"]["guess_probability"] == pytest.approx(1.0, abs=1e-9)
         assert report["result"]["converged"] is True
-        assert "steering" in report["result"]
+        assert set(report["result"]["steering"]) == {"p", "bound", "complementary_weights", "ensemble_residual"}
 
     def test_trine_value(self, trine_file, tmp_path):
         out = tmp_path / "report.json"
@@ -344,17 +344,41 @@ class TestCertifyCommand:
         assert main(["certify", trine_file, str(out)]) == 1
         assert "missing POVM" in capsys.readouterr().err
 
-    def test_edited_value_fails_only_value_recorded(self, trine_file, tmp_path, capsys):
+    # Below tolerance 1e-13 the recorded value is held to 10 × tolerance.
+    @pytest.mark.parametrize("tolerance, edit, limit", [("1e-9", 1e-10, "1.0e-12"), ("1e-14", 2e-13, "1.0e-13")])
+    def test_edited_value_fails_only_value_recorded(self, trine_file, tmp_path, capsys, tolerance, edit, limit):
         out = tmp_path / "report.json"
-        main(["solve", trine_file, "--output", str(out)])
+        main(["solve", trine_file, "--tolerance", tolerance, "--output", str(out)])
         report = json.loads(out.read_text())
-        report["result"]["guess_probability"] += 1e-10
+        report["result"]["guess_probability"] += edit
         out.write_text(json.dumps(report))
-        assert main(["certify", trine_file, str(out)]) == 3
-        verdicts = {line.split()[0]: line.split()[-1] for line in capsys.readouterr().out.splitlines()}
+        capsys.readouterr()
+        assert main(["certify", trine_file, str(out), "--tolerance", tolerance]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert f"(tolerance {limit})" in next(line for line in lines if line.startswith("value_recorded"))
+        verdicts = {line.split()[0]: line.split()[-1] for line in lines}
         assert verdicts.pop("value_recorded") == "FAIL"
         assert verdicts.pop("certification") == "FAILED"
         assert set(verdicts.values()) == {"ok"}
+
+    def test_table_has_one_row_per_check_that_can_fail(self, trine_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        main(["solve", trine_file, "--output", str(out)])
+        capsys.readouterr()
+        assert main(["certify", trine_file, str(out)]) == 0
+        rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert rows == [
+            "povm_validity", "dual_feasibility", "slackness", "gap", "value_recorded", "ensemble_identity", "certification"
+        ]
+
+    def test_priors_that_sum_to_one_within_prior_tol_certify_at_tight_tolerance(self, tmp_path, capsys):
+        # tr K and tr K / sum_x q_x differ by about 6e-13 here, beyond 10 × tolerance,
+        # but the certificate is correct: no row divides by the priors' sum.
+        instance = write_instance(tmp_path / "skew.json", make_ensemble([1 / 3 + 9e-13, 1 / 3, 1 / 3], trine_states()))
+        out = tmp_path / "report.json"
+        assert main(["solve", instance, "--tolerance", "1e-14", "--output", str(out)]) == 0
+        assert main(["certify", instance, str(out), "--tolerance", "1e-14"]) == 0
+        assert capsys.readouterr().out.endswith("certification PASSED\n")
 
     def test_one_run_evaluates_the_dual_side_once(self, trine_file, tmp_path, monkeypatch):
         out = tmp_path / "report.json"

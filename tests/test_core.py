@@ -24,8 +24,8 @@ from qsd import (
     best_cyclic_bound,
     born_probabilities,
     bounds,
+    certificate_from_povm,
     decompositions_from_structure,
-    guess_value,
     lower_bound,
     make_ensemble,
     norm_identity_check,
@@ -130,7 +130,7 @@ class TestStateEnsemble:
                 stack[0, 0, 0] = 1.0
         for x, state in enumerate(ensemble.states):
             np.testing.assert_array_equal(ensemble.matrices[x], state.matrix)
-            np.testing.assert_array_equal(ensemble.weighted_stack()[x], ensemble.weighted(x))
+            np.testing.assert_array_equal(ensemble.weighted_stack()[x], ensemble.priors[x] * state.matrix)
 
     def test_constructor_keeps_the_stack_and_reads_states_off_its_rows(self):
         ensemble = random_ensemble(np.random.default_rng(33), 3, 2)
@@ -138,8 +138,6 @@ class TestStateEnsemble:
         assert rebuilt.matrices is ensemble.matrices
         for x, state in enumerate(rebuilt.states):
             assert np.shares_memory(state.matrix, rebuilt.matrices)
-            assert np.shares_memory(rebuilt.weighted(x), rebuilt.weighted_stack())
-            assert not rebuilt.weighted(x).flags.writeable
 
     @pytest.mark.parametrize(
         "priors, match",
@@ -420,34 +418,26 @@ class TestBornProbabilities:
             born_probabilities(ensemble, broken)
 
 
-class TestGuessValue:
+class TestObjective:
+    """A measurement's guess value sum_x q_x tr[rho_x M_x], read as its certificate's objective."""
+
     def test_orthogonal_is_perfect(self):
         ensemble = make_ensemble([0.3, 0.7], [projector(1, 0), projector(0, 1)])
         povm = validate_povm([projector(1, 0), projector(0, 1)])
-        assert guess_value(ensemble, povm) == pytest.approx(1.0, abs=1e-12)
+        assert certificate_from_povm(ensemble, povm).objective == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_povm_gives_one_over_n(self):
         rng = np.random.default_rng(9)
         for n in (2, 4):
             ensemble = random_ensemble(rng, n, 3)
             povm = validate_povm([np.eye(3) / n] * n)
-            assert guess_value(ensemble, povm) == pytest.approx(1.0 / n, abs=1e-12)
+            assert certificate_from_povm(ensemble, povm).objective == pytest.approx(1.0 / n, abs=1e-12)
 
     def test_trine_square_root_measurement(self):
         states = trine_states()
         ensemble = make_ensemble([1 / 3] * 3, states)
         povm = validate_povm([2 / 3 * s for s in states])
-        assert guess_value(ensemble, povm) == pytest.approx(2 / 3, abs=1e-12)
-
-    def test_matches_weighted_diagonal_exactly(self):
-        rng = np.random.default_rng(10)
-        for _ in range(20):
-            n = int(rng.integers(2, 5))
-            d = int(rng.integers(2, 4))
-            ensemble = random_ensemble(rng, n, d)
-            povm = random_povm(rng, n, d)
-            table = born_probabilities(ensemble, povm)
-            assert guess_value(ensemble, povm) == float(ensemble.priors @ np.diag(table))
+        assert certificate_from_povm(ensemble, povm).objective == pytest.approx(2 / 3, abs=1e-12)
 
 
 class TestPsdSqrtPinv:

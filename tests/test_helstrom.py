@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qsd import WrongArity, guess_value, helstrom, make_ensemble, trace_norm, validate_povm
+from qsd import WrongArity, certificate_from_povm, helstrom, make_ensemble, trace_norm, validate_povm
 from qsd.rand import random_ensemble
 
 from .conftest import projector
@@ -16,7 +16,7 @@ ZERO_PLUS_VALUE = 0.5 * (1.0 + 0.7071067811865476)  # trace-norm oracle from tes
 def test_orthogonal_states_discriminate_perfectly(orthogonal_ensemble):
     result = helstrom(orthogonal_ensemble)
     assert result.value == pytest.approx(1.0, abs=1e-12)
-    assert guess_value(orthogonal_ensemble, result.povm) == pytest.approx(1.0, abs=1e-12)
+    assert certificate_from_povm(orthogonal_ensemble, result.povm).objective == pytest.approx(1.0, abs=1e-12)
 
 
 def test_identical_states_are_a_coin_flip():
@@ -55,7 +55,7 @@ def test_random_instances_value_range_and_attainment():
         result = helstrom(ensemble)
         assert max(ensemble.priors) - 1e-12 <= result.value <= 1.0 + 1e-12
         validate_povm(result.povm.elements)
-        assert guess_value(ensemble, result.povm) == pytest.approx(result.value, abs=1e-9)
+        assert certificate_from_povm(ensemble, result.povm).objective == pytest.approx(result.value, abs=1e-9)
 
 
 def test_swapping_states_preserves_value():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -239,6 +240,60 @@ class TestNormIdentity:
     def test_acceptance_corpus_matches_the_two_call_form(self):
         for ensemble in corpus_ensembles(20260101):
             self.assert_matches_two_call_form(ensemble, solve(ensemble).certificate)
+
+
+@functools.cache
+def forged_structures():
+    """(ensemble, certificate, structure, value) for honest and forged K on every 10th acceptance instance.
+
+    Each instance is solved as drawn and with q_0 raised by 9e-13, which
+    make_ensemble accepts (PRIOR_TOL).  Besides the solve's own K, each gets
+    K + H for a random Hermitian H of spectral radius r and K +- r I, for r
+    in 1e-12, 1e-9 and 1e-6.  K - 1e-6 I falls below the steering layer's
+    INFEASIBLE_TOL gate and has no structure, so it is left out here.
+    """
+    rng = np.random.default_rng(2200)
+    cases = []
+    for drawn in list(corpus_ensembles(20260101))[::10]:
+        priors = drawn.priors.copy()
+        priors[0] += 9e-13
+        for ensemble in (drawn, make_ensemble(priors, drawn.matrices)):
+            result = solve(ensemble)
+            k, d = result.certificate.k_operator, ensemble.dim
+            forged = [k]
+            for radius in (1e-12, 1e-9, 1e-6):
+                z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                h = z + z.conj().T
+                forged += [k + radius / np.abs(np.linalg.eigvalsh(h)).max() * h, k + radius * np.eye(d), k - radius * np.eye(d)]
+            for operator in forged:
+                certificate = certificate_from_povm(ensemble, result.povm, operator)
+                try:
+                    structure = steering_structure(ensemble, certificate)
+                except InfeasibleCertificate:
+                    continue
+                cases.append((ensemble, certificate, structure, result.guess_probability))
+    return cases
+
+
+class TestKktRowsImplyTheStructure:
+    """The two checks qsd certify has no row for restate its KKT rows, at any K.
+
+    This is the paper's theorem in the direction certify relies on: the
+    no-signaling structure adds no condition the KKT point does not meet.
+    """
+
+    def test_norm_identity_holds_to_rounding(self):
+        cases = forged_structures()
+        assert len(cases) == 360
+        for ensemble, _, structure, _ in cases:
+            assert norm_identity_check(structure, ensemble) <= 1e-14
+
+    def test_bound_residual_is_the_value_and_gap_rows(self):
+        # value - tr K / sum_x q_x = (value - objective) - gap + tr K (1 - 1 / sum_x q_x).
+        for ensemble, certificate, structure, value in forged_structures():
+            gap = certificate.trace_k - certificate.objective
+            expected = (value - certificate.objective) - gap + certificate.trace_k * (1.0 - 1.0 / ensemble.priors.sum())
+            assert abs(proposition_bound_check(structure, value) - expected) <= 2e-15
 
 
 class TestDetectorCheck:

@@ -17,7 +17,6 @@ from qsd import (
     NotHermitian,
     Povm,
     certificate_from_povm,
-    dual_operator,
     kkt_check,
     make_ensemble,
     validate_povm,
@@ -130,12 +129,13 @@ def test_certificate_matches_reference_loop(case):
     rng = np.random.default_rng(sorted(CASES).index(case) + 500)
     ensemble, elements = CASES[case](rng)
     povm = Povm(elements=tuple(elements))
-    np.testing.assert_allclose(dual_operator(ensemble, povm), reference_k(ensemble, elements), rtol=0, atol=TOL)
+    k_operator = certificate_from_povm(ensemble, povm).k_operator
+    np.testing.assert_allclose(k_operator, reference_k(ensemble, elements), rtol=0, atol=TOL)
     for label, k in _dual_operators(rng, ensemble, elements).items():
         expected = reference(ensemble, elements, k)
         certificate = certificate_from_povm(ensemble, povm, k)
         for x in range(len(ensemble)):
-            np.testing.assert_array_equal(certificate.sigma[x], k - ensemble.weighted(x))
+            np.testing.assert_array_equal(certificate.sigma[x], k - ensemble.weighted_stack()[x])
         np.testing.assert_allclose(certificate.slackness, expected["per_state_slackness"], rtol=0, atol=TOL)
         np.testing.assert_allclose(certificate.dual_feasibility, expected["per_state_feasibility"], rtol=0, atol=TOL)
         assert certificate.trace_k == float(k.trace().real), label
@@ -146,7 +146,8 @@ def test_default_certificate_uses_the_povm_dual_operator():
     ensemble = random_ensemble(rng, 5, 3)
     povm = validate_povm(random_povm(rng, 5, 3).elements)
     a = certificate_from_povm(ensemble, povm)
-    b = certificate_from_povm(ensemble, povm, dual_operator(ensemble, povm))
+    np.testing.assert_allclose(a.k_operator, reference_k(ensemble, povm.elements), rtol=0, atol=TOL)
+    b = certificate_from_povm(ensemble, povm, a.k_operator)
     np.testing.assert_array_equal(a.k_operator, b.k_operator)
     np.testing.assert_array_equal(a.slackness, b.slackness)
     np.testing.assert_array_equal(a.dual_feasibility, b.dual_feasibility)
@@ -169,7 +170,7 @@ def test_caller_k_is_checked_and_copied(check):
         check(ensemble, povm, np.eye(3))
     with pytest.raises(NotHermitian):
         check(ensemble, povm, np.array([[0.0, 1.0], [0.0, 0.0]]))
-    k = dual_operator(ensemble, povm).copy()
+    k = certificate_from_povm(ensemble, povm).k_operator.copy()
     result = check(ensemble, povm, k)
     assert k.flags.writeable
     if check is certificate_from_povm:

@@ -16,8 +16,6 @@ from qsd import (
     SolverOptions,
     born_probabilities,
     certificate_from_povm,
-    dual_operator,
-    guess_value,
     helstrom,
     kkt_check,
     make_ensemble,
@@ -59,7 +57,7 @@ class TestSolve:
         # The recorded value is the certificate's primal objective, the number its gap is measured against.
         assert result.guess_probability == result.certificate.objective
         assert result.guess_probability == result.certificate.trace_k - result.report.gap
-        assert result.guess_probability == pytest.approx(guess_value(trine_ensemble, result.povm), abs=1e-15)
+        assert result.guess_probability == certificate_from_povm(trine_ensemble, result.povm).objective
 
     def test_zero_prior_state_gets_zero_element(self):
         ensemble = make_ensemble([0.5, 0.5, 0.0], [projector(1, 0), projector(1, 1), np.eye(2) / 2])
@@ -404,8 +402,8 @@ class TestDualOperator:
     def test_orthogonal_with_matching_projectors(self):
         ensemble = orthogonal_instance(3)
         povm = validate_povm([np.diag([1.0 if i == x else 0.0 for i in range(3)]) for x in range(3)])
-        k = dual_operator(ensemble, povm)
-        expected = sum(ensemble.weighted(x) for x in range(3))
+        k = certificate_from_povm(ensemble, povm).k_operator
+        expected = ensemble.weighted_stack().sum(axis=0)
         np.testing.assert_allclose(k, expected, atol=1e-12)
         assert k.trace().real == pytest.approx(1.0, abs=1e-12)
 
@@ -413,14 +411,14 @@ class TestDualOperator:
         rng = np.random.default_rng(33)
         ensemble = random_ensemble(rng, 4, 3)
         povm = validate_povm([np.eye(3) / 4] * 4)
-        k = dual_operator(ensemble, povm)
-        expected = sum(ensemble.weighted(x) for x in range(4)) / 4
+        k = certificate_from_povm(ensemble, povm).k_operator
+        expected = ensemble.weighted_stack().sum(axis=0) / 4
         np.testing.assert_allclose(k, expected, atol=1e-12)
         assert k.trace().real == pytest.approx(0.25, abs=1e-12)
 
     def test_trace_equals_value_at_helstrom_optimum(self, zero_plus_ensemble):
         result = helstrom(zero_plus_ensemble)
-        k = dual_operator(zero_plus_ensemble, result.povm)
+        k = certificate_from_povm(zero_plus_ensemble, result.povm).k_operator
         assert k.trace().real == pytest.approx(0.8535533905932737, abs=1e-9)
 
     def test_trace_matches_objective_generally(self):
@@ -431,15 +429,15 @@ class TestDualOperator:
             n, d = int(rng.integers(2, 5)), int(rng.integers(2, 4))
             ensemble = random_ensemble(rng, n, d)
             povm = random_povm(rng, n, d)
-            k = dual_operator(ensemble, povm)
-            assert k.trace().real == pytest.approx(guess_value(ensemble, povm), abs=1e-12)
+            certificate = certificate_from_povm(ensemble, povm)
+            assert certificate.k_operator.trace().real == pytest.approx(certificate.objective, abs=1e-12)
 
 
 class TestKktCheck:
     def test_orthogonal_optimum_is_exact(self):
         ensemble = orthogonal_instance(3)
         povm = validate_povm([np.diag([1.0 if i == x else 0.0 for i in range(3)]) for x in range(3)])
-        report = kkt_check(ensemble, povm, dual_operator(ensemble, povm))
+        report = kkt_check(ensemble, povm, certificate_from_povm(ensemble, povm).k_operator)
         assert report.max_residual() <= 1e-12
 
     def test_solver_certificate_within_tolerance(self):
@@ -455,7 +453,7 @@ class TestKktCheck:
     def test_uniform_povm_on_trine_is_visibly_suboptimal(self, trine_ensemble):
         # K = I/6, so sigma_x = I/6 - rho_x/3 has smallest eigenvalue -1/6.
         povm = validate_povm([np.eye(2) / 3] * 3)
-        report = kkt_check(trine_ensemble, povm, dual_operator(trine_ensemble, povm))
+        report = kkt_check(trine_ensemble, povm, certificate_from_povm(trine_ensemble, povm).k_operator)
         assert report.dual_residual > 0.01
         assert report.dual_residual == pytest.approx(1 / 6, abs=1e-12)
 
@@ -501,7 +499,7 @@ class TestKktCheck:
             kkt_check(trine_ensemble, result.povm, k)
         elements = result.povm.elements.copy()
         elements[1, 0, 1] = huge
-        for routine in (certificate_from_povm, dual_operator, born_probabilities):
+        for routine in (certificate_from_povm, born_probabilities):
             with pytest.raises(NonFinite, match="^POVM element 1: entry of magnitude .* overflows$"):
                 routine(trine_ensemble, Povm(elements=elements))
 
@@ -510,7 +508,7 @@ class TestKktCheck:
         elements = solve(trine_ensemble).povm.elements.copy()
         elements[1, 0, 1] = bad
         povm = Povm(elements=elements)
-        for routine in (certificate_from_povm, dual_operator, born_probabilities):
+        for routine in (certificate_from_povm, born_probabilities):
             with pytest.raises(NonFinite, match="^POVM element 1: NaN or Inf entries$"):
                 routine(trine_ensemble, povm)
 
@@ -539,7 +537,7 @@ class TestKktCheck:
     def test_certificate_is_read_as_it_stands(self, monkeypatch):
         ensemble = random_ensemble(np.random.default_rng(47), 4, 3)
         povm = solve(ensemble).povm
-        certificate = certificate_from_povm(ensemble, povm, dual_operator(ensemble, povm))
+        certificate = certificate_from_povm(ensemble, povm, certificate_from_povm(ensemble, povm).k_operator)
         expected = kkt_check(ensemble, povm, certificate.k_operator)
         monkeypatch.setattr(solver, "_residuals", None)  # the dual side is not evaluated again
         assert kkt_check(ensemble, povm, certificate) == expected
@@ -550,7 +548,7 @@ class TestKktCheck:
         ensemble = make_ensemble([0.5, 0.5], [projector(1, 0, 0), projector(0, 1, 0)])
         unused = projector(0, 0, 1)
         povm = Povm(elements=(projector(1, 0, 0) + (1 + 1e-6) * unused, projector(0, 1, 0) - 1e-6 * unused))
-        report = kkt_check(ensemble, povm, dual_operator(ensemble, povm))
+        report = kkt_check(ensemble, povm, certificate_from_povm(ensemble, povm).k_operator)
         assert report.primal_residual == pytest.approx(1e-6, rel=1e-6)
         assert max(report.dual_residual, report.slackness_residual, abs(report.gap)) <= 1e-15
         assert not report.within(1e-9)
@@ -626,12 +624,23 @@ class TestSolverProperties:
             assert base.converged and extended.converged
             assert abs(extended.guess_probability - base.guess_probability) <= 2 * tol
 
+    def test_appending_a_zero_prior_state_changes_nothing(self):
+        # A state of prior 0 gets the zero element and never enters the
+        # iteration, so the solve is the same run bit for bit.
+        for ensemble in list(corpus_ensembles(20260101))[::10]:
+            zero = np.zeros((ensemble.dim, ensemble.dim))
+            zero[0, 0] = 1.0
+            extended = make_ensemble(np.append(ensemble.priors, 0.0), [*ensemble.matrices, zero])
+            base, padded = solve(ensemble), solve(extended)
+            assert padded.guess_probability == base.guess_probability
+            assert padded.iterations == base.iterations
+
     def test_certificate_sigma_is_constructed_exactly(self):
         rng = np.random.default_rng(39)
         ensemble = random_ensemble(rng, 3, 3)
         result = solve(ensemble)
         for x in range(3):
-            expected = result.certificate.k_operator - ensemble.weighted(x)
+            expected = result.certificate.k_operator - ensemble.weighted_stack()[x]
             np.testing.assert_array_equal(result.certificate.sigma[x], expected)
 
     def test_concurrent_solves_match_serial(self):
