@@ -12,12 +12,16 @@ pinned to 1 / sum_x p_x = tr K.  This module builds that structure and the
 residual checks that state it.
 
 At an optimum the structure and the KKT conditions are one fact, so qsd
-certify keeps only the structure's ensemble_identity row.  The other two
-checks restate the KKT rows.  norm_identity_check holds up to rounding for
-any K, because the certificate builds sigma_x = K - q_x rho_x.
-proposition_bound_check's value - tr K / sum_x q_x equals
-(value - objective) - gap + tr K (1 - 1 / sum_x q_x), which certify's
+certify has no row for the structure: each of its checks restates the KKT
+rows.  ensemble_residual is at most (2 d dual_residual + ABSENT_TRACE) / tr K,
+the trace-norm effect of clipping each sigma_x's negative eigenvalues and
+of dropping a partner of trace below ABSENT_TRACE.  norm_identity_check
+holds up to rounding for any K, because the certificate builds
+sigma_x = K - q_x rho_x.  proposition_bound_check's value - tr K / sum_x q_x
+equals (value - objective) - gap + tr K (1 - 1 / sum_x q_x), which certify's
 value_recorded and gap rows bound while |1 - sum_x q_x| <= PRIOR_TOL.
+qsd solve and simulate build the structure, and exit 3 when its gates
+(INFEASIBLE_TOL here, steering.MARGINAL_TOL) refuse a certificate.
 """
 
 from __future__ import annotations

@@ -367,9 +367,36 @@ class TestCertifyCommand:
         capsys.readouterr()
         assert main(["certify", trine_file, str(out)]) == 0
         rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
-        assert rows == [
-            "povm_validity", "dual_feasibility", "slackness", "gap", "value_recorded", "ensemble_identity", "certification"
-        ]
+        assert rows == ["povm_validity", "dual_feasibility", "slackness", "gap", "value_recorded", "certification"]
+
+    def test_report_within_tolerance_certifies_when_the_partners_vanish(self, tmp_path, capsys):
+        # Sixteen copies of I/2: every sigma_x = K - q_x rho_x is 0 at the optimum.
+        # K lowered by 4.5e-10 I breaks no KKT row at 1e-9; the steering structure's
+        # ensemble residual (1.44e-8, over 10 x tolerance) stays within its bound
+        # (2 d dual_residual + ABSENT_TRACE) / tr K, so certify has no row for it.
+        instance = write_instance(tmp_path / "halves.json", make_ensemble([1 / 16] * 16, [np.eye(2) / 2] * 16))
+        out = tmp_path / "report.json"
+        assert main(["solve", instance, "--output", str(out)]) == 0
+        report = json.loads(out.read_text())
+        for x in range(2):
+            report["matrices"]["k_operator"][x][x][0] -= 4.5e-10
+        out.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main(["certify", instance, str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[-1] for line in lines] == ["ok"] * 5 + ["PASSED"]
+        assert lines[1].split()[1] == "4.500e-10"
+
+    def test_loose_report_the_steering_gate_refuses_certifies_at_its_tolerance(self, slow_file, tmp_path, capsys):
+        # solve refuses this certificate in its steering layer (sigma's eigenvalue
+        # -1.9e-6 is beyond nosignaling.INFEASIBLE_TOL), but every KKT row is within 1e-5.
+        out = tmp_path / "report.json"
+        assert main(["solve", slow_file, "--tolerance", "1e-5", "--max-iter", "30", "--output", str(out)]) == 3
+        capsys.readouterr()
+        assert main(["certify", slow_file, str(out), "--tolerance", "1e-5"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.endswith("certification PASSED\n")
+        assert captured.err == ""
 
     def test_priors_that_sum_to_one_within_prior_tol_certify_at_tight_tolerance(self, tmp_path, capsys):
         # tr K and tr K / sum_x q_x differ by about 6e-13 here, beyond 10 × tolerance,

@@ -276,7 +276,7 @@ def forged_structures():
 
 
 class TestKktRowsImplyTheStructure:
-    """The two checks qsd certify has no row for restate its KKT rows, at any K.
+    """The three checks qsd certify has no row for restate its KKT rows, at any K.
 
     This is the paper's theorem in the direction certify relies on: the
     no-signaling structure adds no condition the KKT point does not meet.
@@ -294,6 +294,14 @@ class TestKktRowsImplyTheStructure:
             gap = certificate.trace_k - certificate.objective
             expected = (value - certificate.objective) - gap + certificate.trace_k * (1.0 - 1.0 / ensemble.priors.sum())
             assert abs(proposition_bound_check(structure, value) - expected) <= 2e-15
+
+    def test_ensemble_residual_is_bounded_by_the_dual_row(self):
+        # Clipping sigma_x's negative eigenvalues (at most dual_residual each) and
+        # renormalising moves each decomposition by at most 2 d dual_residual / tr K;
+        # a partner dropped below ABSENT_TRACE moves it by at most its trace more.
+        for ensemble, certificate, structure, _ in forged_structures():
+            dual = max(0.0, -float(certificate.dual_feasibility.min()))
+            assert structure.ensemble_residual <= (2 * ensemble.dim * dual + ABSENT_TRACE) / structure.trace_k
 
 
 class TestDetectorCheck:

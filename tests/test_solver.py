@@ -635,6 +635,25 @@ class TestSolverProperties:
             assert padded.guess_probability == base.guess_probability
             assert padded.iterations == base.iterations
 
+    @pytest.mark.parametrize("t", [0.3, 0.5])
+    def test_splitting_a_state_keeps_only_its_larger_copy(self, t):
+        # Two copies of rho_x at priors t q_x and (1 - t) q_x: the optimum measures
+        # only the heavier copy, so the split instance's value is Z times that of
+        # the instance with q_x scaled by max(t, 1 - t) and renormalised by Z.
+        tol = SolverOptions().kkt_tolerance
+        keep = max(t, 1 - t)
+        for ensemble in list(corpus_ensembles(20260101))[::10]:
+            q, x = ensemble.priors, int(np.argmax(ensemble.priors))
+            split_priors = np.append(q, (1 - t) * q[x])
+            split_priors[x] = t * q[x]
+            merged_priors = q.copy()
+            merged_priors[x] *= keep
+            z = 1 - q[x] + keep * q[x]
+            split = solve(make_ensemble(split_priors, [*ensemble.matrices, ensemble.matrices[x]]))
+            merged = solve(make_ensemble(merged_priors / z, ensemble.matrices))
+            assert split.converged and merged.converged
+            assert abs(split.guess_probability - z * merged.guess_probability) <= 2 * tol
+
     def test_certificate_sigma_is_constructed_exactly(self):
         rng = np.random.default_rng(39)
         ensemble = random_ensemble(rng, 3, 3)

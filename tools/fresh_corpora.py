@@ -11,14 +11,15 @@ and then the totals: the instances that converged, the total, median and
 maximum iteration counts, the worst KKT residual (primal, dual, slackness
 and gap) and the worst steering ensemble_residual of the solved
 certificates.  Exits 1 if any instance does not converge, has a residual
-above its tolerance, has an ensemble_residual above 10 x its tolerance (the
-limit of qsd certify's ensemble_identity row) or takes more than 150
-iterations, and 0 otherwise.  The iteration cap sits well above the largest
-counts seen (60 at 1e-9, 96 at 1e-13) and far below the budget, so a
-reduced solve that eats the budget, or a stop rule below round-off, fails
-here before it leaves an instance unconverged.  The steering gate watches
-the headroom the solver's polish (solver.POLISH_FACTOR) was chosen from:
-the worst ensemble_residual reads about 5e-11 at 1e-9.
+above its tolerance, has an ensemble_residual above 10 x its tolerance or
+takes more than 150 iterations, and 0 otherwise.  The iteration cap sits
+well above the largest counts seen (60 at 1e-9, 96 at 1e-13) and far below
+the budget, so a reduced solve that eats the budget, or a stop rule below
+round-off, fails here before it leaves an instance unconverged.  The
+steering gate only watches the headroom the solver's polish
+(solver.POLISH_FACTOR) was chosen from: the worst ensemble_residual reads
+about 5e-11 at 1e-9.  qsd certify has no row for it, since the KKT rows
+bound it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from tests.conftest import corpus_ensembles  # noqa: E402
 # (kkt_tolerance, seeds) of each sweep.
 SWEEPS = ((1e-9, range(1, 9)), (1e-13, range(1, 3)))
 ITERATION_LIMIT = 150
-# qsd certify's ensemble_identity row allows 10 x the tolerance.
+# The polish headroom the steering gate watches: 10 x the tolerance.
 ENSEMBLE_LIMIT = 10
 
 
