@@ -182,9 +182,8 @@ def cmd_solve(args, ensemble, labels) -> int:
             "residuals": _residual_block(result.report),
         },
         matrices={
-            "povm": [encode_matrix(m) for m in result.povm.elements],
+            "povm": encode_matrix(result.povm.elements),
             "k_operator": encode_matrix(result.certificate.k_operator),
-            "sigma": [encode_matrix(s) for s in result.certificate.sigma],
         },
     )
     code = EXIT_OK if result.converged else EXIT_NOT_CONVERGED

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Povm, QsdError, StateEnsemble, _eigh, _frozen, hermitian_part, trace_norm
+from .core import Povm, QsdError, StateEnsemble, _eigh, _frozen, hermitian_part
 
 # Eigenvalues this close to zero are assigned to outcome 1; any split of a
 # null eigenspace is optimal, a fixed rule keeps the output deterministic.
@@ -41,9 +41,8 @@ def helstrom(ensemble: StateEnsemble) -> HelstromResult:
     if len(ensemble) != 2:
         raise WrongArity(f"two states required, got {len(ensemble)}")
     h = ensemble.weighted_stack()[0] - ensemble.weighted_stack()[1]
-    value = 0.5 * (1.0 + trace_norm(h))
     w, v = _eigh(h)
     keep = w >= -TIE_TOL
     m1 = hermitian_part(v[:, keep] @ v[:, keep].conj().T)
     povm = Povm(elements=(m1, np.eye(ensemble.dim) - m1))
-    return HelstromResult(value=float(value), povm=povm, helstrom_operator=_frozen(h))
+    return HelstromResult(value=float(0.5 * (1.0 + np.abs(w).sum())), povm=povm, helstrom_operator=_frozen(h))

@@ -111,7 +111,7 @@ def _array_format(shape: tuple[int, ...]) -> str:
 
 
 def encode_matrix(matrix: np.ndarray) -> list:
-    """Rows of [re, im] pairs of a complex matrix, as Python floats."""
+    """Rows of [re, im] pairs of a complex matrix, or a list of such matrices for an (N, d, d) stack, as Python floats."""
     a = np.array(matrix, dtype=complex, order="C")
     return a.view(float).reshape(*a.shape, 2).tolist()
 

@@ -88,6 +88,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 
@@ -140,7 +141,7 @@ class SolverOptions:
     kkt_tolerance: float = 1e-9
 
     def __post_init__(self):
-        if isinstance(self.kkt_tolerance, (bool, np.bool_)) or not 0.0 < self.kkt_tolerance < np.inf:
+        if isinstance(t := self.kkt_tolerance, bool) or not isinstance(t, Real) or not 0.0 < t < np.inf:
             raise ValueError(f"kkt_tolerance must be positive and finite, got {self.kkt_tolerance}")
         if _integer(self.max_iterations) is None or self.max_iterations < 1:
             raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")

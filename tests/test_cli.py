@@ -14,10 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsd import DetectorStatistics, cli, kkt_check, make_ensemble, Povm, solver
+from qsd import DetectorStatistics, cli, kkt_check, make_ensemble, Povm, solve, solver
 from qsd.cli import main
 from qsd.rand import random_ensemble
-from qsd.serialize import decode_matrix, dump_json, ensemble_to_doc, parse_instance
+from qsd.serialize import decode_matrix, dump_json, encode_matrix, ensemble_to_doc, parse_instance
 
 from .conftest import projector, trine_states
 
@@ -59,6 +59,12 @@ class TestSolveCommand:
         assert main(["solve", trine_file, "--output", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["result"]["guess_probability"] == pytest.approx(2 / 3, abs=1e-6)
+
+    def test_report_matrices_are_the_povm_and_dual_operator(self, trine_file, tmp_path):
+        # sigma_x = K - q_x rho_x is derived from these and the instance, so a report does not carry it.
+        out = tmp_path / "report.json"
+        assert main(["solve", trine_file, "--output", str(out)]) == 0
+        assert set(json.loads(out.read_text())["matrices"]) == {"povm", "k_operator"}
 
     def test_report_to_stdout_by_default(self, orthogonal_file, capsys):
         assert main(["solve", orthogonal_file]) == 0
@@ -368,6 +374,26 @@ class TestCertifyCommand:
         assert main(["certify", trine_file, str(out)]) == 0
         rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
         assert rows == ["povm_validity", "dual_feasibility", "slackness", "gap", "value_recorded", "certification"]
+
+    @pytest.mark.parametrize("block", ["library", "forged"])
+    def test_report_with_a_sigma_block_certifies_as_without_it(self, trine_file, tmp_path, capsys, block):
+        # Earlier reports of the same version also carried sigma_x = K - q_x rho_x,
+        # which certify never reads: the library's stack, or any stack at all.
+        out = tmp_path / "report.json"
+        main(["solve", trine_file, "--output", str(out)])
+        capsys.readouterr()
+        assert main(["certify", trine_file, str(out)]) == 0
+        table = capsys.readouterr().out
+        report = json.loads(out.read_text())
+        if block == "library":
+            ensemble, _ = parse_instance(Path(trine_file).read_text(encoding="utf-8"))
+            report["matrices"]["sigma"] = [encode_matrix(s) for s in solve(ensemble).certificate.sigma]
+        else:
+            report["matrices"]["sigma"] = [report["matrices"]["k_operator"]] * 3
+        out.write_text(dump_json(report))
+        assert main(["certify", trine_file, str(out)]) == 0
+        assert capsys.readouterr().out == table
+        assert [line.split()[-1] for line in table.splitlines()] == ["ok"] * 5 + ["PASSED"]
 
     def test_report_within_tolerance_certifies_when_the_partners_vanish(self, tmp_path, capsys):
         # Sixteen copies of I/2: every sigma_x = K - q_x rho_x is 0 at the optimum.

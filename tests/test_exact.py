@@ -4,6 +4,13 @@ It runs on the acceptance corpus and on the hostile cases up to d = 16; the
 two d = 32 cases take about 0.8 s each to prove and are left out.  Each
 interval must hold its solve's guess_probability and be no wider than
 2 d tol, and the exact references must lie in it.
+
+Two families have a closed-form optimum at d >= 3.  Qubit ensembles on
+orthogonal 2 x 2 blocks, hidden by one unitary, are optimal block by block:
+P* = sum_b t_b P_b with P_b the block's exact qubit optimum.  Symmetric pure
+states U^j |psi> with equal priors are optimally measured by the
+square-root measurement (Ban, Kurokawa, Momose & Hirota, Int. J. Theor.
+Phys. 36, 1269, 1997).
 """
 
 from __future__ import annotations
@@ -13,8 +20,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qsd import SolverOptions, helstrom, solve
+from qsd import SolverOptions, helstrom, make_ensemble, solve
 from qsd.oracle import qubit_optimum
+from qsd.rand import ginibre, random_ensemble, random_priors
 
 from . import exact
 from .conftest import corpus_ensembles
@@ -117,3 +125,57 @@ def test_positive_definite_agrees_with_clear_float_spectra():
             h = g + g.conj().T
             h += (margin - np.linalg.eigvalsh(h)[0]) * np.eye(d)
             assert exact.positive_definite(exact.rational(h)) == (margin > 0)
+
+
+def block_instance(seed: int):
+    """(ensemble, P*): k = 2..8 qubit ensembles on orthogonal 2 x 2 blocks of d = 2k, hidden by one Haar unitary.
+
+    Block b holds 2-5 pure or mixed qubit states with priors q_{b,x} and has
+    weight t_b; the instance's priors are t_b q_{b,x}.  Measuring the block
+    first loses nothing, and K = sum_b t_b K_b is dual-feasible with that
+    trace, so P* = sum_b t_b P_b.
+    """
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 9))
+    blocks = [random_ensemble(rng, int(rng.integers(2, 6)), 2, pure=bool(rng.integers(2))) for _ in range(k)]
+    weights = random_priors(rng, k)
+    d = 2 * k
+    q, r = np.linalg.qr(ginibre(rng, d, d))
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    priors, states = [], []
+    for b, (t, block) in enumerate(zip(weights, blocks)):
+        for prior, rho in zip(block.priors, block.matrices):
+            embedded = np.zeros((d, d), dtype=complex)
+            embedded[2 * b : 2 * b + 2, 2 * b : 2 * b + 2] = rho
+            priors.append(t * prior)
+            states.append(u @ embedded @ u.conj().T)
+    return make_ensemble(priors, states), sum(t * qubit_optimum(block)[0] for t, block in zip(weights, blocks))
+
+
+@pytest.mark.parametrize("seed", range(2400, 2430))
+def test_block_instance_value_is_the_sum_of_its_qubit_optima(seed):
+    ensemble, optimum = block_instance(seed)
+    result = solve(ensemble)
+    assert result.converged
+    assert abs(result.guess_probability - optimum) <= 2 * ensemble.dim * TOL
+    if ensemble.dim <= 8:
+        lower, upper = exact.value_interval(ensemble, result)
+        assert lower - Fraction(1e-12) <= Fraction(optimum) <= upper + Fraction(1e-12)
+
+
+@pytest.mark.parametrize("d,n", [(2, 3), (3, 5), (4, 4), (4, 6), (8, 12), (16, 7), (16, 24), (32, 48), (32, 16)])
+def test_symmetric_pure_states_take_the_square_root_measurement_value(d, n):
+    # psi_j = U^j psi with U = diag(exp(2 pi i k_m / n)).  The Gram matrix is
+    # circulant with eigenvalues lambda_r = n sum_{m: k_m = r} |psi_m|^2, and
+    # the square-root measurement, optimal here, guesses with (sum_r sqrt(lambda_r))^2 / n^2.
+    rng = np.random.default_rng(100 * d + n)
+    psi = ginibre(rng, d, 1)[:, 0]
+    psi /= np.linalg.norm(psi)
+    k = rng.integers(0, n, size=d)
+    states = [np.outer(v, v.conj()) for v in (np.exp(2j * np.pi * k * j / n) * psi for j in range(n))]
+    eigenvalues = n * np.bincount(k, weights=np.abs(psi) ** 2, minlength=n)
+    result = solve(make_ensemble([1 / n] * n, states))
+    assert result.converged
+    # The first step from the uniform POVM is the square-root measurement.
+    assert result.iterations == 1
+    assert abs(result.guess_probability - np.sqrt(eigenvalues).sum() ** 2 / n**2) <= 1e-12

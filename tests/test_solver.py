@@ -394,6 +394,11 @@ class TestSolverOptions:
         with pytest.raises(ValueError):
             SolverOptions(**options)
 
+    @pytest.mark.parametrize("tolerance", ["1e-9", 1j, None, [1e-9]], ids=["str", "complex", "none", "list"])
+    def test_non_real_tolerance_is_a_value_error(self, tolerance):
+        with pytest.raises(ValueError, match="kkt_tolerance must be positive and finite"):
+            SolverOptions(kkt_tolerance=tolerance)
+
     def test_accepts_numpy_integer_budget(self):
         assert SolverOptions(max_iterations=np.int64(5)) == SolverOptions(max_iterations=5)
 
