@@ -11,12 +11,18 @@ Every eigenproblem in the package, and the Anderson solve, runs through
 three private kernels: _eigh, _eigvalsh and _solve.  Each calls the LAPACK
 gufunc that numpy.linalg.eigh, eigvalsh or solve calls for complex128 and
 float64 input (eigh_lo, eigvalsh_lo, solve1 of numpy.linalg._umath_linalg),
-inside the same np.errstate, so a failure raises numpy's LinAlgError with
-numpy's message.  numpy.linalg adds only shape and type checks and its
-Python plumbing, which at d <= 4 cost more than LAPACK does; every stack
-passed here is a square complex128 or float64 array that the library built
-or validated, so each result equals numpy.linalg's bit for bit.  The
-gufuncs are imported here and nowhere else, and nothing falls back to
+in the same floating-point state, so a failure raises numpy's LinAlgError
+with numpy's message.  That state is one np.errstate per kernel, applied as
+a decorator: it holds for the gufunc call alone, and the caller's state is
+back when the kernel returns or raises.  numpy 2 saves the caller's state
+per call, in a context variable; numpy 1.x saves it on the shared
+np.errstate, so there, when two threads call one kernel at once, each under
+a different np.errstate of its own, one of them can get the other's state
+back.  numpy.linalg adds only shape and type checks and its Python
+plumbing, which at d <= 4 cost more than LAPACK does; every stack passed
+here is a square complex128 or float64 array that the library built or
+validated, so each result equals numpy.linalg's bit for bit.  The gufuncs
+are imported here and nowhere else, and nothing falls back to
 numpy.linalg.
 
 One tolerance regime holds for every family: states, POVM elements, a given
@@ -128,35 +134,31 @@ def hermiticity_error(a: np.ndarray) -> float:
     return float(np.abs(a - a.conj().swapaxes(-1, -2)).max(initial=0.0))
 
 
-def _lapack_errstate(message: str):
-    """A factory of the floating-point state numpy.linalg runs its gufuncs in: a LAPACK failure raises LinAlgError(message)."""
+def _lapack_errstate(message: str) -> np.errstate:
+    """The floating-point state numpy.linalg runs its gufuncs in, as a decorator: a LAPACK failure raises LinAlgError(message)."""
 
     def fail(err, flag):
         raise np.linalg.LinAlgError(message)
 
-    return lambda: np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
+    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
 
 
-_NOT_CONVERGED = _lapack_errstate("Eigenvalues did not converge")
-_SINGULAR = _lapack_errstate("Singular matrix")
-
-
+@_lapack_errstate("Eigenvalues did not converge")
 def _eigh(a: np.ndarray):
     """numpy.linalg.eigh of a complex128 or float64 (..., d, d) stack: ascending eigenvalues and eigenvectors."""
-    with _NOT_CONVERGED():
-        return _umath_linalg.eigh_lo(a)
+    return _umath_linalg.eigh_lo(a)
 
 
+@_lapack_errstate("Eigenvalues did not converge")
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
     """numpy.linalg.eigvalsh of a complex128 or float64 (..., d, d) stack: ascending eigenvalues."""
-    with _NOT_CONVERGED():
-        return _umath_linalg.eigvalsh_lo(a)
+    return _umath_linalg.eigvalsh_lo(a)
 
 
+@_lapack_errstate("Singular matrix")
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """numpy.linalg.solve of a float64 or complex128 (m, m) system with a vector right-hand side b."""
-    with _SINGULAR():
-        return _umath_linalg.solve1(a, b)
+    return _umath_linalg.solve1(a, b)
 
 
 def min_eigenvalue(a: np.ndarray) -> float:

@@ -86,6 +86,7 @@ its gap is measured against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from numbers import Real
@@ -111,6 +112,8 @@ from .core import (
 )
 
 ZERO_PRIOR = 1e-15
+# Machine epsilon: a d x d residual stops falling near 4 d EPS.
+EPS = np.finfo(float).eps
 # Extra polish: after the residuals first drop below tolerance, keep iterating
 # toward tol/POLISH_FACTOR so downstream certificate checks have headroom.
 # At 1e2, over the acceptance corpus and fresh seeds 1-8 at tolerance 1e-9,
@@ -179,7 +182,8 @@ class KktReport:
 
     def max_residual(self) -> float:
         """The largest residual, or NaN if any residual is NaN."""
-        return float(np.max([self.primal_residual, self.dual_residual, self.slackness_residual, abs(self.gap)]))
+        values = (self.primal_residual, self.dual_residual, self.slackness_residual, abs(self.gap))
+        return math.nan if any(map(math.isnan, values)) else float(max(values))
 
     def within(self, tolerance: float) -> bool:
         return self.max_residual() <= tolerance
@@ -209,14 +213,17 @@ def certificate_from_povm(ensemble: StateEnsemble, povm: Povm, k=None) -> DualCe
     and one that is not Hermitian.
     """
     elements = _elements(ensemble, povm)
-    weighted = ensemble.weighted_stack()
-    if k is None:
-        k = _dual(weighted, elements)
-    else:
+    if k is not None:
         k = np.asarray(k, dtype=complex)
         if k.shape != (ensemble.dim, ensemble.dim):
             raise DimensionMismatch(f"K has shape {k.shape}, expected {(ensemble.dim,) * 2}")
         k = _hermitian(k, "dual operator")
+    return _certificate(ensemble.weighted_stack(), elements, k)
+
+
+def _certificate(weighted: np.ndarray, elements: np.ndarray, k: np.ndarray | None = None) -> DualCertificate:
+    """certificate_from_povm's body, on the weighted stack and elements it has checked, or solve has built."""
+    k = _dual(weighted, elements) if k is None else k
     sigma, slackness, feas = _residuals(weighted, elements, k)
     return DualCertificate(
         k_operator=_frozen(k),
@@ -267,7 +274,7 @@ def solve(ensemble: StateEnsemble, options: SolverOptions | None = None) -> Disc
     full = np.zeros((len(ensemble), d, d), dtype=complex)
     full[active] = hermitian_part(best_elements)
     povm = Povm(elements=full)
-    certificate = certificate_from_povm(ensemble, povm)
+    certificate = _certificate(ensemble.weighted_stack(), povm.elements)
     report = _report(povm, certificate)
     # Iterates are PSD and complete by construction; this guards against
     # numerical drift producing an invalid certificate.
@@ -295,8 +302,9 @@ def _iterate(
     """The accelerated map on a stack of weighted states, with the active-set step.
 
     Runs from the given factors for at most budget steps and returns the best
-    elements seen, the step at which they were found and the steps taken,
-    those of nested reduced solves included.  The stop rule, the stall exit
+    elements seen (the start's, formed only when no step gave a finite
+    residual), the step at which they were found and the steps taken, those
+    of nested reduced solves included.  The stop rule, the stall exit
     and the drops, tried at iteration FIRST_DROP_CHECK and then whenever the
     steps taken have doubled, are described in the module docstring.  No
     drop is tried once the best residual is within tolerance: at round-off
@@ -304,8 +312,9 @@ def _iterate(
     dropped holds the dropped weighted states, limit the parent's residual
     at the drop and patience the steps the parent had taken then.
     """
-    target = min(tolerance, max(tolerance / POLISH_FACTOR, 4 * weighted.shape[1] * np.finfo(float).eps))
-    best_elements = _elements_of(factors)
+    target = min(tolerance, max(tolerance / POLISH_FACTOR, 4 * weighted.shape[1] * EPS))
+    start = factors
+    best_elements = None
     best_residual = np.inf
     best_at = 0
     residual = np.inf
@@ -365,7 +374,7 @@ def _iterate(
                 if padded_residual <= target:
                     break
             check = 2 * iterations
-    return best_elements, best_at, iterations
+    return (_elements_of(start) if best_elements is None else best_elements), best_at, iterations
 
 
 def _vanishing(feas: np.ndarray, residual: float) -> np.ndarray:
@@ -441,7 +450,7 @@ class _Anderson:
 
     def __init__(self, shape: tuple[int, ...]):
         self.shape = shape
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         self.df = np.empty((ANDERSON_MEMORY, 2 * size))
         self.dg = np.empty((ANDERSON_MEMORY, size), dtype=complex)
         self.gram = np.empty((ANDERSON_MEMORY, ANDERSON_MEMORY))
@@ -456,7 +465,7 @@ class _Anderson:
             df, dg = self.df[slot], self.dg[slot]
             np.subtract(f, self.f, out=df)
             np.subtract(g, self.g, out=dg)
-            norm = np.sqrt(df @ df)
+            norm = math.sqrt(df @ df)
             if norm > 0:
                 df /= norm
                 dg /= norm

@@ -1,7 +1,8 @@
-"""The LAPACK kernels _eigh, _eigvalsh and _solve: numpy.linalg bit for bit, its errors, one import.
+"""The LAPACK kernels _eigh, _eigvalsh and _solve: numpy.linalg bit for bit, its errors, its scope, one import.
 
 These tests also run at the oldest numpy pyproject admits, where they check
-that the three gufuncs exist under the names core calls.
+that the three gufuncs exist under the names core calls and that np.errstate,
+applied as a decorator, scopes each kernel there too.
 """
 
 from __future__ import annotations
@@ -102,7 +103,16 @@ def invalid(*args):
     return np.sqrt(np.float64(-1.0))
 
 
-@pytest.mark.parametrize(
+def failing(monkeypatch) -> None:
+    """Make every kernel's gufunc fail as LAPACK does."""
+    monkeypatch.setattr(core, "_umath_linalg", SimpleNamespace(eigh_lo=invalid, eigvalsh_lo=invalid, solve1=invalid))
+
+
+def handler(err, flag):
+    """A caller's own floating-point error callback."""
+
+
+KERNEL_CALLS = pytest.mark.parametrize(
     ("kernel", "args", "message"),
     [
         (_eigh, (np.eye(2),), "Eigenvalues did not converge"),
@@ -111,15 +121,48 @@ def invalid(*args):
     ],
     ids=["eigh", "eigvalsh", "solve"],
 )
-def test_lapack_failure_raises_numpy_linalg_error(monkeypatch, kernel, args, message):
-    monkeypatch.setattr(core, "_umath_linalg", SimpleNamespace(eigh_lo=invalid, eigvalsh_lo=invalid, solve1=invalid))
+CALLER_STATES = pytest.mark.parametrize(
+    "state",
+    [
+        {"all": "warn"},
+        {"all": "raise"},
+        {"divide": "raise", "over": "ignore", "under": "warn", "invalid": "call", "call": handler},
+    ],
+    ids=["warn", "raise", "custom"],
+)
+
+
+@KERNEL_CALLS
+@CALLER_STATES
+def test_lapack_failure_raises_numpy_linalg_error(monkeypatch, kernel, args, message, state):
+    """In any state of the caller's, which the kernel leaves as it was."""
+    failing(monkeypatch)
+    with np.errstate(**state):
+        before = np.geterr(), np.geterrcall()
+        with pytest.raises(np.linalg.LinAlgError, match=f"^{message}$"):
+            kernel(*args)
+        assert (np.geterr(), np.geterrcall()) == before
+
+
+@CALLER_STATES
+def test_singular_system_raises_numpy_linalg_error(state):
+    with np.errstate(**state):
+        before = np.geterr(), np.geterrcall()
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            _solve(np.ones((2, 2)), np.ones(2))
+        assert (np.geterr(), np.geterrcall()) == before
+
+
+@KERNEL_CALLS
+def test_the_callers_own_warning_after_a_kernel_call_still_warns(monkeypatch, kernel, args, message):
+    kernel(*args)
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        np.sqrt(np.array(-1.0))
+    failing(monkeypatch)
     with pytest.raises(np.linalg.LinAlgError, match=f"^{message}$"):
         kernel(*args)
-
-
-def test_singular_system_raises_numpy_linalg_error():
-    with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
-        _solve(np.ones((2, 2)), np.ones(2))
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        np.sqrt(np.array(-1.0))
 
 
 def test_gufuncs_are_imported_once_and_numpy_linalg_eigen_calls_are_gone():

@@ -130,6 +130,13 @@ class TestSolve:
         with pytest.raises(solver.CompletenessDrift, match="^iterate left the POVM set: NaN or Inf entries$"):
             solve(zero_plus_ensemble)
 
+    def test_no_finite_residual_returns_the_uniform_start(self, zero_plus_ensemble, monkeypatch):
+        monkeypatch.setattr(solver, "_residual", lambda weighted, elements: (np.nan, np.full(len(weighted), np.nan)))
+        result = solve(zero_plus_ensemble, SolverOptions(max_iterations=3))
+        assert result.iterations == 3
+        assert not result.converged
+        np.testing.assert_array_equal(result.povm.elements, np.array([np.eye(2) / 2] * 2))
+
 
 class TestAcceleration:
     """The Anderson step on square-root factors: the tail converges and every iterate stays a POVM."""
@@ -526,6 +533,23 @@ class TestKktCheck:
         report = kkt_check(trine_ensemble, result.povm, certificate)
         assert np.isnan(report.dual_residual)
         assert not report.within(1.0)
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_max_residual_is_nan_when_any_residual_is(self, position):
+        values = [1e-12, 2e-12, 3e-12, -4e-12]
+        values[position] = np.nan
+        report = solver.KktReport(*values)
+        assert np.isnan(report.max_residual())
+        assert not report.within(1.0)
+
+    @pytest.mark.parametrize(
+        "values",
+        [(1e-12, 2e-12, 3e-12, -4e-12), (5e-12, 2e-12, 3e-12, 4e-12), (0.0, 0.0, 0.0, -0.0), (1.0, np.inf, 0.0, -np.inf)],
+    )
+    def test_max_residual_is_the_largest_residual_and_gap_magnitude(self, values):
+        report = solver.KktReport(*values)
+        assert report.max_residual() == np.max([*values[:3], abs(values[3])])
+        assert type(report.max_residual()) is float
 
     def test_rejects_wrong_dimension(self, trine_ensemble):
         povm = validate_povm([np.eye(2) / 3] * 3)

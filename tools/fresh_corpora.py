@@ -10,20 +10,24 @@ rule sits at its round-off floor.  Prints one line per seed and tolerance
 and then the totals: the instances that converged, the total, median and
 maximum iteration counts, the worst KKT residual (primal, dual, slackness
 and gap) and the worst steering ensemble_residual of the solved
-certificates.  Exits 1 if any instance does not converge, has a residual
-above its tolerance, has an ensemble_residual above 10 x its tolerance or
-takes more than 150 iterations, and 0 otherwise.  The iteration cap sits
-well above the largest counts seen (60 at 1e-9, 96 at 1e-13) and far below
-the budget, so a reduced solve that eats the budget, or a stop rule below
-round-off, fails here before it leaves an instance unconverged.  The
-steering gate only watches the headroom the solver's polish
-(solver.POLISH_FACTOR) was chosen from: the worst ensemble_residual reads
-about 5e-11 at 1e-9.  qsd certify has no row for it, since the KKT rows
-bound it.
+certificates.  After each sweep's totals it prints one sha256 over every
+solve of the sweep, in order: its iteration count, its POVM elements' bytes
+and its K's bytes.  The digest is always printed (there is no flag): run the
+tool on two trees to show that a change to the solver moves no bit.  Exits
+1 if any instance does not converge, has a residual above its tolerance,
+has an ensemble_residual above 10 x its tolerance or takes more than 150
+iterations, and 0 otherwise.  The iteration cap sits well above the largest
+counts seen (60 at 1e-9, 96 at 1e-13) and far below the budget, so a
+reduced solve that eats the budget, or a stop rule below round-off, fails
+here before it leaves an instance unconverged.  The steering gate only
+watches the headroom the solver's polish (solver.POLISH_FACTOR) was chosen
+from: the worst ensemble_residual reads about 5e-11 at 1e-9.  qsd certify
+has no row for it, since the KKT rows bound it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import statistics
 import sys
 from pathlib import Path
@@ -54,10 +58,14 @@ def main() -> int:
     for tolerance, seeds in SWEEPS:
         options = SolverOptions(kkt_tolerance=tolerance)
         iterations, converged, worst, ensemble_worst = [], 0, 0.0, 0.0
+        digest = hashlib.sha256()
         for seed in seeds:
             seed_iterations, seed_converged, seed_worst, seed_ensemble = [], 0, 0.0, 0.0
             for ensemble in corpus_ensembles(seed):
                 result = solve(ensemble, options)
+                digest.update(result.iterations.to_bytes(8, "little"))
+                digest.update(result.povm.elements.tobytes())
+                digest.update(result.certificate.k_operator.tobytes())
                 seed_iterations.append(result.iterations)
                 seed_converged += result.converged
                 seed_worst = max(seed_worst, result.report.max_residual())
@@ -68,6 +76,7 @@ def main() -> int:
             worst = max(worst, seed_worst)
             ensemble_worst = max(ensemble_worst, seed_ensemble)
         print(summary("all", tolerance, iterations, converged, worst, ensemble_worst))
+        print(f"sha256   at {tolerance:.0e}  {digest.hexdigest()}")
         ok = (
             ok
             and converged == len(iterations)
