@@ -129,11 +129,6 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
-def hermiticity_error(a: np.ndarray) -> float:
-    """Largest entrywise deviation |A_ij - conj(A_ji)| (over a stack too)."""
-    return float(np.abs(a - a.conj().swapaxes(-1, -2)).max(initial=0.0))
-
-
 def _lapack_errstate(message: str) -> np.errstate:
     """The floating-point state numpy.linalg runs its gufuncs in, as a decorator: a LAPACK failure raises LinAlgError(message)."""
 
@@ -159,11 +154,6 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """numpy.linalg.solve of a float64 or complex128 (m, m) system with a vector right-hand side b."""
     return _umath_linalg.solve1(a, b)
-
-
-def min_eigenvalue(a: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix, or of all matrices in a stack."""
-    return float(_eigvalsh(hermitian_part(a)).min())
 
 
 def psd_sqrt_pinv(a: np.ndarray) -> np.ndarray:

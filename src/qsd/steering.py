@@ -22,12 +22,12 @@ from .core import (
     DimensionMismatch,
     Povm,
     QsdError,
+    _eigvalsh,
     _frozen,
     _integer,
     _trace_norms,
     born_table,
     hermitian_part,
-    min_eigenvalue,
     pair_indices,
     trace_norm,
     validate_density,
@@ -154,8 +154,9 @@ def ghjw_povm(state: BipartitePureState, decomposition: SteeringDecomposition) -
     elements = hermitian_part((projected / np.outer(c, c)).swapaxes(-1, -2))
     steers_to = tuple(range(len(members)))
 
+    # Exactly Hermitian: the identity minus a sum of Hermitian parts.
     completion = np.eye(state.dim_a) - elements.sum(axis=0)
-    lowest = min_eigenvalue(completion)
+    lowest = float(_eigvalsh(completion).min())
     if lowest < -SUPPORT_TOL:
         raise UnsteerableWeight(f"completion element has eigenvalue {lowest:.3e}")
     if float(np.abs(completion).max()) > RANK_CUTOFF:
