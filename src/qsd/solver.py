@@ -17,7 +17,12 @@ step is A_x <- G^{-1/2} W_x A_x, and the elements are A_x A_x^dagger plus the
 additive correction (I - sum_y A_y A_y^dagger) / N over the states with
 nonzero prior, which completes them when the states share a proper subspace
 and G is rank-deficient.  The iteration starts from the uniform POVM, factors
-I/sqrt(N); the start and the map commute with a unitary change of frame and
+I/sqrt(N), unless exactly two states have nonzero prior: it then starts from
+their Helstrom measurement (_helstrom_factors), which attains the two-state
+bound, so the first step's residual certifies it and the solve stops there
+(in 1 iteration on each of the acceptance corpus's 42 pairs, 213 from the
+uniform start).  A reduced solve that keeps two states starts from theirs
+likewise.  The starts and the map commute with a unitary change of frame and
 with a relabelling of the states, so the solver does too, up to round-off.
 On its own the map converges sublinearly on mixed, near-degenerate
 ensembles.  Each step therefore also forms a safeguarded Anderson candidate
@@ -26,8 +31,9 @@ ANDERSON_MEMORY steps, renormalised to S^{-1/2} C with S = sum_x C_x
 C_x^dagger so that its elements are again PSD and complete.  The candidate
 is taken only when its KKT residual is below the current iterate's,
 otherwise the plain image is; the history is kept either way.  On 1600
-random instances (N 2..6, d <= 4) this takes the median from 24 iterations
-to 8 and the 99th percentile from about 1500 to 34.
+random instances (N 2..6, d <= 4) and without the active-set step below,
+this takes the median to 7 iterations and the 99th percentile to 34; the
+plain map, from the uniform start, took 24 and about 1500.
 
 Where an optimal element vanishes, sigma_x = K - q_x rho_x is positive
 definite (tr[sigma_x M_x] = 0 with sigma_x >= 0), yet the map shrinks M_x
@@ -45,23 +51,23 @@ A reduced solve gives up early in three ways, each kept for what it saves
 on corpora drawn like the acceptance corpus at tolerance 1e-9:
   - when its residual first falls below the parent's residual at the drop
     and K - W_x has an eigenvalue below minus that residual for a dropped
-    x (without it the acceptance corpus takes 1573 iterations instead of
-    1514, and fresh seeds 1-8 12766 instead of 12219);
+    x (without it the acceptance corpus takes 1082 iterations instead of
+    1049, and fresh seeds 1-8 9128 instead of 8819);
   - when it has not got below that residual within as many steps as the
     parent had taken, as a kept element that starts near zero grows only
     slowly (without it fresh seeds 9-24 take at most 469 instead of 409);
   - at any residual level, after STALL_LIMIT steps without improvement,
     instead of running out the parent's budget.
 With the step every instance of fresh seeds 1-8 (tools/fresh_corpora.py)
-converges, in 12219 iterations in all and at most 60 (without it one ran
+converges, in 8819 iterations in all and at most 60 (without it one ran
 out of its 10000-step budget; with the first drop tried at iteration 20
-they took 15380, at most 48).
+they took 13941, at most 48).
 
 The stop rule asks for min(tolerance, max(tolerance / POLISH_FACTOR, 4 d
 eps)), 4 d eps being where a d x d residual stops falling.  The polish below
 tolerance buys headroom for the checks a report is put to; POLISH_FACTOR
-1e2 leaves each of them about 100x (see its comment), where 1e4 cost the
-acceptance corpus 1705 iterations instead of 1514.  Once the best
+1e2 leaves each of them about 100x (see its comment), where 1e4 costs the
+acceptance corpus 1165 iterations instead of 1049.  Once the best
 residual is within tolerance the solve also stops after STALL_LIMIT steps
 without improvement and tries no more drops.  This exit bounds a stall
 between the tolerance and the floor: at every tolerance <= 1e-13,
@@ -99,6 +105,7 @@ from .core import (
     Povm,
     QsdError,
     StateEnsemble,
+    _eigh,
     _eigvalsh,
     _elements,
     _frozen,
@@ -115,10 +122,10 @@ EPS = np.finfo(float).eps
 # Extra polish: after the residuals first drop below tolerance, keep iterating
 # toward tol/POLISH_FACTOR so downstream certificate checks have headroom.
 # At 1e2, over the acceptance corpus and fresh seeds 1-8 at tolerance 1e-9,
-# the worst KKT residual is 1.0e-11 and the worst steering ensemble_residual
+# the worst KKT residual is 9.9e-12 and the worst steering ensemble_residual
 # 5.1e-11 (qsd certify allows 1e-8), and tests/exact.py proves each
 # acceptance value to within 3.8e-11; a factor of 1 leaves residuals at
-# 9.6e-10.
+# 9.9e-10.
 POLISH_FACTOR = 1e2
 # Once the best residual is within tolerance, stop after this many steps
 # without improvement: round-off can keep the stop rule out of reach.
@@ -249,7 +256,8 @@ def solve(ensemble: StateEnsemble, options: SolverOptions | None = None) -> Disc
     """Optimal minimum-error discrimination via the accelerated fixed-point iteration.
 
     The iteration starts from the uniform POVM I/N over the states with
-    nonzero prior.  On convergence the returned certificate has all KKT
+    nonzero prior or, when exactly two states have nonzero prior, from their
+    Helstrom measurement.  On convergence the returned certificate has all KKT
     residuals within options.kkt_tolerance, which by SDP duality pins the
     value to the optimum within that tolerance.  If the iteration budget runs
     out the best iterate seen is returned with converged=False (a flagged
@@ -263,8 +271,11 @@ def solve(ensemble: StateEnsemble, options: SolverOptions | None = None) -> Disc
 
     active = np.flatnonzero(ensemble.priors >= ZERO_PRIOR)
     weighted = ensemble.weighted_stack()[active]
-    # The uniform POVM I/N over the live states, as factors I/sqrt(N).
-    factors = np.repeat(np.eye(d, dtype=complex)[None] / np.sqrt(len(active)), len(active), axis=0)
+    if len(active) == 2:
+        factors = _helstrom_factors(weighted)
+    else:
+        # The uniform POVM I/N over the live states, as factors I/sqrt(N).
+        factors = np.repeat(np.eye(d, dtype=complex)[None] / np.sqrt(len(active)), len(active), axis=0)
     best_elements, _, iterations = _iterate(weighted, factors, opts.max_iterations, opts.kkt_tolerance)
     if not np.isfinite(best_elements).all():
         raise CompletenessDrift("iterate left the POVM set: NaN or Inf entries")
@@ -354,9 +365,10 @@ def _iterate(
             drop = _vanishing(feas, residual)
             if drop.any() and not drop.all():
                 keep = ~drop
+                kept = weighted[keep]
                 reduced, reduced_at, used = _iterate(
-                    weighted[keep],
-                    _complete(factors[keep]),
+                    kept,
+                    _helstrom_factors(kept) if len(kept) == 2 else _complete(factors[keep]),
                     budget - iterations,
                     tolerance,
                     weighted[drop],
@@ -383,6 +395,22 @@ def _vanishing(feas: np.ndarray, residual: float) -> np.ndarray:
     above the current residual.
     """
     return feas > residual
+
+
+def _helstrom_factors(weighted: np.ndarray) -> np.ndarray:
+    """Factors of the Helstrom measurement of a (2, d, d) stack of weighted states.
+
+    With W_0 - W_1 = V diag(w) V^dagger they are A_0 = V diag(sqrt(s)) and
+    A_1 = V diag(sqrt(1 - s)), s = 1, 0 or 1/2 where w is positive, negative
+    or exactly zero: the elements project onto the positive and negative
+    eigenspaces and split the null space evenly, A_0 A_0^dagger + A_1
+    A_1^dagger = V V^dagger, and swapping the states swaps the factors.
+    Taking the projectors themselves as factors leaves fresh seed 2 #38 and
+    #48 at a primal residual of 2.0e-13 and 1.2e-13, unconverged at 1e-13.
+    """
+    w, v = _eigh(weighted[0] - weighted[1])
+    s = 0.5 * (1.0 + np.sign(w))
+    return np.stack((v * np.sqrt(s), v * np.sqrt(1.0 - s)))
 
 
 def _step(weighted: np.ndarray, factors: np.ndarray) -> np.ndarray:

@@ -41,8 +41,10 @@ def trine_file(tmp_path):
 
 @pytest.fixture
 def slow_file(tmp_path):
-    # Needs 43 iterations, so a budget of 2 runs out (the trine needs 1).
-    return write_instance(tmp_path / "slow.json", random_ensemble(7, 4, 3))
+    # Needs 70 iterations, so a budget of 2 runs out (the trine needs 1).
+    # Its reduced solves keep at least three states, so no Helstrom start
+    # shortens it.
+    return write_instance(tmp_path / "slow.json", random_ensemble(54, 4, 3))
 
 
 class TestSolveCommand:
@@ -98,10 +100,10 @@ class TestSolveCommand:
         assert "steering" not in report["result"]
 
     def test_loose_tolerance_beyond_the_steering_gate_fails_certification(self, slow_file, tmp_path, capsys):
-        # Converged at 1e-5, but sigma's eigenvalue -1.9e-6 lies beyond nosignaling.INFEASIBLE_TOL.
+        # Converged at 1e-5, but sigma's eigenvalue -1.1e-6 lies beyond nosignaling.INFEASIBLE_TOL.
         out = tmp_path / "report.json"
         assert main(["solve", slow_file, "--tolerance", "1e-5", "--max-iter", "30", "--output", str(out)]) == 3
-        assert capsys.readouterr().err == "error: certification failed: complementary operator eigenvalue -1.920e-06\n"
+        assert capsys.readouterr().err == "error: certification failed: complementary operator eigenvalue -1.083e-06\n"
         report = json.loads(out.read_text())
         assert report["result"]["converged"] is True
         assert "steering" not in report["result"]
@@ -194,12 +196,12 @@ class TestCertifyCommand:
         assert "FAILED" in capsys.readouterr().out
 
     def test_report_cannot_loosen_its_own_check(self, tmp_path, capsys):
-        # Stopped after 5 of its 9 iterations, the solve leaves a dual
-        # residual near 1e-7; a report edited to claim kkt_tolerance 1e-5 is
+        # Stopped after 35 of its 70 iterations, the solve leaves a dual
+        # residual near 3e-7; a report edited to claim kkt_tolerance 1e-5 is
         # still checked at 1e-9.
-        path = write_instance(tmp_path / "early.json", random_ensemble(0, 4, 3))
+        path = write_instance(tmp_path / "early.json", random_ensemble(54, 4, 3))
         out = tmp_path / "report.json"
-        assert main(["solve", path, "--max-iter", "5", "--output", str(out)]) == 2
+        assert main(["solve", path, "--max-iter", "35", "--output", str(out)]) == 2
         report = json.loads(out.read_text())
         assert 1e-9 < report["result"]["residuals"]["dual"] < 1e-6
         report["options"]["kkt_tolerance"] = 1e-5
@@ -415,7 +417,7 @@ class TestCertifyCommand:
 
     def test_loose_report_the_steering_gate_refuses_certifies_at_its_tolerance(self, slow_file, tmp_path, capsys):
         # solve refuses this certificate in its steering layer (sigma's eigenvalue
-        # -1.9e-6 is beyond nosignaling.INFEASIBLE_TOL), but every KKT row is within 1e-5.
+        # -1.1e-6 is beyond nosignaling.INFEASIBLE_TOL), but every KKT row is within 1e-5.
         out = tmp_path / "report.json"
         assert main(["solve", slow_file, "--tolerance", "1e-5", "--max-iter", "30", "--output", str(out)]) == 3
         capsys.readouterr()
@@ -495,8 +497,8 @@ class TestSimulateCommand:
     @pytest.mark.parametrize(
         ("budget", "reason"),
         [
-            (["--max-iter", "30"], "complementary operator eigenvalue -1.920e-06"),
-            ([], "members mix to the target only within 1.688e-09"),
+            (["--max-iter", "30"], "complementary operator eigenvalue -1.083e-06"),
+            ([], "members mix to the target only within 1.432e-09"),
         ],
         ids=["infeasible-certificate", "marginal-mismatch"],
     )
@@ -658,10 +660,10 @@ class TestParserReuse:
         assert cli._build_parser() is cli._build_parser()
 
     def test_a_flag_does_not_carry_into_the_next_call(self, slow_file, tmp_path, capsys):
-        # One iteration short of convergence the dual residual is near 3e-7:
+        # Ten iterations short of convergence the dual residual is near 4e-8:
         # within a report edited to claim 1e-5, outside the default 1e-9.
         out = tmp_path / "report.json"
-        assert main(["solve", slow_file, "--max-iter", "41", "--output", str(out)]) == 2
+        assert main(["solve", slow_file, "--max-iter", "40", "--output", str(out)]) == 2
         report = json.loads(out.read_text())
         report["options"]["kkt_tolerance"] = 1e-5
         out.write_text(json.dumps(report))

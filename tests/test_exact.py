@@ -7,7 +7,8 @@ interval must hold its solve's guess_probability and be no wider than
 
 Two families have a closed-form optimum at d >= 3.  Qubit ensembles on
 orthogonal 2 x 2 blocks, hidden by one unitary, are optimal block by block:
-P* = sum_b t_b P_b with P_b the block's exact qubit optimum.  Symmetric pure
+P* = sum_b t_b P_b with P_b the block's exact qubit optimum; five of them
+with 9-16 blocks (d 18-32) are checked against P* alone.  Symmetric pure
 states U^j |psi> with equal priors are optimally measured by the
 square-root measurement (Ban, Kurokawa, Momose & Hirota, Int. J. Theor.
 Phys. 36, 1269, 1997).
@@ -127,8 +128,8 @@ def test_positive_definite_agrees_with_clear_float_spectra():
             assert exact.positive_definite(exact.rational(h)) == (margin > 0)
 
 
-def block_instance(seed: int):
-    """(ensemble, P*): k = 2..8 qubit ensembles on orthogonal 2 x 2 blocks of d = 2k, hidden by one Haar unitary.
+def block_instance(seed: int, blocks: tuple[int, int] = (2, 8)):
+    """(ensemble, P*): k qubit ensembles, k drawn from the inclusive range blocks, on orthogonal 2 x 2 blocks of d = 2k, hidden by one Haar unitary.
 
     Block b holds 2-5 pure or mixed qubit states with priors q_{b,x} and has
     weight t_b; the instance's priors are t_b q_{b,x}.  Measuring the block
@@ -136,7 +137,7 @@ def block_instance(seed: int):
     trace, so P* = sum_b t_b P_b.
     """
     rng = np.random.default_rng(seed)
-    k = int(rng.integers(2, 9))
+    k = int(rng.integers(blocks[0], blocks[1] + 1))
     blocks = [random_ensemble(rng, int(rng.integers(2, 6)), 2, pure=bool(rng.integers(2))) for _ in range(k)]
     weights = random_priors(rng, k)
     d = 2 * k
@@ -152,9 +153,15 @@ def block_instance(seed: int):
     return make_ensemble(priors, states), sum(t * qubit_optimum(block)[0] for t, block in zip(weights, blocks))
 
 
-@pytest.mark.parametrize("seed", range(2400, 2430))
+# Drawn with 9-16 blocks: d = 32, 28, 30, 32 and 20, 14-32 iterations and
+# about 0.8 s of solves together.  The exact interval would cost 1-5 s a
+# solve at d = 32.
+LARGE_BLOCK_SEEDS = (3201, 3206, 3212, 3213, 3219)
+
+
+@pytest.mark.parametrize("seed", [*range(2400, 2430), *LARGE_BLOCK_SEEDS])
 def test_block_instance_value_is_the_sum_of_its_qubit_optima(seed):
-    ensemble, optimum = block_instance(seed)
+    ensemble, optimum = block_instance(seed, (9, 16) if seed in LARGE_BLOCK_SEEDS else (2, 8))
     result = solve(ensemble)
     assert result.converged
     assert abs(result.guess_probability - optimum) <= 2 * ensemble.dim * TOL

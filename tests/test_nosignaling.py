@@ -249,8 +249,10 @@ def forged_structures():
     Each instance is solved as drawn and with q_0 raised by 9e-13, which
     make_ensemble accepts (PRIOR_TOL).  Besides the solve's own K, each gets
     K + H for a random Hermitian H of spectral radius r and K +- r I, for r
-    in 1e-12, 1e-9 and 1e-6.  K - 1e-6 I falls below the steering layer's
-    INFEASIBLE_TOL gate and has no structure, so it is left out here.
+    in 1e-12, 1e-9 and 1e-6.  K - 1e-6 I sits at the steering layer's
+    INFEASIBLE_TOL gate: it falls below it, has no structure and is left out
+    here unless every sigma_x of the solve is PSD to the last bit, as for the
+    two of these 40 solves that end at a Helstrom measurement.
     """
     rng = np.random.default_rng(2200)
     cases = []
@@ -284,7 +286,7 @@ class TestKktRowsImplyTheStructure:
 
     def test_norm_identity_holds_to_rounding(self):
         cases = forged_structures()
-        assert len(cases) == 360
+        assert len(cases) == 362
         for ensemble, _, structure, _ in cases:
             assert norm_identity_check(structure, ensemble) <= 1e-14
 

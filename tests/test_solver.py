@@ -25,9 +25,9 @@ from qsd import (
 )
 from qsd.core import MAX_ENTRY, hermitian_part
 from qsd.oracle import oracle_grid
-from qsd.rand import random_ensemble
+from qsd.rand import random_density, random_ensemble
 
-from .conftest import corpus_ensembles, corpus_member, orthogonal_instance, projector, trine_states
+from .conftest import corpus_ensembles, corpus_member, orthogonal_instance, projector, tetrahedron_states, trine_states
 
 
 class TestSolve:
@@ -75,7 +75,7 @@ class TestSolve:
             np.testing.assert_array_equal(ma, mb)
 
     def test_budget_exhaustion_flags_not_converged(self):
-        result = solve(random_ensemble(7, 4, 3), SolverOptions(max_iterations=2))  # needs 43
+        result = solve(random_ensemble(54, 4, 3), SolverOptions(max_iterations=2))  # needs 70
         assert not result.converged
         assert result.iterations == 2
         validate_povm(result.povm.elements)
@@ -130,12 +130,14 @@ class TestSolve:
         with pytest.raises(solver.CompletenessDrift, match="^iterate left the POVM set: NaN or Inf entries$"):
             solve(zero_plus_ensemble)
 
-    def test_no_finite_residual_returns_the_uniform_start(self, zero_plus_ensemble, monkeypatch):
+    def test_no_finite_residual_returns_the_uniform_start(self, monkeypatch):
+        # Four states, so the start is uniform (two would start at their
+        # Helstrom measurement) and its elements are exactly I/4.
         monkeypatch.setattr(solver, "_residual", lambda weighted, elements: (np.nan, np.full(len(weighted), np.nan)))
-        result = solve(zero_plus_ensemble, SolverOptions(max_iterations=3))
+        result = solve(make_ensemble([0.25] * 4, tetrahedron_states()), SolverOptions(max_iterations=3))
         assert result.iterations == 3
         assert not result.converged
-        np.testing.assert_array_equal(result.povm.elements, np.array([np.eye(2) / 2] * 2))
+        np.testing.assert_array_equal(result.povm.elements, np.array([np.eye(2) / 4] * 4))
 
 
 class TestAcceleration:
@@ -237,13 +239,43 @@ class TestActiveSetStep:
 
     @pytest.mark.parametrize("state", [0, 1])
     def test_wrong_drop_on_two_states_is_rejected(self, monkeypatch, state):
-        ensemble = random_ensemble(np.random.default_rng(5), 2, 3)
+        # A two-state solve starts at its optimum and stops at step 1,
+        # before any drop check, so the pair gets a third state, I/3 at
+        # prior 0.01, whose element vanishes at the optimum.  Dropping state
+        # 0 or 1 leaves a pair, solved from its own Helstrom measurement in
+        # one step, that the full stack rejects; the solve converges in 10.
+        pair = random_ensemble(np.random.default_rng(5), 2, 3)
+        weighted = 0.99 * pair.weighted_stack()
+        k = np.einsum("xij,xjk->ik", weighted, helstrom(pair).povm.elements)
+        assert np.linalg.eigvalsh(hermitian_part(k))[0] > 0.01 / 3  # K >= 0.01 I / 3: the third element vanishes
+        ensemble = make_ensemble([*0.99 * pair.priors, 0.01], [*pair.matrices, np.eye(3) / 3])
         calls = self.force_drop(monkeypatch, ensemble, state)
         result = solve(ensemble)
         assert len(ensemble) in calls
         assert result.converged
-        assert abs(result.guess_probability - helstrom(ensemble).value) <= 1e-9
+        assert abs(result.guess_probability - 0.99 * helstrom(pair).value) <= 1e-9
         assert np.trace(result.povm.elements[state]).real > 0.1
+
+    def test_reduced_pair_starts_at_its_helstrom_measurement(self, monkeypatch):
+        # The right drop of the skewed trine's state 2 leaves states 0 and 1,
+        # whose reduced solve starts at their Helstrom projectors (the
+        # priors renormalised, which moves no eigenvector) and takes 1 step.
+        ensemble = self.skewed_trine()
+        self.force_drop(monkeypatch, ensemble, 2)
+        iterate, reduced = solver._iterate, []
+
+        def recording(weighted, factors, *args):
+            out = iterate(weighted, factors, *args)
+            if len(args) > 2:
+                reduced.append((factors, out[2]))
+            return out
+
+        monkeypatch.setattr(solver, "_iterate", recording)
+        assert solve(ensemble).converged
+        [(factors, used)] = reduced
+        pair = make_ensemble([0.5 / 0.8, 0.3 / 0.8], trine_states()[:2])
+        np.testing.assert_allclose(solver._elements_of(factors), helstrom(pair).povm.elements, rtol=0, atol=1e-12)
+        assert used == 1
 
     def test_right_drop_gives_an_exactly_zero_element(self, monkeypatch):
         ensemble = self.skewed_trine()
@@ -274,17 +306,18 @@ class TestActiveSetStep:
         assert accepted >= 5
 
     def test_cut_short_drop_attempt_keeps_its_progress(self):
-        # The drop at iteration 1 starts a reduced solve, which drops again
-        # at its own first step and meets the stop rule at iteration 46.  A
-        # budget that ends inside it still returns its best iterate, so the
-        # residual keeps falling as the budget grows.
-        ensemble = random_ensemble(7, 4, 3)
-        results = {k: solve(ensemble, SolverOptions(max_iterations=k)) for k in range(1, 47)}
+        # The drop at iteration 1 starts a reduced solve of four of the six
+        # states, which drops again at its own first step, to three, and
+        # meets the stop rule at iteration 33.  A budget that ends inside it
+        # still returns its best iterate, so the residual keeps falling as
+        # the budget grows.
+        ensemble = random_ensemble(24, 6, 4)
+        results = {k: solve(ensemble, SolverOptions(max_iterations=k)) for k in range(1, 34)}
         residuals = [r.report.max_residual() for r in results.values()]
         assert all(later <= earlier for earlier, later in zip(residuals, residuals[1:]))
-        assert results[41].report.max_residual() < 1e-3 * results[2].report.max_residual()
-        assert results[46].converged
-        assert not results[46].povm.elements.any(axis=(1, 2)).all()
+        assert results[28].report.max_residual() < 1e-3 * results[2].report.max_residual()
+        assert results[33].converged
+        assert not results[33].povm.elements.any(axis=(1, 2)).all()
 
     def test_wrong_drop_is_given_up_early(self):
         # The drops at iterations 8 and 18 are wrong.  Their reduced solves
@@ -367,6 +400,62 @@ class TestActiveSetStep:
         result = solve(ensemble, SolverOptions(kkt_tolerance=tolerance))
         assert result.converged
         assert result.iterations <= bound
+
+
+class TestHelstromStart:
+    """A solve with exactly two live states starts at their Helstrom measurement and stops at step 1."""
+
+    def test_two_state_acceptance_instances_take_one_step(self):
+        pairs = [ensemble for ensemble in corpus_ensembles(20260101) if len(ensemble) == 2]
+        assert len(pairs) == 42  # 213 iterations from the uniform start
+        for ensemble in pairs:
+            result = solve(ensemble)
+            assert result.converged
+            assert result.iterations == 1
+            assert abs(result.guess_probability - helstrom(ensemble).value) <= 1e-12
+
+    def test_a_zero_prior_leaves_a_live_pair(self):
+        pair = random_ensemble(np.random.default_rng(5), 2, 3)  # 8 iterations from the uniform start
+        ensemble = make_ensemble([pair.priors[0], 0.0, pair.priors[1]], [pair.matrices[0], np.eye(3) / 3, pair.matrices[1]])
+        result = solve(ensemble)
+        assert result.converged
+        assert result.iterations == 1
+        np.testing.assert_array_equal(result.povm.elements[1], np.zeros((3, 3)))
+        assert abs(result.guess_probability - helstrom(pair).value) <= 1e-12
+
+    @staticmethod
+    def start(ensemble):
+        factors = solver._helstrom_factors(ensemble.weighted_stack())
+        return factors @ factors.conj().swapaxes(-1, -2)
+
+    @pytest.mark.parametrize(
+        "ensemble",
+        [
+            random_ensemble(np.random.default_rng(5), 2, 3),
+            make_ensemble([0.5, 0.5], [projector(1, 0), projector(1, 1)]),
+            # W_0 - W_1 = diag(1/2, -1/2, 0): the null space is split evenly.
+            make_ensemble([0.5, 0.5], [projector(1, 0, 0), projector(0, 1, 0)]),
+        ],
+        ids=["mixed-qutrits", "zero-plus", "null-eigenvalue"],
+    )
+    def test_swapping_the_states_swaps_the_start(self, ensemble):
+        start = self.start(ensemble)
+        np.testing.assert_allclose(self.start(ensemble.permuted([1, 0])), start[::-1], rtol=0, atol=1e-14)
+        # Off the null space the start is helstrom's projective measurement.
+        gamma = ensemble.weighted_stack()[0] - ensemble.weighted_stack()[1]
+        w, v = np.linalg.eigh(gamma)
+        live = v[:, np.abs(w) > 1e-12]
+        np.testing.assert_allclose(
+            live.conj().T @ start @ live, live.conj().T @ helstrom(ensemble).povm.elements @ live, rtol=0, atol=1e-14
+        )
+
+    def test_identical_states_at_equal_priors_start_at_half_the_identity(self):
+        rho = random_density(6, 3).matrix
+        ensemble = make_ensemble([0.5, 0.5], [rho, rho])
+        np.testing.assert_allclose(self.start(ensemble), [np.eye(3) / 2] * 2, rtol=0, atol=1e-15)
+        result = solve(ensemble)
+        assert result.iterations == 1
+        np.testing.assert_allclose(result.povm.elements, [np.eye(3) / 2] * 2, rtol=0, atol=1e-12)
 
 
 class TestSolverOptions:
