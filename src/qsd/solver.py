@@ -21,9 +21,9 @@ I/sqrt(N), unless exactly two states have nonzero prior: it then starts from
 their Helstrom measurement (_helstrom_factors), which attains the two-state
 bound, so the first step's residual certifies it and the solve stops there
 (in 1 iteration on each of the acceptance corpus's 42 pairs, 213 from the
-uniform start).  A reduced solve that keeps two states starts from theirs
-likewise.  The starts and the map commute with a unitary change of frame and
-with a relabelling of the states, so the solver does too, up to round-off.
+uniform start).  The starts and the map commute with a unitary change of
+frame and with a relabelling of the states, so the solver does too, up to
+round-off.
 On its own the map converges sublinearly on mixed, near-degenerate
 ensembles.  Each step therefore also forms a safeguarded Anderson candidate
 (Walker & Ni, SIAM J. Numer. Anal. 49, 1715, 2011) from the last
@@ -38,36 +38,51 @@ plain map, from the uniform start, took 24 and about 1500.
 Where an optimal element vanishes, sigma_x = K - q_x rho_x is positive
 definite (tr[sigma_x M_x] = 0 with sigma_x >= 0), yet the map shrinks M_x
 only sublinearly, the more slowly the smaller lambda_min(sigma_x) is.  An
-active-set step (_iterate) therefore tries, at the first iteration and then
-whenever the iterations used have doubled (1, 2, 4, 8, ...), to drop every
-state whose lambda_min(sigma_x) exceeds the current residual: it solves the
-kept states on their own, warm-started from their renormalised factors, and
-ends the solve with the result, padded with zero elements, only if its
-residual on the full stack meets the loop's own stop rule.  Otherwise the
-result is kept if it is the best iterate so far and the full iteration
-continues from where it was, so a wrong drop costs steps but can never be
-reported as converged.
+active-set step (_iterate) therefore looks, at the first iteration and then
+whenever the iterations used have doubled (1, 2, 4, 8, ...), for the
+states whose element vanishes, in two ways.
+  - Closed form.  It takes as support the states whose sigma_x is not yet
+    positive definite (lambda_min(sigma_x) <= 0), or, if there are none,
+    those the drop below keeps.  When that is one or two states but not
+    all, it judges their optimal measurement (_closed_form: I for one
+    state, the Helstrom measurement for a pair, zero elements elsewhere)
+    with the loop's own residual, at no iteration cost and at most once
+    per support in an _iterate call, and ends the solve there if that
+    meets the stop rule.  This takes the acceptance corpus from 1049 to 919
+    iterations (median 3 to 1) and fresh seeds 1-8 from 8819 to 7832,
+    against reduced solves on the same one or two states.
+  - Drop.  It drops every state whose lambda_min(sigma_x) exceeds the
+    current residual and, when three or more states are kept, solves them
+    on their own, warm-started from their renormalised factors, and ends
+    the solve with the result, padded with zero elements, only if its
+    residual on the full stack meets the loop's own stop rule.  A drop
+    that keeps one or two states starts no reduced solve; the closed form
+    stands in for it.
+Either result is otherwise kept if it is the best iterate so far and the
+full iteration continues from where it was, so a wrong drop costs steps,
+and a wrong support one residual evaluation, but neither can be reported
+as converged.
 A reduced solve gives up early in three ways, each kept for what it saves
 on corpora drawn like the acceptance corpus at tolerance 1e-9:
   - when its residual first falls below the parent's residual at the drop
     and K - W_x has an eigenvalue below minus that residual for a dropped
-    x (without it the acceptance corpus takes 1082 iterations instead of
-    1049, and fresh seeds 1-8 9128 instead of 8819);
+    x (without it the acceptance corpus takes 952 iterations instead of
+    919, and fresh seeds 1-8 8140 instead of 7832);
   - when it has not got below that residual within as many steps as the
     parent had taken, as a kept element that starts near zero grows only
     slowly (without it fresh seeds 9-24 take at most 469 instead of 409);
   - at any residual level, after STALL_LIMIT steps without improvement,
     instead of running out the parent's budget.
 With the step every instance of fresh seeds 1-8 (tools/fresh_corpora.py)
-converges, in 8819 iterations in all and at most 60 (without it one ran
-out of its 10000-step budget; with the first drop tried at iteration 20
-they took 13941, at most 48).
+converges, in 7832 iterations in all and at most 60 (without it one ran
+out of its 10000-step budget; with the first check at iteration 20 they
+took 13927, at most 48).
 
 The stop rule asks for min(tolerance, max(tolerance / POLISH_FACTOR, 4 d
 eps)), 4 d eps being where a d x d residual stops falling.  The polish below
 tolerance buys headroom for the checks a report is put to; POLISH_FACTOR
 1e2 leaves each of them about 100x (see its comment), where 1e4 costs the
-acceptance corpus 1165 iterations instead of 1049.  Once the best
+acceptance corpus 1035 iterations instead of 919.  Once the best
 residual is within tolerance the solve also stops after STALL_LIMIT steps
 without improvement and tries no more drops.  This exit bounds a stall
 between the tolerance and the floor: at every tolerance <= 1e-13,
@@ -313,13 +328,14 @@ def _iterate(
     Runs from the given factors for at most budget steps and returns the best
     elements seen (the start's, formed only when no step gave a finite
     residual), the step at which they were found and the steps taken, those
-    of nested reduced solves included.  The stop rule, the stall exit
-    and the drops, tried at iteration FIRST_DROP_CHECK and then whenever the
-    steps taken have doubled, are described in the module docstring.  No
-    drop is tried once the best residual is within tolerance: at round-off
-    level a positive lambda_min(sigma_x) says nothing.  In a reduced solve,
-    dropped holds the dropped weighted states, limit the parent's residual
-    at the drop and patience the steps the parent had taken then.
+    of nested reduced solves included.  The stop rule, the stall exit,
+    the closed forms and the drops, tried at iteration FIRST_DROP_CHECK and
+    then whenever the steps taken have doubled, are described in the module
+    docstring.  Neither is tried once the best residual is within tolerance:
+    at round-off level the sign of lambda_min(sigma_x) says nothing.  In a
+    reduced solve, dropped holds the dropped weighted states, limit the
+    parent's residual at the drop and patience the steps the parent had
+    taken then.
     """
     target = min(tolerance, max(tolerance / POLISH_FACTOR, 4 * weighted.shape[1] * EPS))
     start = factors
@@ -330,6 +346,7 @@ def _iterate(
     anderson = _Anderson(factors.shape)
     nested = dropped is not None
     check = FIRST_DROP_CHECK
+    tried = set()
     iterations = 0
     while iterations < budget:
         iterations += 1
@@ -362,16 +379,27 @@ def _iterate(
             elif iterations >= patience:
                 break
         if iterations == check and best_residual > tolerance:
-            drop = _vanishing(feas, residual)
-            if drop.any() and not drop.all():
-                keep = ~drop
-                kept = weighted[keep]
+            keep = ~_vanishing(feas, residual)
+            # The closed form's support: the states whose sigma_x is not yet
+            # positive definite, or else those the drop keeps.
+            support = feas <= 0
+            if not support.any():
+                support = keep
+            if 0 < np.count_nonzero(support) < min(3, len(weighted)) and (key := support.tobytes()) not in tried:
+                tried.add(key)
+                closed = _closed_form(weighted, np.flatnonzero(support))
+                closed_residual = _residual(weighted, closed)[0]
+                if closed_residual < best_residual:
+                    best_residual, best_elements, best_at = closed_residual, closed, iterations
+                if closed_residual <= target:
+                    break
+            if 2 < np.count_nonzero(keep) < len(keep):
                 reduced, reduced_at, used = _iterate(
-                    kept,
-                    _helstrom_factors(kept) if len(kept) == 2 else _complete(factors[keep]),
+                    weighted[keep],
+                    _complete(factors[keep]),
                     budget - iterations,
                     tolerance,
-                    weighted[drop],
+                    weighted[~keep],
                     residual,
                     iterations,
                 )
@@ -392,9 +420,26 @@ def _vanishing(feas: np.ndarray, residual: float) -> np.ndarray:
 
     At an optimum tr[sigma_x M_x] = 0 with sigma_x >= 0, so M_x = 0 wherever
     sigma_x is positive definite; here that is read as lambda_min(sigma_x)
-    above the current residual.
+    above the current residual.  The states it keeps are the closed form's
+    support when every sigma_x is already positive definite.
     """
     return feas > residual
+
+
+def _closed_form(weighted: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """The optimal measurement of the one or two states in support, with zero elements elsewhere.
+
+    One state gets I and a pair its Helstrom measurement (_helstrom_factors,
+    which the priors' scale does not move).  When the optimal elements of
+    the other states vanish this is the optimum of the whole stack, and the
+    loop's residual says whether they do.
+    """
+    elements = np.zeros(weighted.shape, dtype=complex)
+    if len(support) == 2:
+        elements[support] = _elements_of(_helstrom_factors(weighted[support]))
+    else:
+        elements[support] = _identity(weighted.shape[1])
+    return elements
 
 
 def _helstrom_factors(weighted: np.ndarray) -> np.ndarray:

@@ -251,8 +251,9 @@ def forged_structures():
     K + H for a random Hermitian H of spectral radius r and K +- r I, for r
     in 1e-12, 1e-9 and 1e-6.  K - 1e-6 I sits at the steering layer's
     INFEASIBLE_TOL gate: it falls below it, has no structure and is left out
-    here unless every sigma_x of the solve is PSD to the last bit, as for the
-    two of these 40 solves that end at a Helstrom measurement.
+    here unless every sigma_x of the solve is PSD to the last bit, as for
+    seven of these 40 solves, each ended at step 1 by an exact closed-form
+    (Helstrom) measurement.
     """
     rng = np.random.default_rng(2200)
     cases = []
@@ -286,7 +287,7 @@ class TestKktRowsImplyTheStructure:
 
     def test_norm_identity_holds_to_rounding(self):
         cases = forged_structures()
-        assert len(cases) == 362
+        assert len(cases) == 367
         for ensemble, _, structure, _ in cases:
             assert norm_identity_check(structure, ensemble) <= 1e-14
 

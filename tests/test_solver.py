@@ -30,6 +30,18 @@ from qsd.rand import random_density, random_ensemble
 from .conftest import corpus_ensembles, corpus_member, orthogonal_instance, projector, tetrahedron_states, trine_states
 
 
+def iterate_stacks(monkeypatch) -> list[int]:
+    """Record the number of states in the stack of each _iterate call, nested reduced solves included."""
+    iterate, stacks = solver._iterate, []
+
+    def recording(weighted, *args):
+        stacks.append(len(weighted))
+        return iterate(weighted, *args)
+
+    monkeypatch.setattr(solver, "_iterate", recording)
+    return stacks
+
+
 class TestSolve:
     def test_orthogonal_states_any_priors(self):
         rng = np.random.default_rng(30)
@@ -231,8 +243,10 @@ class TestActiveSetStep:
     def test_wrong_drop_on_the_trine_is_rejected(self, monkeypatch, state):
         ensemble = self.skewed_trine()
         calls = self.force_drop(monkeypatch, ensemble, state)
+        stacks = iterate_stacks(monkeypatch)
         result = solve(ensemble)
         assert len(ensemble) in calls
+        assert min(stacks) > 2  # a drop that keeps two states starts no reduced solve
         assert result.converged
         assert abs(result.guess_probability - oracle_grid(ensemble)) <= 1e-9
         assert np.trace(result.povm.elements[state]).real == pytest.approx(1.0, abs=1e-9)
@@ -242,8 +256,9 @@ class TestActiveSetStep:
         # A two-state solve starts at its optimum and stops at step 1,
         # before any drop check, so the pair gets a third state, I/3 at
         # prior 0.01, whose element vanishes at the optimum.  Dropping state
-        # 0 or 1 leaves a pair, solved from its own Helstrom measurement in
-        # one step, that the full stack rejects; the solve converges in 10.
+        # 0 or 1 would keep a pair that the full stack rejects; no reduced
+        # solve runs on it, and the Helstrom measurement of states 0 and 1,
+        # whose sigma_x are not positive definite, ends the solve at step 1.
         pair = random_ensemble(np.random.default_rng(5), 2, 3)
         weighted = 0.99 * pair.weighted_stack()
         k = np.einsum("xij,xjk->ik", weighted, helstrom(pair).povm.elements)
@@ -256,26 +271,20 @@ class TestActiveSetStep:
         assert abs(result.guess_probability - 0.99 * helstrom(pair).value) <= 1e-9
         assert np.trace(result.povm.elements[state]).real > 0.1
 
-    def test_reduced_pair_starts_at_its_helstrom_measurement(self, monkeypatch):
-        # The right drop of the skewed trine's state 2 leaves states 0 and 1,
-        # whose reduced solve starts at their Helstrom projectors (the
-        # priors renormalised, which moves no eigenvector) and takes 1 step.
+    def test_kept_pair_takes_its_helstrom_measurement(self, monkeypatch):
+        # The right drop of the skewed trine's state 2 keeps states 0 and 1.
+        # No reduced solve runs on them: at step 1 their Helstrom measurement
+        # (the priors renormalised, which moves no eigenvector), with a zero
+        # element for state 2, meets the stop rule on the full stack.
         ensemble = self.skewed_trine()
         self.force_drop(monkeypatch, ensemble, 2)
-        iterate, reduced = solver._iterate, []
-
-        def recording(weighted, factors, *args):
-            out = iterate(weighted, factors, *args)
-            if len(args) > 2:
-                reduced.append((factors, out[2]))
-            return out
-
-        monkeypatch.setattr(solver, "_iterate", recording)
-        assert solve(ensemble).converged
-        [(factors, used)] = reduced
+        stacks = iterate_stacks(monkeypatch)
+        result = solve(ensemble)
+        assert result.converged
+        assert (result.iterations, stacks) == (1, [3])
         pair = make_ensemble([0.5 / 0.8, 0.3 / 0.8], trine_states()[:2])
-        np.testing.assert_allclose(solver._elements_of(factors), helstrom(pair).povm.elements, rtol=0, atol=1e-12)
-        assert used == 1
+        np.testing.assert_allclose(result.povm.elements[:2], helstrom(pair).povm.elements, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(result.povm.elements[2], np.zeros((2, 2)))
 
     def test_right_drop_gives_an_exactly_zero_element(self, monkeypatch):
         ensemble = self.skewed_trine()
@@ -400,6 +409,49 @@ class TestActiveSetStep:
         result = solve(ensemble, SolverOptions(kkt_tolerance=tolerance))
         assert result.converged
         assert result.iterations <= bound
+
+
+class TestClosedFormStep:
+    """A support of one or two states is judged at its closed-form measurement, never by a reduced solve."""
+
+    def test_median_acceptance_path_ends_at_the_kept_pair(self, monkeypatch):
+        # At step 1 only sigma_1 and sigma_3 have a nonpositive eigenvalue, and
+        # the Helstrom measurement of states 1 and 3 meets the stop rule.
+        # Reduced solves on three and then two states took 3 iterations.
+        ensemble = random_ensemble(0, 4, 3)
+        stacks = iterate_stacks(monkeypatch)
+        result = solve(ensemble)
+        assert result.converged
+        assert (result.iterations, stacks) == (1, [4])
+        np.testing.assert_array_equal(result.povm.elements[[0, 2]], np.zeros((2, 3, 3)))
+        kept = ensemble.priors[[1, 3]]
+        pair = make_ensemble(kept / kept.sum(), ensemble.matrices[[1, 3]])
+        np.testing.assert_allclose(result.povm.elements[[1, 3]], helstrom(pair).povm.elements, rtol=0, atol=1e-12)
+
+    def test_dominant_state_takes_the_identity(self, monkeypatch):
+        # 0.7 I/2 >= 0.15 rho for every state rho, so K = 0.35 I and M_0 = I.
+        # At step 1 only sigma_0 is not positive definite, and the identity
+        # on state 0 ends the solve; a reduced solve on it took 2 iterations.
+        ensemble = make_ensemble([0.7, 0.15, 0.15], [np.eye(2) / 2, projector(1, 0), projector(1, 1)])
+        stacks = iterate_stacks(monkeypatch)
+        result = solve(ensemble)
+        assert result.converged
+        assert (result.iterations, stacks) == (1, [3])
+        np.testing.assert_array_equal(result.povm.elements, [np.eye(2), np.zeros((2, 2)), np.zeros((2, 2))])
+        assert result.guess_probability == 0.7
+
+    def test_no_reduced_solve_keeps_two_states_or_fewer(self, monkeypatch):
+        # Where a drop would keep one or two states whose closed form failed,
+        # a reduced solve on them costs iterations: acceptance #42 takes 11
+        # with it instead of 9.
+        stacks = iterate_stacks(monkeypatch)
+        reduced = []
+        for ensemble in corpus_ensembles(20260101, 50):
+            stacks.clear()
+            assert solve(ensemble).converged
+            reduced += stacks[1:]
+        assert len(reduced) >= 10
+        assert min(reduced) > 2
 
 
 class TestHelstromStart:
