@@ -240,7 +240,8 @@ class Povm:
     elements: np.ndarray
 
     def __post_init__(self):
-        shapes = [np.shape(m) for m in self.elements]
+        e = self.elements
+        shapes = [e.shape[1:]] * len(e) if isinstance(e, np.ndarray) and e.ndim == 3 else [np.shape(m) for m in e]
         d = shapes[0][0] if shapes and shapes[0] else 0
         for x, shape in enumerate(shapes):
             if shape != (d, d):
@@ -289,9 +290,10 @@ def _hermitian(stack, name: str) -> np.ndarray:
     """
     a = np.asarray(stack, dtype=complex)
     scale = _finite(a, name)
-    err = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    adjoint = a.conj().swapaxes(-1, -2)
+    err = np.abs(a - adjoint).max(axis=(-2, -1), initial=0.0)
     _reject(err > HERMITIAN_TOL * scale, name, NotHermitian, lambda x: f"max |A_ij - conj(A_ji)| = {err.flat[x]:.3e}")
-    return hermitian_part(a)
+    return 0.5 * (a + adjoint)  # hermitian_part(a), its adjoint formed once
 
 
 def _positive(stack: np.ndarray, name: str) -> None:

@@ -100,7 +100,11 @@ alike, and one forms the KktReport of a certificate (_report).  The
 iteration's residual (_residual) tests slackness and dual feasibility only:
 its iterates are POVMs by construction, and tr K equals the objective sum_x
 tr[W_x M_x] because K is built from them, so the gap is round-off.  The
-final report still carries all four residuals, and converged reads them
+iteration's evaluation of its best iterate is the certificate solve returns:
+the elements it evaluates are exactly Hermitian (_elements_of), so they are
+the elements solve returns, and solve adds only tr K, the objective and the
+rows of zero-prior states, forming no K and no sigma eigenvalues of its own.
+The final report still carries all four residuals, and converged reads them
 all.  A solve's guess_probability is its certificate's objective, the value
 its gap is measured against.
 """
@@ -233,18 +237,19 @@ def certificate_from_povm(ensemble: StateEnsemble, povm: Povm, k=None) -> DualCe
     and one that is not Hermitian.
     """
     elements = _elements(ensemble, povm)
-    if k is not None:
+    weighted = ensemble.weighted_stack()
+    if k is None:
+        k = _dual(weighted, elements)
+    else:
         k = np.asarray(k, dtype=complex)
         if k.shape != (ensemble.dim, ensemble.dim):
             raise DimensionMismatch(f"K has shape {k.shape}, expected {(ensemble.dim,) * 2}")
         k = _hermitian(k, "dual operator")
-    return _certificate(ensemble.weighted_stack(), elements, k)
+    return _certificate(weighted, elements, k, *_residuals(weighted, elements, k))
 
 
-def _certificate(weighted: np.ndarray, elements: np.ndarray, k: np.ndarray | None = None) -> DualCertificate:
-    """certificate_from_povm's body, on the weighted stack and elements it has checked, or solve has built."""
-    k = _dual(weighted, elements) if k is None else k
-    sigma, slackness, feas = _residuals(weighted, elements, k)
+def _certificate(weighted: np.ndarray, elements: np.ndarray, k: np.ndarray, sigma, slackness, feas) -> DualCertificate:
+    """The DualCertificate of K, with sigma, slackness and feas as _residuals forms them from these stacks."""
     return DualCertificate(
         k_operator=_frozen(k),
         sigma=_frozen(sigma),
@@ -281,7 +286,7 @@ def solve(ensemble: StateEnsemble, options: SolverOptions | None = None) -> Disc
     negative element, or elements that do not sum to I), is an internal
     failure: CompletenessDrift.
     """
-    opts = options or SolverOptions()
+    opts = options or _default_options()
     d = ensemble.dim
 
     active = np.flatnonzero(ensemble.priors >= ZERO_PRIOR)
@@ -289,16 +294,22 @@ def solve(ensemble: StateEnsemble, options: SolverOptions | None = None) -> Disc
     if len(active) == 2:
         factors = _helstrom_factors(weighted)
     else:
-        # The uniform POVM I/N over the live states, as factors I/sqrt(N).
-        factors = np.repeat(np.eye(d, dtype=complex)[None] / np.sqrt(len(active)), len(active), axis=0)
-    best_elements, _, iterations = _iterate(weighted, factors, opts.max_iterations, opts.kkt_tolerance)
-    if not np.isfinite(best_elements).all():
+        factors = _uniform(len(active), d)
+    elements, (k, slackness, feas), _, iterations = _iterate(weighted, factors, opts.max_iterations, opts.kkt_tolerance)
+    if not np.isfinite(elements).all():
         raise CompletenessDrift("iterate left the POVM set: NaN or Inf entries")
 
-    full = np.zeros((len(ensemble), d, d), dtype=complex)
-    full[active] = hermitian_part(best_elements)
-    povm = Povm(elements=full)
-    certificate = _certificate(ensemble.weighted_stack(), povm.elements)
+    # The loop's evaluation of the elements it returns is their certificate.  A
+    # zero-prior state gets a zero element, so zero slackness, and the
+    # smallest eigenvalue of its sigma_x = K - q_x rho_x.
+    n = len(ensemble)
+    sigma = k - ensemble.weighted_stack()
+    if len(active) < n:
+        elements, slackness, feas = (_padded(rows, active, n) for rows in (elements, slackness, feas))
+        idle = ensemble.priors < ZERO_PRIOR
+        feas[idle] = _eigvalsh(sigma[idle])[:, 0]
+    povm = Povm(elements=elements)
+    certificate = _certificate(ensemble.weighted_stack(), povm.elements, k, sigma, slackness, feas)
     report = _report(povm, certificate)
     # Iterates are PSD and complete by construction; this guards against
     # numerical drift producing an invalid certificate.
@@ -314,6 +325,25 @@ def solve(ensemble: StateEnsemble, options: SolverOptions | None = None) -> Disc
     )
 
 
+def _padded(rows: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
+    """n rows, rows at index (integer or boolean) and zeros elsewhere."""
+    padded = np.zeros((n, *rows.shape[1:]), dtype=rows.dtype)
+    padded[index] = rows
+    return padded
+
+
+@lru_cache(maxsize=1)
+def _default_options() -> SolverOptions:
+    """The default SolverOptions, built once."""
+    return SolverOptions()
+
+
+@lru_cache(maxsize=16)
+def _uniform(n: int, d: int) -> np.ndarray:
+    """The read-only factors I/sqrt(n) of the uniform POVM over n states, built once per (n, d)."""
+    return _frozen(np.repeat(np.eye(d, dtype=complex)[None] / np.sqrt(n), n, axis=0))
+
+
 def _iterate(
     weighted: np.ndarray,
     factors: np.ndarray,
@@ -322,14 +352,14 @@ def _iterate(
     dropped: np.ndarray | None = None,
     limit: float = np.inf,
     patience: int = 0,
-) -> tuple[np.ndarray, int, int]:
+) -> tuple[np.ndarray, tuple, int, int]:
     """The accelerated map on a stack of weighted states, with the active-set step.
 
     Runs from the given factors for at most budget steps and returns the best
     elements seen (the start's, formed only when no step gave a finite
-    residual), the step at which they were found and the steps taken, those
-    of nested reduced solves included.  The stop rule, the stall exit,
-    the closed forms and the drops, tried at iteration FIRST_DROP_CHECK and
+    residual), _residual's evaluation of them, the step at which they were
+    found and the steps taken, those of nested reduced solves included.  The
+    stop rule, the stall exit, the closed forms and the drops, tried at iteration FIRST_DROP_CHECK and
     then whenever the steps taken have doubled, are described in the module
     docstring.  Neither is tried once the best residual is within tolerance:
     at round-off level the sign of lambda_min(sigma_x) says nothing.  In a
@@ -339,7 +369,7 @@ def _iterate(
     """
     target = min(tolerance, max(tolerance / POLISH_FACTOR, 4 * weighted.shape[1] * EPS))
     start = factors
-    best_elements = None
+    best = None
     best_residual = np.inf
     best_at = 0
     residual = np.inf
@@ -356,23 +386,24 @@ def _iterate(
         accepted = False
         if candidate is not None:
             candidate_elements = _elements_of(candidate)
-            candidate_residual, candidate_feas = _residual(weighted, candidate_elements)
+            candidate_residual, candidate_evaluation = _residual(weighted, candidate_elements)
             accepted = candidate_residual < residual
         if accepted:
-            factors, elements, residual, feas = candidate, candidate_elements, candidate_residual, candidate_feas
+            factors, elements, residual, evaluation = candidate, candidate_elements, candidate_residual, candidate_evaluation
         else:
             factors, elements = image, _elements_of(image)
-            residual, feas = _residual(weighted, elements)
+            residual, evaluation = _residual(weighted, elements)
+        k, _, feas = evaluation
 
         if residual < best_residual:
-            best_residual, best_elements, best_at = residual, elements, iterations
+            best_residual, best, best_at = residual, (elements, evaluation), iterations
         if residual <= target:
             break
         if iterations - best_at >= STALL_LIMIT and (nested or best_residual <= tolerance):
             break
         if dropped is not None:
             if residual < limit:
-                violation = -float(_eigvalsh(_dual(weighted, elements) - dropped)[:, 0].min())
+                violation = -float(_eigvalsh(k - dropped)[:, 0].min())
                 if violation > limit:
                     break
                 dropped = None
@@ -388,13 +419,13 @@ def _iterate(
             if 0 < np.count_nonzero(support) < min(3, len(weighted)) and (key := support.tobytes()) not in tried:
                 tried.add(key)
                 closed = _closed_form(weighted, np.flatnonzero(support))
-                closed_residual = _residual(weighted, closed)[0]
+                closed_residual, closed_evaluation = _residual(weighted, closed)
                 if closed_residual < best_residual:
-                    best_residual, best_elements, best_at = closed_residual, closed, iterations
+                    best_residual, best, best_at = closed_residual, (closed, closed_evaluation), iterations
                 if closed_residual <= target:
                     break
             if 2 < np.count_nonzero(keep) < len(keep):
-                reduced, reduced_at, used = _iterate(
+                reduced, _, reduced_at, used = _iterate(
                     weighted[keep],
                     _complete(factors[keep]),
                     budget - iterations,
@@ -403,16 +434,18 @@ def _iterate(
                     residual,
                     iterations,
                 )
-                padded = np.zeros_like(elements)
-                padded[keep] = reduced
-                padded_residual = _residual(weighted, padded)[0]
+                padded = _padded(reduced, keep, len(keep))
+                padded_residual, padded_evaluation = _residual(weighted, padded)
                 if padded_residual < best_residual:
-                    best_residual, best_elements, best_at = padded_residual, padded, iterations + reduced_at
+                    best_residual, best, best_at = padded_residual, (padded, padded_evaluation), iterations + reduced_at
                 iterations += used
                 if padded_residual <= target:
                     break
             check = 2 * iterations
-    return (_elements_of(start) if best_elements is None else best_elements), best_at, iterations
+    if best is None:
+        elements = _elements_of(start)
+        best = elements, _residual(weighted, elements)[1]
+    return *best, best_at, iterations
 
 
 def _vanishing(feas: np.ndarray, residual: float) -> np.ndarray:
@@ -475,12 +508,16 @@ def _gram(factors: np.ndarray) -> np.ndarray:
 
 
 def _elements_of(factors: np.ndarray) -> np.ndarray:
-    """POVM elements A_x A_x^dagger plus the completeness correction.
+    """POVM elements: the Hermitian part of A_x A_x^dagger plus the completeness correction.
 
-    They are Hermitian up to round-off only: the iteration reads them through
-    traces and K, and solve takes the Hermitian part of the elements it returns.
+    They are exactly Hermitian: the Hermitian part is, and so are the sum of
+    exactly Hermitian matrices and its real multiples.  So the elements the
+    loop evaluates are the elements solve returns, and its evaluation is
+    their certificate.
     """
     elements = factors @ factors.conj().swapaxes(-1, -2)
+    elements += elements.conj().swapaxes(-1, -2)  # conj() copies: no operand overlaps the output
+    elements *= 0.5
     elements += (_identity(factors.shape[1]) - elements.sum(axis=0)) / len(factors)
     return elements
 
@@ -496,15 +533,17 @@ def _dual(weighted: np.ndarray, elements: np.ndarray) -> np.ndarray:
     return hermitian_part((weighted @ elements).sum(axis=0))
 
 
-def _residual(weighted: np.ndarray, elements: np.ndarray) -> tuple[float, np.ndarray]:
+def _residual(weighted: np.ndarray, elements: np.ndarray) -> tuple[float, tuple]:
     """Largest of the slackness and dual-feasibility residuals at K = sum_x W_x M_x.
 
-    Also returns the smallest eigenvalue of each sigma_x = K - W_x.  The gap
-    is left out: tr K equals sum_x tr[W_x M_x] by construction, up to
-    round-off, so it could never decide a step or a stop.
+    Also returns the evaluation it is read from: K, the slacknesses tr[sigma_x
+    M_x] and the smallest eigenvalue of each sigma_x = K - W_x.  The gap is
+    left out: tr K equals sum_x tr[W_x M_x] by construction, up to round-off,
+    so it could never decide a step or a stop.
     """
-    _, slackness, feas = _residuals(weighted, elements, _dual(weighted, elements))
-    return float(max(abs(slackness).max(), -feas.min())), feas
+    k = _dual(weighted, elements)
+    _, slackness, feas = _residuals(weighted, elements, k)
+    return float(max(abs(slackness).max(), -feas.min())), (k, slackness, feas)
 
 
 class _Anderson:

@@ -274,6 +274,20 @@ class TestPovm:
         stack[1] = 0.0
         np.testing.assert_array_equal(copied.elements[1], projector(0, 1))
 
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (0, 3, 3), (2, 0, 0), (2, 3, 4)])
+    def test_a_stack_reads_as_the_list_of_its_elements(self, shape):
+        # Same stored stack (an empty one is (0, 0, 0)) or the same message.
+        stack = np.arange(np.prod(shape), dtype=complex).reshape(shape)
+        try:
+            expected = Povm(elements=list(stack)).elements
+        except DimensionMismatch as error:
+            with pytest.raises(DimensionMismatch, match=f"^{re.escape(str(error))}$"):
+                Povm(elements=stack)
+        else:
+            got = Povm(elements=stack).elements
+            assert got.shape == expected.shape
+            np.testing.assert_array_equal(got, expected)
+
 
 class TestTraceNorm:
     def test_diag_plus_minus_one(self):

@@ -113,8 +113,8 @@ class TestSolve:
         iterate = solver._iterate
 
         def drifting(*args):
-            elements, at, steps = iterate(*args)
-            return elements * (1 + 1e-8), at, steps
+            elements, evaluation, at, steps = iterate(*args)
+            return elements * (1 + 1e-8), evaluation, at, steps
 
         monkeypatch.setattr(solver, "_iterate", drifting)
         with pytest.raises(solver.CompletenessDrift, match="^iterate left the POVM set: primal residual 1.000e-08$"):
@@ -124,7 +124,7 @@ class TestSolve:
         # Complete (the elements sum to I) but M_0 and M_1 have eigenvalue -1/6.
         tilt = np.diag([0.5, -0.5])
         complete = np.array([np.eye(2) / 3 + tilt, np.eye(2) / 3 - tilt, np.eye(2) / 3], dtype=complex)
-        monkeypatch.setattr(solver, "_iterate", lambda *args: (complete, 1, 1))
+        monkeypatch.setattr(solver, "_iterate", lambda weighted, *args: (complete, solver._residual(weighted, complete)[1], 1, 1))
         with pytest.raises(solver.CompletenessDrift, match="^iterate left the POVM set: primal residual 1.667e-01$"):
             solve(trine_ensemble)
 
@@ -133,10 +133,10 @@ class TestSolve:
         iterate = solver._iterate
 
         def corrupted(*args):
-            elements, at, steps = iterate(*args)
+            elements, evaluation, at, steps = iterate(*args)
             elements = elements.copy()
             elements[0, 0, 0] = np.nan
-            return elements, at, steps
+            return elements, evaluation, at, steps
 
         monkeypatch.setattr(solver, "_iterate", corrupted)
         with pytest.raises(solver.CompletenessDrift, match="^iterate left the POVM set: NaN or Inf entries$"):
@@ -145,7 +145,11 @@ class TestSolve:
     def test_no_finite_residual_returns_the_uniform_start(self, monkeypatch):
         # Four states, so the start is uniform (two would start at their
         # Helstrom measurement) and its elements are exactly I/4.
-        monkeypatch.setattr(solver, "_residual", lambda weighted, elements: (np.nan, np.full(len(weighted), np.nan)))
+        def no_finite_residual(weighted, elements):
+            nan = np.full(len(weighted), np.nan)
+            return np.nan, (np.full(weighted.shape[1:], np.nan), nan, nan)
+
+        monkeypatch.setattr(solver, "_residual", no_finite_residual)
         result = solve(make_ensemble([0.25] * 4, tetrahedron_states()), SolverOptions(max_iterations=3))
         assert result.iterations == 3
         assert not result.converged
@@ -170,8 +174,9 @@ class TestAcceleration:
         assert solve(ensemble).converged
 
     def test_every_truncated_iterate_is_a_valid_povm(self):
-        # Mixed; converges after 37 iterations, and from iteration 2 on runs
-        # inside nested reduced solves.
+        # Mixed; converges after 32 iterations.  It drops to a 4-state reduced
+        # solve at iteration 1, so from iteration 2 on it runs inside nested
+        # reduced solves.
         ensemble = random_ensemble(np.random.default_rng(40), 6, 3)
         for k in range(1, 16):
             result = solve(ensemble, SolverOptions(max_iterations=k))
@@ -355,7 +360,7 @@ class TestActiveSetStep:
         keep = np.array([False, True, False, False, True])
         w, v = np.linalg.eigh(elements[keep])
         factors = solver._complete((v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.conj().swapaxes(1, 2))
-        reduced, _, used = solver._iterate(weighted[keep], factors, 9980, 1e-12, weighted[~keep], 1e-16, 20)
+        reduced, _, _, used = solver._iterate(weighted[keep], factors, 9980, 1e-12, weighted[~keep], 1e-16, 20)
         assert used <= 20
         assert solver._residual(weighted[keep], reduced)[0] > 1e-3
 
@@ -382,7 +387,7 @@ class TestActiveSetStep:
         np.testing.assert_array_equal(weighted, ensemble.weighted_stack()[[0, 2, 3]])
         assert (budget, patience) == (9997, 3)
         assert limit == pytest.approx(9.8e-4, rel=0.01)
-        _, _, used = iterate(*calls[0])
+        _, _, _, used = iterate(*calls[0])
         assert used <= solver.STALL_LIMIT + 20
 
     @pytest.mark.parametrize(
@@ -508,6 +513,54 @@ class TestHelstromStart:
         result = solve(ensemble)
         assert result.iterations == 1
         np.testing.assert_allclose(result.povm.elements, [np.eye(3) / 2] * 2, rtol=0, atol=1e-12)
+
+
+class TestReturnedCertificate:
+    """The certificate a solve returns is the one certificate_from_povm builds for its POVM."""
+
+    @staticmethod
+    def ensembles():
+        yield from corpus_ensembles(20260101)
+        yield from corpus_ensembles(3)
+        for ensemble in corpus_ensembles(20260101, 40):
+            priors = ensemble.priors.copy()
+            priors[0] = 0.0
+            yield make_ensemble(priors / priors.sum(), ensemble.matrices)
+
+    def test_certificate_and_report_are_those_of_the_returned_povm(self):
+        # The loop's evaluation of its best iterate is the certificate, so the
+        # elements it evaluated must be the ones returned, exactly Hermitian.
+        solves = 0
+        for ensemble in self.ensembles():
+            result = solve(ensemble)
+            rebuilt = certificate_from_povm(ensemble, result.povm)
+            for name in (f.name for f in dataclasses.fields(rebuilt)):
+                assert np.array_equal(getattr(result.certificate, name), getattr(rebuilt, name)), name
+            assert result.report == kkt_check(ensemble, result.povm, result.certificate.k_operator)
+            elements = result.povm.elements
+            assert np.array_equal(elements, elements.conj().swapaxes(-1, -2))
+            solves += 1
+        assert solves == 440
+
+    def test_solve_evaluates_the_dual_side_only_in_its_loop(self, monkeypatch):
+        # Every K and every batched eigvalsh of sigma is formed by one of the
+        # loop's _residual calls; a zero-prior state's row needs only its own
+        # eigenvalues.
+        calls = dict.fromkeys(("_residual", "_dual", "_residuals"), 0)
+        for name in calls:
+            original = getattr(solver, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(solver, name, counted)
+        zero_prior = make_ensemble([0.5, 0.3, 0.2, 0.0], [*trine_states(), np.eye(2) / 2])
+        for ensemble in (corpus_member(20260101, 55), corpus_member(20260101, 29), zero_prior):
+            calls.update(dict.fromkeys(calls, 0))
+            assert solve(ensemble).converged
+            assert calls["_residual"] > 0
+            assert calls == dict.fromkeys(calls, calls["_residual"])
 
 
 class TestSolverOptions:
