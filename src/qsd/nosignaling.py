@@ -16,7 +16,7 @@ certify has no row for the structure: each of its checks restates the KKT
 rows.  ensemble_residual is at most (2 d dual_residual + ABSENT_TRACE) / tr K,
 the trace-norm effect of clipping each sigma_x's negative eigenvalues and
 of dropping a partner of trace below ABSENT_TRACE.  norm_identity_check
-holds up to rounding for any K, because the certificate builds
+holds up to rounding for any K, because steering_structure builds
 sigma_x = K - q_x rho_x.  proposition_bound_check's value - tr K / sum_x q_x
 equals (value - objective) - gap + tr K (1 - 1 / sum_x q_x), which certify's
 value_recorded and gap rows bound while |1 - sum_x q_x| <= PRIOR_TOL.
@@ -68,8 +68,8 @@ class SteeringStructure:
     saturates the ensemble and the partner has vanishing weight), and
     complementary_weights[x] the recorded weight 1 - p_x.  ensemble_residual
     is the worst trace-norm gap between any reconstructed decomposition and
-    the shared state normalized_k.  sigma is the certificate's read-only
-    (N, d, d) stack of unnormalized complementary operators K - q_x rho_x.
+    the shared state normalized_k.  sigma is the read-only (N, d, d) stack of
+    unnormalized complementary operators K - q_x rho_x.
     """
 
     p: np.ndarray
@@ -85,10 +85,17 @@ class SteeringStructure:
 def steering_structure(ensemble: StateEnsemble, certificate: DualCertificate) -> SteeringStructure:
     """Build the identical-ensemble structure from a converged certificate.
 
-    A certificate with a NaN or Inf in K, sigma or tr K raises NonFinite
-    before any arithmetic on it.
+    The complementary operators sigma_x = K - q_x rho_x are formed here from
+    the certificate's K and the ensemble.  A certificate whose K is not d x d
+    for the ensemble, or whose slackness or dual_feasibility does not have
+    one entry per state, raises DimensionMismatch; one with a NaN or Inf in
+    K or tr K raises NonFinite, both before any arithmetic on it.
     """
-    if not all(np.isfinite(a).all() for a in (certificate.k_operator, certificate.sigma, certificate.trace_k)):
+    expected = (ensemble.dim, ensemble.dim), (len(ensemble),), (len(ensemble),)
+    shapes = tuple(np.shape(a) for a in (certificate.k_operator, certificate.slackness, certificate.dual_feasibility))
+    if shapes != expected:
+        raise DimensionMismatch(f"certificate (K, slackness, dual_feasibility) shapes {shapes}, expected {expected}")
+    if not (np.isfinite(certificate.k_operator).all() and np.isfinite(certificate.trace_k)):
         raise NonFinite("certificate: NaN or Inf entries")
     worst = certificate.dual_feasibility.min()
     if worst < -INFEASIBLE_TOL:
@@ -96,17 +103,18 @@ def steering_structure(ensemble: StateEnsemble, certificate: DualCertificate) ->
 
     tr_k = certificate.trace_k
     p = ensemble.priors / tr_k
-    traces = np.trace(certificate.sigma, axis1=1, axis2=2).real
+    sigma = _frozen(certificate.k_operator - ensemble.weighted_stack())
+    traces = np.trace(sigma, axis1=1, axis2=2).real
     weights = traces / tr_k
     present = traces >= ABSENT_TRACE
     # One stack [K / tr K; sigma_x / tr sigma_x for each present partner],
     # clipped and normalized in two batched steps.
     normalized = _normalize_psd(
-        np.concatenate([certificate.k_operator[None] / tr_k, certificate.sigma[present] / traces[present, None, None]])
+        np.concatenate([certificate.k_operator[None] / tr_k, sigma[present] / traces[present, None, None]])
     )
     normalized_k = DensityMatrix(matrix=normalized[0])
     # An absent partner contributes nothing to its decomposition.
-    partners = np.zeros_like(certificate.sigma)
+    partners = np.zeros_like(sigma)
     partners[present] = normalized[1:]
     complementary = tuple(DensityMatrix(matrix=m) if keep else None for m, keep in zip(_frozen(partners), present))
     reconstructed = p[:, None, None] * ensemble.matrices + weights[:, None, None] * partners
@@ -120,7 +128,7 @@ def steering_structure(ensemble: StateEnsemble, certificate: DualCertificate) ->
         bound=float(1.0 / p.sum()),
         ensemble_residual=float(residual),
         trace_k=float(tr_k),
-        sigma=certificate.sigma,
+        sigma=sigma,
     )
 
 

@@ -46,9 +46,10 @@ states whose element vanishes, in two ways.
     those the drop below keeps.  When that is one or two states but not
     all, it judges their optimal measurement (_closed_form: I for one
     state, the Helstrom measurement for a pair, zero elements elsewhere)
-    with the loop's own residual, at no iteration cost and at most once
-    per support in an _iterate call, and ends the solve there if that
-    meets the stop rule.  This takes the acceptance corpus from 1049 to 919
+    with the loop's own residual, at no iteration cost, and ends the solve
+    there if that meets the stop rule.  A support judged again in the same
+    _iterate call repeats the same elements and residual, which can neither
+    beat the best iterate nor meet the stop rule.  This takes the acceptance corpus from 1049 to 919
     iterations (median 3 to 1) and fresh seeds 1-8 from 8819 to 7832,
     against reduced solves on the same one or two states.
   - Drop.  It drops every state whose lambda_min(sigma_x) exceeds the
@@ -174,21 +175,24 @@ class SolverOptions:
             raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
 
 
+_DEFAULT_OPTIONS = SolverOptions()
+
+
 @dataclass(frozen=True)
 class DualCertificate:
     """Dual data proving (near-)optimality of a measurement.
 
-    k_operator is the dual variable K; sigma is the read-only (N, d, d) stack
-    of complementary operators sigma[x] = K - q_x rho_x, stored exactly as
-    constructed.  slackness and dual_feasibility are read-only float arrays
-    of length N: slackness[x] is tr[sigma_x M_x] and dual_feasibility[x] the
-    smallest eigenvalue of sigma_x; at an optimum the former vanish and the
-    latter are nonnegative.  objective is the primal value sum_x tr[q_x rho_x
-    M_x] of the measurement, the number trace_k is compared with.
+    k_operator is the read-only dual variable K; the complementary operators
+    sigma_x = K - q_x rho_x follow from it and the ensemble, so the
+    certificate does not store them.  slackness and dual_feasibility are
+    read-only float arrays of length N: slackness[x] is tr[sigma_x M_x] and
+    dual_feasibility[x] the smallest eigenvalue of sigma_x; at an optimum the
+    former vanish and the latter are nonnegative.  objective is the primal
+    value sum_x tr[q_x rho_x M_x] of the measurement, the number trace_k is
+    compared with.
     """
 
     k_operator: np.ndarray
-    sigma: np.ndarray
     slackness: np.ndarray
     dual_feasibility: np.ndarray
     trace_k: float
@@ -248,11 +252,10 @@ def certificate_from_povm(ensemble: StateEnsemble, povm: Povm, k=None) -> DualCe
     return _certificate(weighted, elements, k, *_residuals(weighted, elements, k))
 
 
-def _certificate(weighted: np.ndarray, elements: np.ndarray, k: np.ndarray, sigma, slackness, feas) -> DualCertificate:
-    """The DualCertificate of K, with sigma, slackness and feas as _residuals forms them from these stacks."""
+def _certificate(weighted: np.ndarray, elements: np.ndarray, k: np.ndarray, slackness, feas) -> DualCertificate:
+    """The DualCertificate of K, with slackness and feas as _residuals forms them from these stacks."""
     return DualCertificate(
         k_operator=_frozen(k),
-        sigma=_frozen(sigma),
         slackness=_frozen(slackness),
         dual_feasibility=_frozen(feas),
         trace_k=float(k.trace().real),
@@ -286,7 +289,7 @@ def solve(ensemble: StateEnsemble, options: SolverOptions | None = None) -> Disc
     negative element, or elements that do not sum to I), is an internal
     failure: CompletenessDrift.
     """
-    opts = options or _default_options()
+    opts = options or _DEFAULT_OPTIONS
     d = ensemble.dim
 
     active = np.flatnonzero(ensemble.priors >= ZERO_PRIOR)
@@ -303,13 +306,12 @@ def solve(ensemble: StateEnsemble, options: SolverOptions | None = None) -> Disc
     # zero-prior state gets a zero element, so zero slackness, and the
     # smallest eigenvalue of its sigma_x = K - q_x rho_x.
     n = len(ensemble)
-    sigma = k - ensemble.weighted_stack()
     if len(active) < n:
         elements, slackness, feas = (_padded(rows, active, n) for rows in (elements, slackness, feas))
         idle = ensemble.priors < ZERO_PRIOR
-        feas[idle] = _eigvalsh(sigma[idle])[:, 0]
+        feas[idle] = _eigvalsh(k - ensemble.weighted_stack()[idle])[:, 0]
     povm = Povm(elements=elements)
-    certificate = _certificate(ensemble.weighted_stack(), povm.elements, k, sigma, slackness, feas)
+    certificate = _certificate(ensemble.weighted_stack(), povm.elements, k, slackness, feas)
     report = _report(povm, certificate)
     # Iterates are PSD and complete by construction; this guards against
     # numerical drift producing an invalid certificate.
@@ -330,12 +332,6 @@ def _padded(rows: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
     padded = np.zeros((n, *rows.shape[1:]), dtype=rows.dtype)
     padded[index] = rows
     return padded
-
-
-@lru_cache(maxsize=1)
-def _default_options() -> SolverOptions:
-    """The default SolverOptions, built once."""
-    return SolverOptions()
 
 
 @lru_cache(maxsize=16)
@@ -376,7 +372,6 @@ def _iterate(
     anderson = _Anderson(factors.shape)
     nested = dropped is not None
     check = FIRST_DROP_CHECK
-    tried = set()
     iterations = 0
     while iterations < budget:
         iterations += 1
@@ -416,8 +411,7 @@ def _iterate(
             support = feas <= 0
             if not support.any():
                 support = keep
-            if 0 < np.count_nonzero(support) < min(3, len(weighted)) and (key := support.tobytes()) not in tried:
-                tried.add(key)
+            if 0 < np.count_nonzero(support) < min(3, len(weighted)):
                 closed = _closed_form(weighted, np.flatnonzero(support))
                 closed_residual, closed_evaluation = _residual(weighted, closed)
                 if closed_residual < best_residual:
@@ -488,7 +482,7 @@ def _helstrom_factors(weighted: np.ndarray) -> np.ndarray:
     """
     w, v = _eigh(weighted[0] - weighted[1])
     s = 0.5 * (1.0 + np.sign(w))
-    return np.stack((v * np.sqrt(s), v * np.sqrt(1.0 - s)))
+    return np.array((v * np.sqrt(s), v * np.sqrt(1.0 - s)))
 
 
 def _step(weighted: np.ndarray, factors: np.ndarray) -> np.ndarray:
@@ -542,7 +536,7 @@ def _residual(weighted: np.ndarray, elements: np.ndarray) -> tuple[float, tuple]
     so it could never decide a step or a stop.
     """
     k = _dual(weighted, elements)
-    _, slackness, feas = _residuals(weighted, elements, k)
+    slackness, feas = _residuals(weighted, elements, k)
     return float(max(abs(slackness).max(), -feas.min())), (k, slackness, feas)
 
 
@@ -611,14 +605,13 @@ def _residuals(weighted: np.ndarray, elements: np.ndarray, k: np.ndarray):
     """Dual-side optimality terms of stacked weighted states and elements.
 
     weighted and elements are (N, d, d) stacks and k a Hermitian (d, d) dual
-    operator.  Returns the stack sigma = k - weighted, the slacknesses
-    tr[sigma_x M_x] and the smallest eigenvalue of each sigma_x (one batched
-    eigvalsh).
+    operator.  Returns the slacknesses tr[sigma_x M_x] of sigma = k - weighted
+    and the smallest eigenvalue of each sigma_x (one batched eigvalsh).
     """
     sigma = k - weighted
     slackness = np.einsum("xij,xji->x", sigma, elements).real
     feas = _eigvalsh(sigma)[:, 0]
-    return sigma, slackness, feas
+    return slackness, feas
 
 
 def _report(povm: Povm, certificate: DualCertificate) -> KktReport:

@@ -389,7 +389,8 @@ class TestCertifyCommand:
         report = json.loads(out.read_text())
         if block == "library":
             ensemble, _ = parse_instance(Path(trine_file).read_text(encoding="utf-8"))
-            report["matrices"]["sigma"] = [encode_matrix(s) for s in solve(ensemble).certificate.sigma]
+            sigma = solve(ensemble).certificate.k_operator - ensemble.weighted_stack()
+            report["matrices"]["sigma"] = [encode_matrix(s) for s in sigma]
         else:
             report["matrices"]["sigma"] = [report["matrices"]["k_operator"]] * 3
         out.write_text(dump_json(report))

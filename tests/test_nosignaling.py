@@ -76,11 +76,10 @@ class TestSteeringStructure:
             assert np.all(structure.complementary_weights >= -1e-9)
 
     def test_sigma_stacks_are_readonly(self, trine_ensemble):
-        result, structure = structure_of(trine_ensemble)
-        for sigma in (result.certificate.sigma, structure.sigma):
-            assert sigma.shape == (3, 2, 2)
-            with pytest.raises(ValueError):
-                sigma[0, 0, 0] = 1.0
+        _, structure = structure_of(trine_ensemble)
+        assert structure.sigma.shape == (3, 2, 2)
+        with pytest.raises(ValueError):
+            structure.sigma[0, 0, 0] = 1.0
 
     def test_infeasible_certificate_rejected(self, trine_ensemble):
         uniform = validate_povm([np.eye(2) / 3] * 3)
@@ -93,11 +92,9 @@ class TestSteeringStructure:
         [
             ("k_operator", (0, 0), np.inf),
             ("k_operator", (0, 1), np.nan),
-            ("sigma", (1, 0, 1), np.nan),
-            ("sigma", (2, 1, 1), -np.inf),
             ("trace_k", None, np.nan),
         ],
-        ids=["inf-in-k", "nan-in-k", "nan-in-sigma", "inf-in-sigma", "nan-trace"],
+        ids=["inf-in-k", "nan-in-k", "nan-trace"],
     )
     def test_non_finite_certificate_rejected_before_any_arithmetic(self, trine_ensemble, field, index, bad):
         certificate = solve(trine_ensemble).certificate
@@ -108,6 +105,26 @@ class TestSteeringStructure:
         broken = dataclasses.replace(certificate, **{field: value})
         with pytest.raises(NonFinite, match="^certificate: NaN or Inf entries$"):
             steering_structure(trine_ensemble, broken)
+
+    def test_certificate_of_another_dimension_is_a_dimension_mismatch(self):
+        # K is 2 x 2 for a qutrit ensemble: subtracting the states from it
+        # would fail to broadcast.
+        certificate = solve(random_ensemble(1, 3, 2)).certificate
+        message = r"shapes \(\(2, 2\), \(3,\), \(3,\)\), expected \(\(3, 3\), \(3,\), \(3,\)\)$"
+        with pytest.raises(DimensionMismatch, match=message):
+            steering_structure(random_ensemble(2, 3, 3), certificate)
+
+    def test_certificate_of_another_arity_is_a_dimension_mismatch(self):
+        # A 3-state certificate of the same dimension: K alone would give a
+        # structure for all four states, with no rows to gate the fourth.
+        certificate = solve(random_ensemble(1, 3, 2)).certificate
+        message = r"shapes \(\(2, 2\), \(3,\), \(3,\)\), expected \(\(2, 2\), \(4,\), \(4,\)\)$"
+        with pytest.raises(DimensionMismatch, match=message):
+            steering_structure(random_ensemble(2, 4, 2), certificate)
+        for field in ("slackness", "dual_feasibility"):
+            short = dataclasses.replace(certificate, **{field: getattr(certificate, field)[:2]})
+            with pytest.raises(DimensionMismatch, match=r"\(2,\).*, expected \(\(2, 2\), \(3,\), \(3,\)\)$"):
+                steering_structure(random_ensemble(1, 3, 2), short)
 
     def test_dominant_state_has_absent_complementary(self):
         # q1 rho1 = 0.4 I majorizes q2 rho2, so never guessing state 2 is
@@ -136,8 +153,9 @@ class TestStackedNormalisation:
         np.testing.assert_allclose(
             structure.normalized_k.matrix, normalize(certificate.k_operator / certificate.trace_k), rtol=0, atol=1e-14
         )
-        traces = np.trace(certificate.sigma, axis1=1, axis2=2).real
-        for partner, sigma, t in zip(structure.complementary, certificate.sigma, traces):
+        stack = certificate.k_operator - ensemble.weighted_stack()
+        traces = np.trace(stack, axis1=1, axis2=2).real
+        for partner, sigma, t in zip(structure.complementary, stack, traces):
             assert (partner is None) == (t < ABSENT_TRACE)
             if partner is not None:
                 np.testing.assert_allclose(partner.matrix, normalize(sigma / t), rtol=0, atol=1e-14)

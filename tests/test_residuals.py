@@ -134,8 +134,7 @@ def test_certificate_matches_reference_loop(case):
     for label, k in _dual_operators(rng, ensemble, elements).items():
         expected = reference(ensemble, elements, k)
         certificate = certificate_from_povm(ensemble, povm, k)
-        for x in range(len(ensemble)):
-            np.testing.assert_array_equal(certificate.sigma[x], k - ensemble.weighted_stack()[x])
+        np.testing.assert_array_equal(certificate.k_operator, k)
         np.testing.assert_allclose(certificate.slackness, expected["per_state_slackness"], rtol=0, atol=TOL)
         np.testing.assert_allclose(certificate.dual_feasibility, expected["per_state_feasibility"], rtol=0, atol=TOL)
         assert certificate.trace_k == float(k.trace().real), label

@@ -21,6 +21,7 @@ from qsd import (
     make_ensemble,
     solve,
     solver,
+    steering_structure,
     validate_povm,
 )
 from qsd.core import MAX_ENTRY, hermitian_part
@@ -878,12 +879,15 @@ class TestSolverProperties:
             assert abs(split.guess_probability - z * merged.guess_probability) <= 2 * tol
 
     def test_certificate_sigma_is_constructed_exactly(self):
+        # The certificate stores K alone; the steering structure forms its
+        # sigma_x = K - q_x rho_x from it by one exact subtraction.
         rng = np.random.default_rng(39)
         ensemble = random_ensemble(rng, 3, 3)
         result = solve(ensemble)
+        sigma = steering_structure(ensemble, result.certificate).sigma
         for x in range(3):
             expected = result.certificate.k_operator - ensemble.weighted_stack()[x]
-            np.testing.assert_array_equal(result.certificate.sigma[x], expected)
+            np.testing.assert_array_equal(sigma[x], expected)
 
     def test_concurrent_solves_match_serial(self):
         from concurrent.futures import ThreadPoolExecutor
