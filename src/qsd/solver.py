@@ -619,7 +619,8 @@ def _report(povm: Povm, certificate: DualCertificate) -> KktReport:
     elements = povm.elements
     adjoint = elements.conj().swapaxes(-1, -2)
     asymmetry = float(np.abs(elements - adjoint).max())
-    negativity = -float(_eigvalsh(0.5 * (elements + adjoint)).min())
+    # Exactly Hermitian elements (solve's) equal their Hermitian part bit for bit.
+    negativity = -float(_eigvalsh(elements if asymmetry == 0.0 else 0.5 * (elements + adjoint)).min())
     comp = float(np.abs(elements.sum(axis=0) - _identity(povm.dim)).max())
     lowest = float(certificate.dual_feasibility.min())
     return KktReport(
