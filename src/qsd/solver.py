@@ -24,6 +24,30 @@ bound, so the first step's residual certifies it and the solve stops there
 uniform start).  The starts and the map commute with a unitary change of
 frame and with a relabelling of the states, so the solver does too, up to
 round-off.
+
+Before any step, a solve with three or more live states judges one closed
+form.  A measurement is optimal exactly when its K = sum_x W_x M_x dominates
+every W_x, a condition on the dual side alone, so the optimal measurement of
+the best pair is optimal for the whole stack when its K dominates the other
+states too, and no iterate is needed to show it.  The pair is the one with
+the largest Helstrom value tr W_a + tr W_b + ||W_a - W_b||_1 (_best_pair,
+which runs eigvalsh only on the pairs that trace-norm bounds leave in the
+running: 27 % of the acceptance corpus's pairs, 9-29 of the 496 at N = 32,
+d = 16), and its support is the pair, or one of its states alone when
+W_a - W_b is definite.  If the loop's residual of that closed form meets
+the stop rule, solve returns it after 0 iterations.  On the acceptance
+corpus 74 solves end there, each with exactly the elements and K the loop
+returned (at step 1 for 70 of them), and the corpus takes 833 iterations
+instead of 919; fresh seeds 1-8 take 7247 instead of 7832 and seeds 1-2 at
+1e-13 2495 instead of 2634.  The check is left out when another pair's
+value ties the best exactly (judging one of two relabelled twins breaks the
+relabelling symmetry: 10 of 10 relabellings of sixteen copies of I/2 gave a
+POVM that was not the relabelled one) and for two live states, whose start
+is their Helstrom measurement already: judged with no step, it splits a
+pure pair's null space by the sign of round-off, which broke unitary
+covariance on 4 of 30 random draws (POVMs 0.16-0.82 apart).  When the check
+fails, the loop is told which support it judged.
+
 On its own the map converges sublinearly on mixed, near-degenerate
 ensembles.  Each step therefore also forms a safeguarded Anderson candidate
 (Walker & Ni, SIAM J. Numer. Anal. 49, 1715, 2011) from the last
@@ -47,11 +71,13 @@ states whose element vanishes, in two ways.
     all, it judges their optimal measurement (_closed_form: I for one
     state, the Helstrom measurement for a pair, zero elements elsewhere)
     with the loop's own residual, at no iteration cost, and ends the solve
-    there if that meets the stop rule.  A support judged again in the same
-    _iterate call repeats the same elements and residual, which can neither
-    beat the best iterate nor meet the stop rule.  This takes the acceptance corpus from 1049 to 919
-    iterations (median 3 to 1) and fresh seeds 1-8 from 8819 to 7832,
-    against reduced solves on the same one or two states.
+    there if that meets the stop rule.  It judges a support only when it
+    differs from the last one judged (the check before the first step's
+    included): judged again, a support repeats the same elements and
+    residual, which can neither beat the best iterate nor meet the stop
+    rule.  Closed forms, the check before the first step's included, take
+    the acceptance corpus to 833 iterations and fresh seeds 1-8 to 7247,
+    where reduced solves on the same one or two states take 1343 and 10934.
   - Drop.  It drops every state whose lambda_min(sigma_x) exceeds the
     current residual and, when three or more states are kept, solves them
     on their own, warm-started from their renormalised factors, and ends
@@ -67,23 +93,23 @@ A reduced solve gives up early in three ways, each kept for what it saves
 on corpora drawn like the acceptance corpus at tolerance 1e-9:
   - when its residual first falls below the parent's residual at the drop
     and K - W_x has an eigenvalue below minus that residual for a dropped
-    x (without it the acceptance corpus takes 952 iterations instead of
-    919, and fresh seeds 1-8 8140 instead of 7832);
+    x (without it the acceptance corpus takes 866 iterations instead of
+    833, and fresh seeds 1-8 7555 instead of 7247);
   - when it has not got below that residual within as many steps as the
     parent had taken, as a kept element that starts near zero grows only
     slowly (without it fresh seeds 9-24 take at most 469 instead of 409);
   - at any residual level, after STALL_LIMIT steps without improvement,
     instead of running out the parent's budget.
 With the step every instance of fresh seeds 1-8 (tools/fresh_corpora.py)
-converges, in 7832 iterations in all and at most 60 (without it one ran
+converges, in 7247 iterations in all and at most 60 (without it one ran
 out of its 10000-step budget; with the first check at iteration 20 they
-took 13927, at most 48).
+take 8744, at most 48).
 
 The stop rule asks for min(tolerance, max(tolerance / POLISH_FACTOR, 4 d
 eps)), 4 d eps being where a d x d residual stops falling.  The polish below
 tolerance buys headroom for the checks a report is put to; POLISH_FACTOR
 1e2 leaves each of them about 100x (see its comment), where 1e4 costs the
-acceptance corpus 1035 iterations instead of 919.  Once the best
+acceptance corpus 949 iterations instead of 833.  Once the best
 residual is within tolerance the solve also stops after STALL_LIMIT steps
 without improvement and tries no more drops.  This exit bounds a stall
 between the tolerance and the floor: at every tolerance <= 1e-13,
@@ -133,6 +159,7 @@ from .core import (
     _integer,
     _solve,
     hermitian_part,
+    pair_indices,
     psd_sqrt_pinv,
 )
 
@@ -278,13 +305,16 @@ def kkt_check(ensemble: StateEnsemble, povm: Povm, k) -> KktReport:
 def solve(ensemble: StateEnsemble, options: SolverOptions | None = None) -> DiscriminationResult:
     """Optimal minimum-error discrimination via the accelerated fixed-point iteration.
 
-    The iteration starts from the uniform POVM I/N over the states with
-    nonzero prior or, when exactly two states have nonzero prior, from their
-    Helstrom measurement.  On convergence the returned certificate has all KKT
-    residuals within options.kkt_tolerance, which by SDP duality pins the
-    value to the optimum within that tolerance.  If the iteration budget runs
-    out the best iterate seen is returned with converged=False (a flagged
-    result, not an exception).  An iterate that has left the POVM set, a NaN
+    With three or more states of nonzero prior, the closed form of the pair
+    with the largest Helstrom value is judged first (_best_pair): when the
+    loop's residual of it meets the stop rule, it is returned after 0
+    iterations.  Otherwise the iteration starts from the uniform POVM I/N
+    over the states with nonzero prior or, when exactly two states have
+    nonzero prior, from their Helstrom measurement.  On convergence the
+    returned certificate has all KKT residuals within options.kkt_tolerance,
+    which by SDP duality pins the value to the optimum within that
+    tolerance.  If the iteration budget runs out the best iterate seen is
+    returned with converged=False (a flagged result, not an exception).  An iterate that has left the POVM set, a NaN
     or Inf entry or its report's primal residual above COMPLETENESS_TOL (a
     negative element, or elements that do not sum to I), is an internal
     failure: CompletenessDrift.
@@ -294,11 +324,15 @@ def solve(ensemble: StateEnsemble, options: SolverOptions | None = None) -> Disc
 
     active = np.flatnonzero(ensemble.priors >= ZERO_PRIOR)
     weighted = ensemble.weighted_stack()[active]
-    if len(active) == 2:
-        factors = _helstrom_factors(weighted)
-    else:
-        factors = _uniform(len(active), d)
-    elements, (k, slackness, feas), _, iterations = _iterate(weighted, factors, opts.max_iterations, opts.kkt_tolerance)
+    iterations = 0
+    judged = _best_pair(weighted) if len(active) > 2 else None
+    if judged is not None:
+        elements = _closed_form(weighted, judged)
+        residual, evaluation = _residual(weighted, elements)
+    if judged is None or not residual <= _target(opts.kkt_tolerance, d):
+        factors = _helstrom_factors(weighted) if len(active) == 2 else _uniform(len(active), d)
+        elements, evaluation, _, iterations = _iterate(weighted, factors, opts.max_iterations, opts.kkt_tolerance, judged=judged)
+    k, slackness, feas = evaluation
     if not np.isfinite(elements).all():
         raise CompletenessDrift("iterate left the POVM set: NaN or Inf entries")
 
@@ -348,6 +382,7 @@ def _iterate(
     dropped: np.ndarray | None = None,
     limit: float = np.inf,
     patience: int = 0,
+    judged: np.ndarray | None = None,
 ) -> tuple[np.ndarray, tuple, int, int]:
     """The accelerated map on a stack of weighted states, with the active-set step.
 
@@ -361,9 +396,10 @@ def _iterate(
     at round-off level the sign of lambda_min(sigma_x) says nothing.  In a
     reduced solve, dropped holds the dropped weighted states, limit the
     parent's residual at the drop and patience the steps the parent had
-    taken then.
+    taken then.  judged is the support whose closed form the caller has
+    already judged, which no drop check judges again until another has been.
     """
-    target = min(tolerance, max(tolerance / POLISH_FACTOR, 4 * weighted.shape[1] * EPS))
+    target = _target(tolerance, weighted.shape[1])
     start = factors
     best = None
     best_residual = np.inf
@@ -411,8 +447,10 @@ def _iterate(
             support = feas <= 0
             if not support.any():
                 support = keep
-            if 0 < np.count_nonzero(support) < min(3, len(weighted)):
-                closed = _closed_form(weighted, np.flatnonzero(support))
+            support = np.flatnonzero(support)
+            if 0 < len(support) < min(3, len(weighted)) and not np.array_equal(support, judged):
+                judged = support
+                closed = _closed_form(weighted, support)
                 closed_residual, closed_evaluation = _residual(weighted, closed)
                 if closed_residual < best_residual:
                     best_residual, best, best_at = closed_residual, (closed, closed_evaluation), iterations
@@ -442,6 +480,11 @@ def _iterate(
     return *best, best_at, iterations
 
 
+def _target(tolerance: float, d: int) -> float:
+    """The residual the stop rule asks for: tolerance / POLISH_FACTOR, floored at 4 d eps but never above tolerance."""
+    return min(tolerance, max(tolerance / POLISH_FACTOR, 4 * d * EPS))
+
+
 def _vanishing(feas: np.ndarray, residual: float) -> np.ndarray:
     """Mask of the states whose optimal element the optimality conditions predict to vanish.
 
@@ -459,7 +502,9 @@ def _closed_form(weighted: np.ndarray, support: np.ndarray) -> np.ndarray:
     One state gets I and a pair its Helstrom measurement (_helstrom_factors,
     which the priors' scale does not move).  When the optimal elements of
     the other states vanish this is the optimum of the whole stack, and the
-    loop's residual says whether they do.
+    loop's residual says whether they do: before the first step for the
+    best pair (_best_pair), and at the loop's drop checks for the states
+    whose sigma_x is not yet positive definite.
     """
     elements = np.zeros(weighted.shape, dtype=complex)
     if len(support) == 2:
@@ -467,6 +512,35 @@ def _closed_form(weighted: np.ndarray, support: np.ndarray) -> np.ndarray:
     else:
         elements[support] = _identity(weighted.shape[1])
     return elements
+
+
+def _best_pair(weighted: np.ndarray) -> np.ndarray | None:
+    """The closed-form support of the pair with the largest Helstrom value, or None on an exact tie.
+
+    The value of a pair (a, b) is tr W_a + tr W_b + ||W_a - W_b||_1.  Only
+    the pairs that can win get an eigvalsh: ||X||_F <= ||X||_1 <= min(tr W_a
+    + tr W_b, sqrt(d) ||X||_F) bounds the trace norm of X = W_a - W_b, and a
+    pair whose upper bound lies below the best lower bound cannot win (the
+    relative 1e-12 covers the round-off of the bounds).  The support is the
+    pair, or {a} or {b} alone when X is definite, so that a dominant state
+    gets I exactly.  A tie with another pair's value returns None, so that
+    relabelling exactly equal pairs cannot change which one is judged.
+    """
+    first, second = pair_indices(len(weighted))
+    total = np.einsum("xii->x", weighted).real
+    total = total[first] + total[second]
+    gap = weighted[first] - weighted[second]
+    frobenius = np.sqrt(np.square(gap.view(float)).sum(axis=(1, 2)))
+    upper = total + np.minimum(total, math.sqrt(weighted.shape[1]) * frobenius)
+    live = np.flatnonzero(upper * (1 + 1e-12) >= (total + frobenius).max())
+    eigenvalues = _eigvalsh(gap[live])
+    values = total[live] + np.abs(eigenvalues).sum(axis=1)
+    best = values.argmax()
+    if np.count_nonzero(values == values[best]) > 1:
+        return None
+    a, b = first[live[best]], second[live[best]]
+    w = eigenvalues[best]
+    return np.array([a] if w[0] > 0 else [b] if w[-1] < 0 else [a, b])
 
 
 def _helstrom_factors(weighted: np.ndarray) -> np.ndarray:

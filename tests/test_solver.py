@@ -35,9 +35,9 @@ def iterate_stacks(monkeypatch) -> list[int]:
     """Record the number of states in the stack of each _iterate call, nested reduced solves included."""
     iterate, stacks = solver._iterate, []
 
-    def recording(weighted, *args):
+    def recording(weighted, *args, **kwargs):
         stacks.append(len(weighted))
-        return iterate(weighted, *args)
+        return iterate(weighted, *args, **kwargs)
 
     monkeypatch.setattr(solver, "_iterate", recording)
     return stacks
@@ -113,8 +113,8 @@ class TestSolve:
     def test_iterate_that_drifts_from_completeness_is_an_error(self, trine_ensemble, monkeypatch):
         iterate = solver._iterate
 
-        def drifting(*args):
-            elements, evaluation, at, steps = iterate(*args)
+        def drifting(*args, **kwargs):
+            elements, evaluation, at, steps = iterate(*args, **kwargs)
             return elements * (1 + 1e-8), evaluation, at, steps
 
         monkeypatch.setattr(solver, "_iterate", drifting)
@@ -125,7 +125,7 @@ class TestSolve:
         # Complete (the elements sum to I) but M_0 and M_1 have eigenvalue -1/6.
         tilt = np.diag([0.5, -0.5])
         complete = np.array([np.eye(2) / 3 + tilt, np.eye(2) / 3 - tilt, np.eye(2) / 3], dtype=complex)
-        monkeypatch.setattr(solver, "_iterate", lambda weighted, *args: (complete, solver._residual(weighted, complete)[1], 1, 1))
+        monkeypatch.setattr(solver, "_iterate", lambda weighted, *args, **kwargs: (complete, solver._residual(weighted, complete)[1], 1, 1))
         with pytest.raises(solver.CompletenessDrift, match="^iterate left the POVM set: primal residual 1.667e-01$"):
             solve(trine_ensemble)
 
@@ -133,8 +133,8 @@ class TestSolve:
         # Not NonFinite, the input-error type certificate_from_povm would raise on it.
         iterate = solver._iterate
 
-        def corrupted(*args):
-            elements, evaluation, at, steps = iterate(*args)
+        def corrupted(*args, **kwargs):
+            elements, evaluation, at, steps = iterate(*args, **kwargs)
             elements = elements.copy()
             elements[0, 0, 0] = np.nan
             return elements, evaluation, at, steps
@@ -229,7 +229,12 @@ class TestActiveSetStep:
 
     @staticmethod
     def force_drop(monkeypatch, ensemble, state):
-        """Make the first iteration drop state from the full stack, whatever its residuals say."""
+        """Make the first iteration drop state from the full stack, whatever its residuals say.
+
+        No pair is judged before the first step, as on a tie, so the solve
+        reaches that iteration even where the best pair's closed form would
+        end it at step 0.
+        """
         calls = []
 
         def vanishing(feas, residual):
@@ -238,6 +243,7 @@ class TestActiveSetStep:
 
         monkeypatch.setattr(solver, "FIRST_DROP_CHECK", 1)
         monkeypatch.setattr(solver, "_vanishing", vanishing)
+        monkeypatch.setattr(solver, "_best_pair", lambda weighted: None)
         return calls
 
     @staticmethod
@@ -377,10 +383,10 @@ class TestActiveSetStep:
         assert (len(ensemble), ensemble.dim) == (4, 2)
         iterate, calls = solver._iterate, []
 
-        def recording(*args):
+        def recording(*args, **kwargs):
             if len(args) > 4:
                 calls.append(args)
-            return iterate(*args)
+            return iterate(*args, **kwargs)
 
         monkeypatch.setattr(solver, "_iterate", recording)
         assert solve(ensemble).converged
@@ -421,14 +427,16 @@ class TestClosedFormStep:
     """A support of one or two states is judged at its closed-form measurement, never by a reduced solve."""
 
     def test_median_acceptance_path_ends_at_the_kept_pair(self, monkeypatch):
-        # At step 1 only sigma_1 and sigma_3 have a nonpositive eigenvalue, and
-        # the Helstrom measurement of states 1 and 3 meets the stop rule.
-        # Reduced solves on three and then two states took 3 iterations.
+        # States 1 and 3 are the pair with the largest Helstrom value, and
+        # their Helstrom measurement meets the stop rule before any step.
+        # The loop judged the same pair at step 1, where only sigma_1 and
+        # sigma_3 have a nonpositive eigenvalue; reduced solves on three and
+        # then two states took 3 iterations.
         ensemble = random_ensemble(0, 4, 3)
         stacks = iterate_stacks(monkeypatch)
         result = solve(ensemble)
         assert result.converged
-        assert (result.iterations, stacks) == (1, [4])
+        assert (result.iterations, stacks) == (0, [])
         np.testing.assert_array_equal(result.povm.elements[[0, 2]], np.zeros((2, 3, 3)))
         kept = ensemble.priors[[1, 3]]
         pair = make_ensemble(kept / kept.sum(), ensemble.matrices[[1, 3]])
@@ -436,8 +444,10 @@ class TestClosedFormStep:
 
     def test_dominant_state_takes_the_identity(self, monkeypatch):
         # 0.7 I/2 >= 0.15 rho for every state rho, so K = 0.35 I and M_0 = I.
-        # At step 1 only sigma_0 is not positive definite, and the identity
-        # on state 0 ends the solve; a reduced solve on it took 2 iterations.
+        # The pairs (0, 1) and (0, 2) tie exactly, so no pair is judged before
+        # the first step.  At step 1 only sigma_0 is not positive definite,
+        # and the identity on state 0 ends the solve; a reduced solve on it
+        # took 2 iterations.
         ensemble = make_ensemble([0.7, 0.15, 0.15], [np.eye(2) / 2, projector(1, 0), projector(1, 1)])
         stacks = iterate_stacks(monkeypatch)
         result = solve(ensemble)
@@ -458,6 +468,101 @@ class TestClosedFormStep:
             reduced += stacks[1:]
         assert len(reduced) >= 10
         assert min(reduced) > 2
+
+
+class TestBestPairCheck:
+    """Three or more live states: the best pair's closed form is judged before the first step."""
+
+    @staticmethod
+    def full_scan(weighted):
+        """The reference: every pair's Helstrom value tr W_a + tr W_b + ||W_a - W_b||_1, one eigvalsh each."""
+        traces = np.einsum("xii->x", weighted).real
+        pairs = list(zip(*np.triu_indices(len(weighted), k=1)))
+        spectra = [np.linalg.eigvalsh(weighted[a] - weighted[b]) for a, b in pairs]
+        values = [traces[a] + traces[b] + np.abs(w).sum() for (a, b), w in zip(pairs, spectra)]
+        best = int(np.argmax(values))
+        if values.count(values[best]) > 1:
+            return None
+        (a, b), w = pairs[best], spectra[best]
+        return (a,) if w[0] > 0 else (b,) if w[-1] < 0 else (a, b)
+
+    @staticmethod
+    def ladder_draws():
+        """The scale ladder's instances, drawn as the benchmark's ladder workload draws them."""
+        rng = np.random.default_rng(20260101)
+        for n, d in ((8, 8), (16, 16), (32, 16), (8, 32)):
+            for pure in (False, True):
+                yield random_ensemble(rng, n, d, pure=pure)
+
+    def test_pruned_scan_picks_the_full_scans_pair(self):
+        from .test_hostile import CASES, solved_case
+
+        ensembles = [*corpus_ensembles(20260101), *(solved_case(*case)[0] for case in CASES), *self.ladder_draws()]
+        scanned = 0
+        for ensemble in ensembles:
+            weighted = ensemble.weighted_stack()[ensemble.priors >= solver.ZERO_PRIOR]
+            if len(weighted) > 2:
+                support = solver._best_pair(weighted)
+                assert (support if support is None else tuple(support)) == self.full_scan(weighted)
+                scanned += 1
+        assert scanned == 158 + 25 + 8  # the instances with three or more live states
+
+    @pytest.mark.parametrize(
+        "priors, states, iterations",
+        [
+            ([1 / 16] * 16, [np.eye(2) / 2] * 16, 1),
+            ([0.35, 0.35, 0.15, 0.15], [np.eye(2) / 2, np.eye(2) / 2, projector(1, 0), projector(0, 1)], 1),
+        ],
+        ids=["halves", "duplicated-dominant"],
+    )
+    def test_exact_ties_keep_relabelling_equivariance(self, priors, states, iterations):
+        # Every pair ties at the top, so the loop runs, which treats every
+        # state alike; judging the first of the tied pairs would single out
+        # one labelling (M_0 = M_1 = I/2 on the halves).
+        ensemble = make_ensemble(priors, states)
+        base = solve(ensemble)
+        assert base.converged
+        assert base.iterations == iterations
+        rng = np.random.default_rng(49)
+        for _ in range(10):
+            order = list(rng.permutation(len(ensemble)))
+            permuted = solve(ensemble.permuted(order))
+            np.testing.assert_allclose(permuted.povm.elements, base.povm.elements[order], rtol=0, atol=1e-12)
+
+    def test_dominant_state_takes_the_identity_before_any_step(self):
+        # 0.6 I/3 dominates 0.25 rho_1 and 0.15 rho_2, so K = 0.2 I and M_0 = I.
+        # W_0 - W_x is positive definite for the best pair (0, x), so state 0
+        # alone is judged and gets I exactly, as the loop's closed form gives it.
+        rng = np.random.default_rng(0)
+        ensemble = make_ensemble([0.6, 0.25, 0.15], [np.eye(3) / 3, random_density(rng, 3).matrix, random_density(rng, 3).matrix])
+        weighted = ensemble.weighted_stack()
+        assert np.linalg.eigvalsh(weighted[0] - weighted[1:]).min() > 0
+        result = solve(ensemble)
+        assert result.converged
+        assert result.iterations == 0
+        np.testing.assert_array_equal(result.povm.elements, [np.eye(3), np.zeros((3, 3)), np.zeros((3, 3))])
+        assert result.guess_probability == pytest.approx(0.6, abs=1e-15)
+
+    def test_a_support_is_not_judged_twice_in_a_row(self, monkeypatch):
+        # The loop is told which pair the check before the first step judged,
+        # and each drop check judges a closed form only when its support
+        # differs from the last one judged on the same stack; acceptance #64
+        # judged its pair at steps 0, 1, 2 and 4.
+        closed_form, calls = solver._closed_form, []
+
+        def recording(weighted, support):
+            calls.append((weighted.tobytes(), tuple(support)))
+            return closed_form(weighted, support)
+
+        monkeypatch.setattr(solver, "_closed_form", recording)
+        for index, ensemble in enumerate(corpus_ensembles(20260101)):
+            calls.clear()
+            assert solve(ensemble).converged
+            for stack in {key for key, _ in calls}:
+                supports = [support for key, support in calls if key == stack]
+                assert all(a != b for a, b in zip(supports, supports[1:])), (index, supports)
+            if index == 64:
+                assert len(calls) == len(set(calls)) == 2
 
 
 class TestHelstromStart:
