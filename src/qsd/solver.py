@@ -314,10 +314,10 @@ def solve(ensemble: StateEnsemble, options: SolverOptions | None = None) -> Disc
     returned certificate has all KKT residuals within options.kkt_tolerance,
     which by SDP duality pins the value to the optimum within that
     tolerance.  If the iteration budget runs out the best iterate seen is
-    returned with converged=False (a flagged result, not an exception).  An iterate that has left the POVM set, a NaN
-    or Inf entry or its report's primal residual above COMPLETENESS_TOL (a
-    negative element, or elements that do not sum to I), is an internal
-    failure: CompletenessDrift.
+    returned with converged=False (a flagged result, not an exception).  An
+    iterate that has left the POVM set, a NaN or Inf entry or its report's
+    primal residual above COMPLETENESS_TOL (a negative element, or elements
+    that do not sum to I), is an internal failure: CompletenessDrift.
     """
     opts = options or _DEFAULT_OPTIONS
     d = ensemble.dim
@@ -515,7 +515,7 @@ def _closed_form(weighted: np.ndarray, support: np.ndarray) -> np.ndarray:
 
 
 def _best_pair(weighted: np.ndarray) -> np.ndarray | None:
-    """The closed-form support of the pair with the largest Helstrom value, or None on an exact tie.
+    """The closed-form support of the pair with the largest Helstrom value, or None on a tie between supports.
 
     The value of a pair (a, b) is tr W_a + tr W_b + ||W_a - W_b||_1.  Only
     the pairs that can win get an eigvalsh: ||X||_F <= ||X||_1 <= min(tr W_a
@@ -523,8 +523,11 @@ def _best_pair(weighted: np.ndarray) -> np.ndarray | None:
     pair whose upper bound lies below the best lower bound cannot win (the
     relative 1e-12 covers the round-off of the bounds).  The support is the
     pair, or {a} or {b} alone when X is definite, so that a dominant state
-    gets I exactly.  A tie with another pair's value returns None, so that
-    relabelling exactly equal pairs cannot change which one is judged.
+    gets I exactly.  Pairs whose values tie the best exactly must all give
+    the same support, else the result is None, so that relabelling exactly
+    equal states cannot change which support is judged.  A dominant state
+    a ties every pair (a, x) at 2 tr W_a, up to round-off, and each gives
+    {a}.
     """
     first, second = pair_indices(len(weighted))
     total = np.einsum("xii->x", weighted).real
@@ -535,12 +538,10 @@ def _best_pair(weighted: np.ndarray) -> np.ndarray | None:
     live = np.flatnonzero(upper * (1 + 1e-12) >= (total + frobenius).max())
     eigenvalues = _eigvalsh(gap[live])
     values = total[live] + np.abs(eigenvalues).sum(axis=1)
-    best = values.argmax()
-    if np.count_nonzero(values == values[best]) > 1:
-        return None
-    a, b = first[live[best]], second[live[best]]
-    w = eigenvalues[best]
-    return np.array([a] if w[0] > 0 else [b] if w[-1] < 0 else [a, b])
+    top = np.flatnonzero(values == values.max())
+    pairs = zip(first[live[top]], second[live[top]], eigenvalues[top])
+    supports = {(a,) if w[0] > 0 else (b,) if w[-1] < 0 else (a, b) for a, b, w in pairs}
+    return np.array(supports.pop()) if len(supports) == 1 else None
 
 
 def _helstrom_factors(weighted: np.ndarray) -> np.ndarray:

@@ -444,15 +444,15 @@ class TestClosedFormStep:
 
     def test_dominant_state_takes_the_identity(self, monkeypatch):
         # 0.7 I/2 >= 0.15 rho for every state rho, so K = 0.35 I and M_0 = I.
-        # The pairs (0, 1) and (0, 2) tie exactly, so no pair is judged before
-        # the first step.  At step 1 only sigma_0 is not positive definite,
-        # and the identity on state 0 ends the solve; a reduced solve on it
-        # took 2 iterations.
+        # The pairs (0, 1) and (0, 2) tie at 1.4, and W_0 - W_x is positive
+        # definite for both, so state 0 alone is judged before the first step
+        # and gets I exactly, as the loop's closed form gave it at step 1; a
+        # reduced solve on it took 2 iterations.
         ensemble = make_ensemble([0.7, 0.15, 0.15], [np.eye(2) / 2, projector(1, 0), projector(1, 1)])
         stacks = iterate_stacks(monkeypatch)
         result = solve(ensemble)
         assert result.converged
-        assert (result.iterations, stacks) == (1, [3])
+        assert (result.iterations, stacks) == (0, [])
         np.testing.assert_array_equal(result.povm.elements, [np.eye(2), np.zeros((2, 2)), np.zeros((2, 2))])
         assert result.guess_probability == 0.7
 
@@ -475,16 +475,20 @@ class TestBestPairCheck:
 
     @staticmethod
     def full_scan(weighted):
-        """The reference: every pair's Helstrom value tr W_a + tr W_b + ||W_a - W_b||_1, one eigvalsh each."""
+        """The reference: every pair's Helstrom value tr W_a + tr W_b + ||W_a - W_b||_1, one eigvalsh each.
+
+        The best pairs must agree on their support: the pair, or one of its
+        states alone when W_a - W_b is definite.
+        """
         traces = np.einsum("xii->x", weighted).real
         pairs = list(zip(*np.triu_indices(len(weighted), k=1)))
         spectra = [np.linalg.eigvalsh(weighted[a] - weighted[b]) for a, b in pairs]
         values = [traces[a] + traces[b] + np.abs(w).sum() for (a, b), w in zip(pairs, spectra)]
-        best = int(np.argmax(values))
-        if values.count(values[best]) > 1:
-            return None
-        (a, b), w = pairs[best], spectra[best]
-        return (a,) if w[0] > 0 else (b,) if w[-1] < 0 else (a, b)
+        supports = set()
+        for (a, b), w, value in zip(pairs, spectra, values):
+            if value == max(values):
+                supports.add((a,) if w[0] > 0 else (b,) if w[-1] < 0 else (a, b))
+        return supports.pop() if len(supports) == 1 else None
 
     @staticmethod
     def ladder_draws():
@@ -516,9 +520,9 @@ class TestBestPairCheck:
         ids=["halves", "duplicated-dominant"],
     )
     def test_exact_ties_keep_relabelling_equivariance(self, priors, states, iterations):
-        # Every pair ties at the top, so the loop runs, which treats every
-        # state alike; judging the first of the tied pairs would single out
-        # one labelling (M_0 = M_1 = I/2 on the halves).
+        # The best pairs tie with different supports, so the loop runs, which
+        # treats every state alike; judging the first of the tied pairs would
+        # single out one labelling (M_0 = M_1 = I/2 on the halves).
         ensemble = make_ensemble(priors, states)
         base = solve(ensemble)
         assert base.converged
@@ -528,20 +532,6 @@ class TestBestPairCheck:
             order = list(rng.permutation(len(ensemble)))
             permuted = solve(ensemble.permuted(order))
             np.testing.assert_allclose(permuted.povm.elements, base.povm.elements[order], rtol=0, atol=1e-12)
-
-    def test_dominant_state_takes_the_identity_before_any_step(self):
-        # 0.6 I/3 dominates 0.25 rho_1 and 0.15 rho_2, so K = 0.2 I and M_0 = I.
-        # W_0 - W_x is positive definite for the best pair (0, x), so state 0
-        # alone is judged and gets I exactly, as the loop's closed form gives it.
-        rng = np.random.default_rng(0)
-        ensemble = make_ensemble([0.6, 0.25, 0.15], [np.eye(3) / 3, random_density(rng, 3).matrix, random_density(rng, 3).matrix])
-        weighted = ensemble.weighted_stack()
-        assert np.linalg.eigvalsh(weighted[0] - weighted[1:]).min() > 0
-        result = solve(ensemble)
-        assert result.converged
-        assert result.iterations == 0
-        np.testing.assert_array_equal(result.povm.elements, [np.eye(3), np.zeros((3, 3)), np.zeros((3, 3))])
-        assert result.guess_probability == pytest.approx(0.6, abs=1e-15)
 
     def test_a_support_is_not_judged_twice_in_a_row(self, monkeypatch):
         # The loop is told which pair the check before the first step judged,
