@@ -34,19 +34,20 @@ the largest Helstrom value tr W_a + tr W_b + ||W_a - W_b||_1 (_best_pair,
 which runs eigvalsh only on the pairs that trace-norm bounds leave in the
 running: 27 % of the acceptance corpus's pairs, 9-29 of the 496 at N = 32,
 d = 16), and its support is the pair, or one of its states alone when
-W_a - W_b is definite.  If the loop's residual of that closed form meets
-the stop rule, solve returns it after 0 iterations.  On the acceptance
-corpus 74 solves end there, each with exactly the elements and K the loop
-returned (at step 1 for 70 of them), and the corpus takes 833 iterations
-instead of 919; fresh seeds 1-8 take 7247 instead of 7832 and seeds 1-2 at
-1e-13 2495 instead of 2634.  The check is left out when another pair's
-value ties the best exactly (judging one of two relabelled twins breaks the
-relabelling symmetry: 10 of 10 relabellings of sixteen copies of I/2 gave a
-POVM that was not the relabelled one) and for two live states, whose start
-is their Helstrom measurement already: judged with no step, it splits a
-pure pair's null space by the sign of round-off, which broke unitary
-covariance on 4 of 30 random draws (POVMs 0.16-0.82 apart).  When the check
-fails, the loop is told which support it judged.
+W_a - W_b is definite.  If the loop's residual of that closed form meets the
+stop rule, solve returns it after 0 iterations.  On the acceptance corpus 76
+solves end there, each with exactly the elements and K the loop returned (at
+step 1 for 72 of them), and the corpus takes 831 iterations instead of 919;
+fresh seeds 1-8 take 7229 instead of 7832 and seeds 1-2 at 1e-13 2493
+instead of 2634.  The check is left out when the pairs that tie the best
+value exactly give different supports (judging one of two relabelled twins
+breaks the relabelling symmetry: 10 of 10 relabellings of sixteen copies of
+I/2 gave a POVM that was not the relabelled one; a dominant state ties all
+its pairs, which agree on it) and for two live states, whose start is their
+Helstrom measurement already: judged with no step, it splits a pure pair's
+null space by the sign of round-off, which broke unitary covariance on 4 of
+30 random draws (POVMs 0.16-0.82 apart).  When the check fails, the loop is
+told which support it judged.
 
 On its own the map converges sublinearly on mixed, near-degenerate
 ensembles.  Each step therefore also forms a safeguarded Anderson candidate
@@ -55,9 +56,10 @@ ANDERSON_MEMORY steps, renormalised to S^{-1/2} C with S = sum_x C_x
 C_x^dagger so that its elements are again PSD and complete.  The candidate
 is taken only when its KKT residual is below the current iterate's,
 otherwise the plain image is; the history is kept either way.  On 1600
-random instances (N 2..6, d <= 4) and without the active-set step below,
-this takes the median to 7 iterations and the 99th percentile to 34; the
-plain map, from the uniform start, took 24 and about 1500.
+random instances (N 2..6, d <= 4), without the pre-step check above and the
+active-set step below, this takes the median to 7 iterations and the 99th
+percentile to 34; the plain map, from the uniform start, took 24 and about
+1500.
 
 Where an optimal element vanishes, sigma_x = K - q_x rho_x is positive
 definite (tr[sigma_x M_x] = 0 with sigma_x >= 0), yet the map shrinks M_x
@@ -76,7 +78,7 @@ states whose element vanishes, in two ways.
     included): judged again, a support repeats the same elements and
     residual, which can neither beat the best iterate nor meet the stop
     rule.  Closed forms, the check before the first step's included, take
-    the acceptance corpus to 833 iterations and fresh seeds 1-8 to 7247,
+    the acceptance corpus to 831 iterations and fresh seeds 1-8 to 7229,
     where reduced solves on the same one or two states take 1343 and 10934.
   - Drop.  It drops every state whose lambda_min(sigma_x) exceeds the
     current residual and, when three or more states are kept, solves them
@@ -93,23 +95,23 @@ A reduced solve gives up early in three ways, each kept for what it saves
 on corpora drawn like the acceptance corpus at tolerance 1e-9:
   - when its residual first falls below the parent's residual at the drop
     and K - W_x has an eigenvalue below minus that residual for a dropped
-    x (without it the acceptance corpus takes 866 iterations instead of
-    833, and fresh seeds 1-8 7555 instead of 7247);
+    x (without it the acceptance corpus takes {NV_ACC} iterations instead of
+    831, and fresh seeds 1-8 {NV_FRESH} instead of 7229);
   - when it has not got below that residual within as many steps as the
     parent had taken, as a kept element that starts near zero grows only
-    slowly (without it fresh seeds 9-24 take at most 469 instead of 409);
+    slowly (without it fresh seeds 9-24 take at most {NP_MAX} instead of 409);
   - at any residual level, after STALL_LIMIT steps without improvement,
     instead of running out the parent's budget.
 With the step every instance of fresh seeds 1-8 (tools/fresh_corpora.py)
-converges, in 7247 iterations in all and at most 60 (without it one ran
+converges, in 7229 iterations in all and at most 60 (without it one ran
 out of its 10000-step budget; with the first check at iteration 20 they
-take 8744, at most 48).
+take {FC_FRESH}, at most {FC_MAX}).
 
 The stop rule asks for min(tolerance, max(tolerance / POLISH_FACTOR, 4 d
 eps)), 4 d eps being where a d x d residual stops falling.  The polish below
 tolerance buys headroom for the checks a report is put to; POLISH_FACTOR
 1e2 leaves each of them about 100x (see its comment), where 1e4 costs the
-acceptance corpus 949 iterations instead of 833.  Once the best
+acceptance corpus {PO_ACC} iterations instead of 831.  Once the best
 residual is within tolerance the solve also stops after STALL_LIMIT steps
 without improvement and tries no more drops.  This exit bounds a stall
 between the tolerance and the floor: at every tolerance <= 1e-13,
@@ -382,7 +384,7 @@ def _iterate(
     dropped: np.ndarray | None = None,
     limit: float = np.inf,
     patience: int = 0,
-    judged: np.ndarray | None = None,
+    judged: list[int] | np.ndarray | None = None,
 ) -> tuple[np.ndarray, tuple, int, int]:
     """The accelerated map on a stack of weighted states, with the active-set step.
 
@@ -514,7 +516,7 @@ def _closed_form(weighted: np.ndarray, support: np.ndarray) -> np.ndarray:
     return elements
 
 
-def _best_pair(weighted: np.ndarray) -> np.ndarray | None:
+def _best_pair(weighted: np.ndarray) -> list[int] | None:
     """The closed-form support of the pair with the largest Helstrom value, or None on a tie between supports.
 
     The value of a pair (a, b) is tr W_a + tr W_b + ||W_a - W_b||_1.  Only
@@ -538,10 +540,10 @@ def _best_pair(weighted: np.ndarray) -> np.ndarray | None:
     live = np.flatnonzero(upper * (1 + 1e-12) >= (total + frobenius).max())
     eigenvalues = _eigvalsh(gap[live])
     values = total[live] + np.abs(eigenvalues).sum(axis=1)
-    top = np.flatnonzero(values == values.max())
-    pairs = zip(first[live[top]], second[live[top]], eigenvalues[top])
+    top = values == values.max()
+    pairs = zip(first[live[top]].tolist(), second[live[top]].tolist(), eigenvalues[top].tolist())
     supports = {(a,) if w[0] > 0 else (b,) if w[-1] < 0 else (a, b) for a, b, w in pairs}
-    return np.array(supports.pop()) if len(supports) == 1 else None
+    return list(supports.pop()) if len(supports) == 1 else None
 
 
 def _helstrom_factors(weighted: np.ndarray) -> np.ndarray:
