@@ -95,23 +95,23 @@ A reduced solve gives up early in three ways, each kept for what it saves
 on corpora drawn like the acceptance corpus at tolerance 1e-9:
   - when its residual first falls below the parent's residual at the drop
     and K - W_x has an eigenvalue below minus that residual for a dropped
-    x (without it the acceptance corpus takes {NV_ACC} iterations instead of
-    831, and fresh seeds 1-8 {NV_FRESH} instead of 7229);
+    x (without it the acceptance corpus takes 864 iterations instead of
+    831, and fresh seeds 1-8 7537 instead of 7229);
   - when it has not got below that residual within as many steps as the
     parent had taken, as a kept element that starts near zero grows only
-    slowly (without it fresh seeds 9-24 take at most {NP_MAX} instead of 409);
+    slowly (without it fresh seeds 9-24 take at most 469 instead of 409);
   - at any residual level, after STALL_LIMIT steps without improvement,
     instead of running out the parent's budget.
 With the step every instance of fresh seeds 1-8 (tools/fresh_corpora.py)
-converges, in 7229 iterations in all and at most 60 (without it one ran
-out of its 10000-step budget; with the first check at iteration 20 they
-take {FC_FRESH}, at most {FC_MAX}).
+converges, in 7229 iterations in all and at most 60 (without it and the
+pre-step check one ran out of its 10000-step budget; with the first check
+at iteration 20 they take 8566, at most 48).
 
 The stop rule asks for min(tolerance, max(tolerance / POLISH_FACTOR, 4 d
 eps)), 4 d eps being where a d x d residual stops falling.  The polish below
 tolerance buys headroom for the checks a report is put to; POLISH_FACTOR
 1e2 leaves each of them about 100x (see its comment), where 1e4 costs the
-acceptance corpus {PO_ACC} iterations instead of 831.  Once the best
+acceptance corpus 947 iterations instead of 831.  Once the best
 residual is within tolerance the solve also stops after STALL_LIMIT steps
 without improvement and tries no more drops.  This exit bounds a stall
 between the tolerance and the floor: at every tolerance <= 1e-13,

@@ -512,21 +512,22 @@ class TestBestPairCheck:
         assert scanned == 158 + 25 + 8  # the instances with three or more live states
 
     @pytest.mark.parametrize(
-        "priors, states, iterations",
+        "priors, states",
         [
-            ([1 / 16] * 16, [np.eye(2) / 2] * 16, 1),
-            ([0.35, 0.35, 0.15, 0.15], [np.eye(2) / 2, np.eye(2) / 2, projector(1, 0), projector(0, 1)], 1),
+            ([1 / 16] * 16, [np.eye(2) / 2] * 16),
+            ([0.35, 0.35, 0.15, 0.15], [np.eye(2) / 2, np.eye(2) / 2, projector(1, 0), projector(0, 1)]),
         ],
         ids=["halves", "duplicated-dominant"],
     )
-    def test_exact_ties_keep_relabelling_equivariance(self, priors, states, iterations):
+    def test_exact_ties_keep_relabelling_equivariance(self, priors, states):
         # The best pairs tie with different supports, so the loop runs, which
-        # treats every state alike; judging the first of the tied pairs would
-        # single out one labelling (M_0 = M_1 = I/2 on the halves).
+        # treats every state alike, and ends at step 1; judging the first of
+        # the tied pairs would single out one labelling (M_0 = M_1 = I/2 on
+        # the halves).
         ensemble = make_ensemble(priors, states)
         base = solve(ensemble)
         assert base.converged
-        assert base.iterations == iterations
+        assert base.iterations == 1
         rng = np.random.default_rng(49)
         for _ in range(10):
             order = list(rng.permutation(len(ensemble)))
@@ -536,8 +537,8 @@ class TestBestPairCheck:
     def test_a_support_is_not_judged_twice_in_a_row(self, monkeypatch):
         # The loop is told which pair the check before the first step judged,
         # and each drop check judges a closed form only when its support
-        # differs from the last one judged on the same stack; acceptance #64
-        # judged its pair at steps 0, 1, 2 and 4.
+        # differs from the last one judged on the same stack.  Without that
+        # rule acceptance #64 judged its one support four times.
         closed_form, calls = solver._closed_form, []
 
         def recording(weighted, support):
