@@ -17,37 +17,35 @@ step is A_x <- G^{-1/2} W_x A_x, and the elements are A_x A_x^dagger plus the
 additive correction (I - sum_y A_y A_y^dagger) / N over the states with
 nonzero prior, which completes them when the states share a proper subspace
 and G is rank-deficient.  The iteration starts from the uniform POVM, factors
-I/sqrt(N), unless exactly two states have nonzero prior: it then starts from
-their Helstrom measurement (_helstrom_factors), which attains the two-state
-bound, so the first step's residual certifies it and the solve stops there
-(in 1 iteration on each of the acceptance corpus's 42 pairs, 213 from the
-uniform start).  The starts and the map commute with a unitary change of
-frame and with a relabelling of the states, so the solver does too, up to
-round-off.
+I/sqrt(N).  The start and the map commute with a unitary change of frame and
+with a relabelling of the states, so the solver does too, up to round-off.
 
-Before any step, a solve with three or more live states judges one closed
+Before any step, a solve with two or more live states judges one closed
 form.  A measurement is optimal exactly when its K = sum_x W_x M_x dominates
 every W_x, a condition on the dual side alone, so the optimal measurement of
 the best pair is optimal for the whole stack when its K dominates the other
 states too, and no iterate is needed to show it.  The pair is the one with
 the largest Helstrom value tr W_a + tr W_b + ||W_a - W_b||_1 (_best_pair,
 which runs eigvalsh only on the pairs that trace-norm bounds leave in the
-running: 27 % of the acceptance corpus's pairs, 9-29 of the 496 at N = 32,
-d = 16), and its support is the pair, or one of its states alone when
-W_a - W_b is definite.  If the loop's residual of that closed form meets the
-stop rule, solve returns it after 0 iterations.  On the acceptance corpus 76
-solves end there, each with exactly the elements and K the loop returned (at
-step 1 for 72 of them), and the corpus takes 831 iterations instead of 919;
-fresh seeds 1-8 take 7229 instead of 7832 and seeds 1-2 at 1e-13 2493
-instead of 2634.  The check is left out when the pairs that tie the best
-value exactly give different supports (judging one of two relabelled twins
-breaks the relabelling symmetry: 10 of 10 relabellings of sixteen copies of
-I/2 gave a POVM that was not the relabelled one; a dominant state ties all
-its pairs, which agree on it) and for two live states, whose start is their
-Helstrom measurement already: judged with no step, it splits a pure pair's
-null space by the sign of round-off, which broke unitary covariance on 4 of
-30 random draws (POVMs 0.16-0.82 apart).  When the check fails, the loop is
-told which support it judged.
+running: 423 of the acceptance corpus's 1453 pairs, 9-29 of the 496 at
+N = 32, d = 16), and its support is the pair, or one of its states alone
+when W_a - W_b is definite.  If the loop's residual of that closed form meets
+the stop rule, solve returns it after 0 iterations.  Two live states are
+their own best pair, and their Helstrom measurement attains the two-state
+bound, so every two-state solve of the acceptance and fresh corpora ends
+there.  That measurement (_helstrom_factors) reads an eigenvalue of W_0 - W_1
+within round-off of zero as exactly zero and splits its eigenspace evenly:
+split by the sign of round-off instead, a pure pair's null space broke
+unitary covariance on 4 of 30 random draws (POVMs 0.16-0.82 apart).  On the
+acceptance corpus 118 solves end before the first step, its 42 pairs among
+them, and the corpus takes 789 iterations; fresh seeds 1-8 take 6899 and
+seeds 1-2 at 1e-13 2415.  The check is left out when the pairs that tie the
+best value exactly give different supports (judging one of two relabelled
+twins breaks the relabelling symmetry: 10 of 10 relabellings of sixteen
+copies of I/2 gave a POVM that was not the relabelled one; a dominant state
+ties all its pairs, which agree on it).  When the check fails, the loop runs
+from the uniform start, told which support was judged; on such a tie it runs
+with none.
 
 On its own the map converges sublinearly on mixed, near-degenerate
 ensembles.  Each step therefore also forms a safeguarded Anderson candidate
@@ -57,9 +55,9 @@ C_x^dagger so that its elements are again PSD and complete.  The candidate
 is taken only when its KKT residual is below the current iterate's,
 otherwise the plain image is; the history is kept either way.  On 1600
 random instances (N 2..6, d <= 4), without the pre-step check above and the
-active-set step below, this takes the median to 7 iterations and the 99th
+active-set step below, this takes the median to 8 iterations and the 99th
 percentile to 34; the plain map, from the uniform start, took 24 and about
-1500.
+1500 when POLISH_FACTOR became 1e2.
 
 Where an optimal element vanishes, sigma_x = K - q_x rho_x is positive
 definite (tr[sigma_x M_x] = 0 with sigma_x >= 0), yet the map shrinks M_x
@@ -78,8 +76,10 @@ states whose element vanishes, in two ways.
     included): judged again, a support repeats the same elements and
     residual, which can neither beat the best iterate nor meet the stop
     rule.  Closed forms, the check before the first step's included, take
-    the acceptance corpus to 831 iterations and fresh seeds 1-8 to 7229,
-    where reduced solves on the same one or two states take 1343 and 10934.
+    the acceptance corpus to 789 iterations and fresh seeds 1-8 to 6899;
+    with no closed form anywhere (reduced solves on the same one or two
+    states, and two live states iterated from the uniform start) they take
+    1514 and 12219.
   - Drop.  It drops every state whose lambda_min(sigma_x) exceeds the
     current residual and, when three or more states are kept, solves them
     on their own, warm-started from their renormalised factors, and ends
@@ -95,23 +95,23 @@ A reduced solve gives up early in three ways, each kept for what it saves
 on corpora drawn like the acceptance corpus at tolerance 1e-9:
   - when its residual first falls below the parent's residual at the drop
     and K - W_x has an eigenvalue below minus that residual for a dropped
-    x (without it the acceptance corpus takes 864 iterations instead of
-    831, and fresh seeds 1-8 7537 instead of 7229);
+    x (without it the acceptance corpus takes 822 iterations instead of
+    789, and fresh seeds 1-8 7207 instead of 6899);
   - when it has not got below that residual within as many steps as the
     parent had taken, as a kept element that starts near zero grows only
     slowly (without it fresh seeds 9-24 take at most 469 instead of 409);
   - at any residual level, after STALL_LIMIT steps without improvement,
     instead of running out the parent's budget.
 With the step every instance of fresh seeds 1-8 (tools/fresh_corpora.py)
-converges, in 7229 iterations in all and at most 60 (without it and the
-pre-step check one ran out of its 10000-step budget; with the first check
-at iteration 20 they take 8566, at most 48).
+converges, in 6899 iterations in all and at most 60 (without it and the
+pre-step check one runs out of its 10000-step budget; with the first check
+at iteration 20 they take 8236, at most 48).
 
 The stop rule asks for min(tolerance, max(tolerance / POLISH_FACTOR, 4 d
 eps)), 4 d eps being where a d x d residual stops falling.  The polish below
 tolerance buys headroom for the checks a report is put to; POLISH_FACTOR
 1e2 leaves each of them about 100x (see its comment), where 1e4 costs the
-acceptance corpus 947 iterations instead of 831.  Once the best
+acceptance corpus 905 iterations instead of 789.  Once the best
 residual is within tolerance the solve also stops after STALL_LIMIT steps
 without improvement and tries no more drops.  This exit bounds a stall
 between the tolerance and the floor: at every tolerance <= 1e-13,
@@ -307,33 +307,32 @@ def kkt_check(ensemble: StateEnsemble, povm: Povm, k) -> KktReport:
 def solve(ensemble: StateEnsemble, options: SolverOptions | None = None) -> DiscriminationResult:
     """Optimal minimum-error discrimination via the accelerated fixed-point iteration.
 
-    With three or more states of nonzero prior, the closed form of the pair
+    With two or more states of nonzero prior, the closed form of the pair
     with the largest Helstrom value is judged first (_best_pair): when the
     loop's residual of it meets the stop rule, it is returned after 0
-    iterations.  Otherwise the iteration starts from the uniform POVM I/N
-    over the states with nonzero prior or, when exactly two states have
-    nonzero prior, from their Helstrom measurement.  On convergence the
-    returned certificate has all KKT residuals within options.kkt_tolerance,
-    which by SDP duality pins the value to the optimum within that
-    tolerance.  If the iteration budget runs out the best iterate seen is
-    returned with converged=False (a flagged result, not an exception).  An
-    iterate that has left the POVM set, a NaN or Inf entry or its report's
-    primal residual above COMPLETENESS_TOL (a negative element, or elements
-    that do not sum to I), is an internal failure: CompletenessDrift.
+    iterations, as the Helstrom measurement of two such states is.  Otherwise
+    the iteration starts from the uniform POVM I/N over the states with
+    nonzero prior.  On convergence the returned certificate has all KKT
+    residuals within options.kkt_tolerance, which by SDP duality pins the
+    value to the optimum within that tolerance.  If the iteration budget runs
+    out the best iterate seen is returned with converged=False (a flagged
+    result, not an exception).  An iterate that has left the POVM set, a NaN
+    or Inf entry or its report's primal residual above COMPLETENESS_TOL (a
+    negative element, or elements that do not sum to I), is an internal
+    failure: CompletenessDrift.
     """
     opts = options or _DEFAULT_OPTIONS
-    d = ensemble.dim
 
     active = np.flatnonzero(ensemble.priors >= ZERO_PRIOR)
     weighted = ensemble.weighted_stack()[active]
     iterations = 0
-    judged = _best_pair(weighted) if len(active) > 2 else None
+    judged = _best_pair(weighted) if len(active) > 1 else None
     if judged is not None:
         elements = _closed_form(weighted, judged)
         residual, evaluation = _residual(weighted, elements)
-    if judged is None or not residual <= _target(opts.kkt_tolerance, d):
-        factors = _helstrom_factors(weighted) if len(active) == 2 else _uniform(len(active), d)
-        elements, evaluation, _, iterations = _iterate(weighted, factors, opts.max_iterations, opts.kkt_tolerance, judged=judged)
+    if judged is None or not residual <= _target(opts.kkt_tolerance, ensemble.dim):
+        start = _uniform(*weighted.shape[:2])
+        elements, evaluation, _, iterations = _iterate(weighted, start, opts.max_iterations, opts.kkt_tolerance, judged=judged)
     k, slackness, feas = evaluation
     if not np.isfinite(elements).all():
         raise CompletenessDrift("iterate left the POVM set: NaN or Inf entries")
@@ -551,14 +550,15 @@ def _helstrom_factors(weighted: np.ndarray) -> np.ndarray:
 
     With W_0 - W_1 = V diag(w) V^dagger they are A_0 = V diag(sqrt(s)) and
     A_1 = V diag(sqrt(1 - s)), s = 1, 0 or 1/2 where w is positive, negative
-    or exactly zero: the elements project onto the positive and negative
-    eigenspaces and split the null space evenly, A_0 A_0^dagger + A_1
-    A_1^dagger = V V^dagger, and swapping the states swaps the factors.
-    Taking the projectors themselves as factors leaves fresh seed 2 #38 and
-    #48 at a primal residual of 2.0e-13 and 1.2e-13, unconverged at 1e-13.
+    or zero: the elements project onto the positive and negative eigenspaces
+    and split the null space evenly, A_0 A_0^dagger + A_1 A_1^dagger = V
+    V^dagger, and swapping the states swaps the factors.  An eigenvalue with
+    |w| <= 16 d eps max|W| counts as zero, so that the round-off of a null
+    direction (about 1e-17 for a pure qutrit pair) cannot give it to either
+    state and break unitary covariance.
     """
     w, v = _eigh(weighted[0] - weighted[1])
-    s = 0.5 * (1.0 + np.sign(w))
+    s = 0.5 * (1.0 + np.sign(w) * (np.abs(w) > 16 * len(w) * EPS * np.abs(weighted).max()))
     return np.array((v * np.sqrt(s), v * np.sqrt(1.0 - s)))
 
 

@@ -270,8 +270,8 @@ def forged_structures():
     in 1e-12, 1e-9 and 1e-6.  K - 1e-6 I sits at the steering layer's
     INFEASIBLE_TOL gate: it falls below it, has no structure and is left out
     here unless every sigma_x of the solve is PSD to the last bit, as for
-    seven of these 40 solves, each ended at step 1 by an exact closed-form
-    (Helstrom) measurement.
+    seven of these 40 solves, each returned after 0 steps at the exact
+    closed form judged before the first step.
     """
     rng = np.random.default_rng(2200)
     cases = []

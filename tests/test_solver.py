@@ -129,8 +129,10 @@ class TestSolve:
         with pytest.raises(solver.CompletenessDrift, match="^iterate left the POVM set: primal residual 1.667e-01$"):
             solve(trine_ensemble)
 
-    def test_iterate_with_a_nan_entry_is_an_error(self, zero_plus_ensemble, monkeypatch):
+    def test_iterate_with_a_nan_entry_is_an_error(self, trine_ensemble, monkeypatch):
         # Not NonFinite, the input-error type certificate_from_povm would raise on it.
+        # The trine's optimum uses all three states, so the check before the
+        # first step fails and _iterate is reached.
         iterate = solver._iterate
 
         def corrupted(*args, **kwargs):
@@ -141,11 +143,11 @@ class TestSolve:
 
         monkeypatch.setattr(solver, "_iterate", corrupted)
         with pytest.raises(solver.CompletenessDrift, match="^iterate left the POVM set: NaN or Inf entries$"):
-            solve(zero_plus_ensemble)
+            solve(trine_ensemble)
 
     def test_no_finite_residual_returns_the_uniform_start(self, monkeypatch):
-        # Four states, so the start is uniform (two would start at their
-        # Helstrom measurement) and its elements are exactly I/4.
+        # A NaN residual fails the check before the first step, so the loop
+        # runs from the uniform start, whose elements are exactly I/4 here.
         def no_finite_residual(weighted, elements):
             nan = np.full(len(weighted), np.nan)
             return np.nan, (np.full(weighted.shape[1:], np.nan), nan, nan)
@@ -265,8 +267,8 @@ class TestActiveSetStep:
 
     @pytest.mark.parametrize("state", [0, 1])
     def test_wrong_drop_on_two_states_is_rejected(self, monkeypatch, state):
-        # A two-state solve starts at its optimum and stops at step 1,
-        # before any drop check, so the pair gets a third state, I/3 at
+        # A two-state solve ends at its closed form before the first step,
+        # so before any drop check, and the pair gets a third state, I/3 at
         # prior 0.01, whose element vanishes at the optimum.  Dropping state
         # 0 or 1 would keep a pair that the full stack rejects; no reduced
         # solve runs on it, and the Helstrom measurement of states 0 and 1,
@@ -557,15 +559,20 @@ class TestBestPairCheck:
 
 
 class TestHelstromStart:
-    """A solve with exactly two live states starts at their Helstrom measurement and stops at step 1."""
+    """Two live states: their Helstrom measurement is judged before the first step and ends the solve there.
 
-    def test_two_state_acceptance_instances_take_one_step(self):
+    It is the best pair's closed form (_closed_form on _helstrom_factors),
+    and it meets the stop rule by itself, so the solve takes no step.  The
+    loop, from the uniform start, runs only when no pair is judged.
+    """
+
+    def test_two_state_acceptance_instances_take_no_step(self):
         pairs = [ensemble for ensemble in corpus_ensembles(20260101) if len(ensemble) == 2]
-        assert len(pairs) == 42  # 213 iterations from the uniform start
+        assert len(pairs) == 42  # 185 iterations from the uniform start
         for ensemble in pairs:
             result = solve(ensemble)
             assert result.converged
-            assert result.iterations == 1
+            assert result.iterations == 0
             assert abs(result.guess_probability - helstrom(ensemble).value) <= 1e-12
 
     def test_a_zero_prior_leaves_a_live_pair(self):
@@ -573,9 +580,31 @@ class TestHelstromStart:
         ensemble = make_ensemble([pair.priors[0], 0.0, pair.priors[1]], [pair.matrices[0], np.eye(3) / 3, pair.matrices[1]])
         result = solve(ensemble)
         assert result.converged
-        assert result.iterations == 1
+        assert result.iterations == 0
         np.testing.assert_array_equal(result.povm.elements[1], np.zeros((3, 3)))
         assert abs(result.guess_probability - helstrom(pair).value) <= 1e-12
+
+    def test_an_unjudged_pair_runs_from_the_uniform_start(self, monkeypatch):
+        # The one two-state path left in the loop.  At 1e-13 the stop rule
+        # sits at its round-off floor, so the value is helstrom's within
+        # 1e-12 (at 1e-9 the 42 pairs take 185 iterations and end up to
+        # 1.1e-11 from it).
+        monkeypatch.setattr(solver, "_best_pair", lambda weighted: None)
+        iterate, starts = solver._iterate, []
+
+        def recording(weighted, factors, *args, **kwargs):
+            starts.append(factors)
+            return iterate(weighted, factors, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "_iterate", recording)
+        pairs = [ensemble for ensemble in corpus_ensembles(20260101) if len(ensemble) == 2]
+        for ensemble in pairs:
+            starts.clear()
+            result = solve(ensemble, SolverOptions(kkt_tolerance=1e-13))
+            assert result.converged
+            assert result.iterations >= 1
+            np.testing.assert_array_equal(starts[0], [np.eye(ensemble.dim) / np.sqrt(2)] * 2)
+            assert abs(result.guess_probability - helstrom(ensemble).value) <= 1e-12
 
     @staticmethod
     def start(ensemble):
@@ -589,26 +618,31 @@ class TestHelstromStart:
             make_ensemble([0.5, 0.5], [projector(1, 0), projector(1, 1)]),
             # W_0 - W_1 = diag(1/2, -1/2, 0): the null space is split evenly.
             make_ensemble([0.5, 0.5], [projector(1, 0, 0), projector(0, 1, 0)]),
+            # Two Haar-random pure qutrits: W_0 - W_1 has rank 2, and its third
+            # eigenvalue is round-off (1.3e-17), which must not pick a side.
+            random_ensemble(np.random.default_rng(7), 2, 3, pure=True),
         ],
-        ids=["mixed-qutrits", "zero-plus", "null-eigenvalue"],
+        ids=["mixed-qutrits", "zero-plus", "null-eigenvalue", "pure-qutrits"],
     )
     def test_swapping_the_states_swaps_the_start(self, ensemble):
         start = self.start(ensemble)
         np.testing.assert_allclose(self.start(ensemble.permuted([1, 0])), start[::-1], rtol=0, atol=1e-14)
-        # Off the null space the start is helstrom's projective measurement.
+        # Off the null space the start is helstrom's projective measurement,
+        # and on it each element is half the identity.
         gamma = ensemble.weighted_stack()[0] - ensemble.weighted_stack()[1]
         w, v = np.linalg.eigh(gamma)
-        live = v[:, np.abs(w) > 1e-12]
+        live, null = v[:, np.abs(w) > 1e-12], v[:, np.abs(w) <= 1e-12]
         np.testing.assert_allclose(
             live.conj().T @ start @ live, live.conj().T @ helstrom(ensemble).povm.elements @ live, rtol=0, atol=1e-14
         )
+        np.testing.assert_allclose(null.conj().T @ start @ null, [np.eye(null.shape[1]) / 2] * 2, rtol=0, atol=1e-12)
 
     def test_identical_states_at_equal_priors_start_at_half_the_identity(self):
         rho = random_density(6, 3).matrix
         ensemble = make_ensemble([0.5, 0.5], [rho, rho])
         np.testing.assert_allclose(self.start(ensemble), [np.eye(3) / 2] * 2, rtol=0, atol=1e-15)
         result = solve(ensemble)
-        assert result.iterations == 1
+        assert result.iterations == 0
         np.testing.assert_allclose(result.povm.elements, [np.eye(3) / 2] * 2, rtol=0, atol=1e-12)
 
 

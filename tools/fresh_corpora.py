@@ -17,7 +17,7 @@ tool on two trees to show that a change to the solver moves no bit.  Exits
 1 if any instance does not converge, has a residual above its tolerance,
 has an ensemble_residual above 10 x its tolerance or takes more than 150
 iterations, and 0 otherwise.  The iteration cap sits well above the largest
-counts seen (60 at 1e-9 and 96 at 1e-13, of 7229 and 2493 in all) and far
+counts seen (60 at 1e-9 and 96 at 1e-13, of 6899 and 2415 in all) and far
 below the budget, so a
 reduced solve that eats the budget, or a stop rule below round-off, fails
 here before it leaves an instance unconverged.  The steering gate only
