@@ -21,31 +21,38 @@ I/sqrt(N).  The start and the map commute with a unitary change of frame and
 with a relabelling of the states, so the solver does too, up to round-off.
 
 Before any step, a solve with two or more live states judges one closed
-form.  A measurement is optimal exactly when its K = sum_x W_x M_x dominates
-every W_x, a condition on the dual side alone, so the optimal measurement of
-the best pair is optimal for the whole stack when its K dominates the other
-states too, and no iterate is needed to show it.  The pair is the one with
-the largest Helstrom value tr W_a + tr W_b + ||W_a - W_b||_1 (_best_pair,
-which runs eigvalsh only on the pairs that trace-norm bounds leave in the
-running: 423 of the acceptance corpus's 1453 pairs, 9-29 of the 496 at
-N = 32, d = 16), and its support is the pair, or one of its states alone
-when W_a - W_b is definite.  If the loop's residual of that closed form meets
-the stop rule, solve returns it after 0 iterations.  Two live states are
-their own best pair, and their Helstrom measurement attains the two-state
-bound, so every two-state solve of the acceptance and fresh corpora ends
-there.  That measurement (_helstrom_factors) reads an eigenvalue of W_0 - W_1
-within round-off of zero as exactly zero and splits its eigenspace evenly:
-split by the sign of round-off instead, a pure pair's null space broke
-unitary covariance on 4 of 30 random draws (POVMs 0.16-0.82 apart).  On the
-acceptance corpus 118 solves end before the first step, its 42 pairs among
-them, and the corpus takes 789 iterations; fresh seeds 1-8 take 6899 and
-seeds 1-2 at 1e-13 2415.  The check is left out when the pairs that tie the
-best value exactly give different supports (judging one of two relabelled
-twins breaks the relabelling symmetry: 10 of 10 relabellings of sixteen
-copies of I/2 gave a POVM that was not the relabelled one; a dominant state
-ties all its pairs, which agree on it).  When the check fails, the loop runs
-from the uniform start, told which support was judged; on such a tie it runs
-with none.
+form, and nothing else in the solver judges one.  A measurement is optimal
+exactly when its K = sum_x W_x M_x dominates every W_x, a condition on the
+dual side alone, so the optimal measurement of the best pair is optimal for
+the whole stack when its K dominates the other states too, and no iterate
+is needed to show it.  The pair is the one with the largest Helstrom value
+tr W_a + tr W_b + ||W_a - W_b||_1 (_best_pair, which runs eigh only on the
+pairs that trace-norm bounds leave in the running: 423 of the acceptance
+corpus's 1453 pairs, 9-29 of the 496 at N = 32, d = 16), and its support
+is the pair, or one of its states alone when W_a - W_b is definite.  If the
+loop's residual of that closed form meets the stop rule, solve returns it
+after 0 iterations.  Two live states are their own best pair, and their
+Helstrom measurement attains the two-state bound, so every two-state solve
+of the acceptance and fresh corpora ends there.  That measurement
+(_helstrom_factors, on the eigenpairs of W_a - W_b that _best_pair found)
+reads an eigenvalue within round-off of zero as exactly zero and splits its
+eigenspace evenly: split by the sign of round-off instead, a pure pair's
+null space broke unitary covariance on 4 of 30 random draws (POVMs
+0.16-0.82 apart).  On the acceptance corpus 118 solves end before the
+first step, its 42 pairs among them, and the corpus takes 789 iterations;
+fresh seeds 1-8 take 6899 and seeds 1-2 at 1e-13 2415.  Any optimum
+supported on one or two states is such a closed form, so the loop judges
+none: when its drop checks also judged the closed form of the states whose
+sigma_x was not yet positive definite, they judged 21 per pass of the
+acceptance corpus, none of which became the best iterate, and every result
+was the same to the bit.  When the pairs that tie the best value exactly
+give different supports, the union of those supports is judged if it
+holds at most two states, and no support otherwise: judging one of two
+relabelled twins breaks the relabelling symmetry (10 of 10 relabellings
+of sixteen copies of I/2 gave a POVM that was not the relabelled one),
+and twin dominant states tie on their own pair and on their pairs with
+every other state, whose supports together are the twins.  When the check
+fails, or judges nothing, the loop runs from the uniform start.
 
 On its own the map converges sublinearly on mixed, near-degenerate
 ensembles.  Each step therefore also forms a safeguarded Anderson candidate
@@ -64,33 +71,19 @@ definite (tr[sigma_x M_x] = 0 with sigma_x >= 0), yet the map shrinks M_x
 only sublinearly, the more slowly the smaller lambda_min(sigma_x) is.  An
 active-set step (_iterate) therefore looks, at the first iteration and then
 whenever the iterations used have doubled (1, 2, 4, 8, ...), for the
-states whose element vanishes, in two ways.
-  - Closed form.  It takes as support the states whose sigma_x is not yet
-    positive definite (lambda_min(sigma_x) <= 0), or, if there are none,
-    those the drop below keeps.  When that is one or two states but not
-    all, it judges their optimal measurement (_closed_form: I for one
-    state, the Helstrom measurement for a pair, zero elements elsewhere)
-    with the loop's own residual, at no iteration cost, and ends the solve
-    there if that meets the stop rule.  It judges a support only when it
-    differs from the last one judged (the check before the first step's
-    included): judged again, a support repeats the same elements and
-    residual, which can neither beat the best iterate nor meet the stop
-    rule.  Closed forms, the check before the first step's included, take
-    the acceptance corpus to 789 iterations and fresh seeds 1-8 to 6899;
-    with no closed form anywhere (reduced solves on the same one or two
-    states, and two live states iterated from the uniform start) they take
-    1514 and 12219.
-  - Drop.  It drops every state whose lambda_min(sigma_x) exceeds the
-    current residual and, when three or more states are kept, solves them
-    on their own, warm-started from their renormalised factors, and ends
-    the solve with the result, padded with zero elements, only if its
-    residual on the full stack meets the loop's own stop rule.  A drop
-    that keeps one or two states starts no reduced solve; the closed form
-    stands in for it.
-Either result is otherwise kept if it is the best iterate so far and the
-full iteration continues from where it was, so a wrong drop costs steps,
-and a wrong support one residual evaluation, but neither can be reported
-as converged.
+states whose element vanishes.  It drops every state whose
+lambda_min(sigma_x) exceeds the current residual and, when three or more
+states are kept, solves them on their own, warm-started from their
+renormalised factors, and ends the solve with the result, padded with zero
+elements, only if its residual on the full stack meets the loop's own stop
+rule.  A drop that keeps one or two states starts no reduced solve (with
+such solves the acceptance corpus takes 812 iterations instead of 789).
+The result is otherwise kept if it is the best iterate so far and the full
+iteration continues from where it was, so a wrong drop costs steps but
+cannot be reported as converged.  Closed forms take the acceptance corpus
+to 789 iterations and fresh seeds 1-8 to 6899; with none (reduced solves
+on one or two states, and two live states iterated from the uniform start)
+they take 1514 and 12219.
 A reduced solve gives up early in three ways, each kept for what it saves
 on corpora drawn like the acceptance corpus at tolerance 1e-9:
   - when its residual first falls below the parent's residual at the drop
@@ -111,15 +104,19 @@ The stop rule asks for min(tolerance, max(tolerance / POLISH_FACTOR, 4 d
 eps)), 4 d eps being where a d x d residual stops falling.  The polish below
 tolerance buys headroom for the checks a report is put to; POLISH_FACTOR
 1e2 leaves each of them about 100x (see its comment), where 1e4 costs the
-acceptance corpus 905 iterations instead of 789.  Once the best
-residual is within tolerance the solve also stops after STALL_LIMIT steps
-without improvement and tries no more drops.  This exit bounds a stall
-between the tolerance and the floor: at every tolerance <= 1e-13,
+acceptance corpus 905 iterations instead of 789.  Once the best residual
+is within tolerance, or within the 4 d eps floor where that lies above the
+tolerance, the solve also stops after STALL_LIMIT steps without
+improvement; once it is within tolerance, it tries no more drops.  This
+exit bounds a stall near the floor: at tolerances 1e-13 and 1e-14
 acceptance instance 157 stalls 0.3 % above its floor and stops after 328
-iterations instead of 492.  It waits for the tolerance because a later drop
-can still rescue a stall above it: made unconditional like a reduced
-solve's, it stops fresh seed 9 #190 at 168 iterations with a residual of
-1.1e-7 instead of converging at 409.
+iterations instead of 492, and at 1e-15, below the floor, after 592
+instead of running out its 10000-step budget (unconverged either way, as
+the stop rule there asks for the tolerance itself).  It waits for the
+tolerance or the floor because a later drop can still rescue a stall above
+them: made unconditional like a reduced solve's, it stops fresh seed 9
+#190 at 168 iterations with a residual of 1.1e-7 instead of converging at
+409.
 
 Operators are held as (N, d, d) stacks: the weighted states W_x = q_x rho_x,
 the factors and the elements.  One routine each forms K = sum_x W_x M_x
@@ -326,13 +323,13 @@ def solve(ensemble: StateEnsemble, options: SolverOptions | None = None) -> Disc
     active = np.flatnonzero(ensemble.priors >= ZERO_PRIOR)
     weighted = ensemble.weighted_stack()[active]
     iterations = 0
-    judged = _best_pair(weighted) if len(active) > 1 else None
-    if judged is not None:
-        elements = _closed_form(weighted, judged)
+    best = _best_pair(weighted) if len(active) > 1 else None
+    if best is not None:
+        elements = _closed_form(weighted, *best)
         residual, evaluation = _residual(weighted, elements)
-    if judged is None or not residual <= _target(opts.kkt_tolerance, ensemble.dim):
+    if best is None or not residual <= _target(opts.kkt_tolerance, ensemble.dim):
         start = _uniform(*weighted.shape[:2])
-        elements, evaluation, _, iterations = _iterate(weighted, start, opts.max_iterations, opts.kkt_tolerance, judged=judged)
+        elements, evaluation, _, iterations = _iterate(weighted, start, opts.max_iterations, opts.kkt_tolerance)
     k, slackness, feas = evaluation
     if not np.isfinite(elements).all():
         raise CompletenessDrift("iterate left the POVM set: NaN or Inf entries")
@@ -383,7 +380,6 @@ def _iterate(
     dropped: np.ndarray | None = None,
     limit: float = np.inf,
     patience: int = 0,
-    judged: list[int] | np.ndarray | None = None,
 ) -> tuple[np.ndarray, tuple, int, int]:
     """The accelerated map on a stack of weighted states, with the active-set step.
 
@@ -391,23 +387,25 @@ def _iterate(
     elements seen (the start's, formed only when no step gave a finite
     residual), _residual's evaluation of them, the step at which they were
     found and the steps taken, those of nested reduced solves included.  The
-    stop rule, the stall exit, the closed forms and the drops, tried at iteration FIRST_DROP_CHECK and
-    then whenever the steps taken have doubled, are described in the module
-    docstring.  Neither is tried once the best residual is within tolerance:
-    at round-off level the sign of lambda_min(sigma_x) says nothing.  In a
-    reduced solve, dropped holds the dropped weighted states, limit the
-    parent's residual at the drop and patience the steps the parent had
-    taken then.  judged is the support whose closed form the caller has
-    already judged, which no drop check judges again until another has been.
+    stop rule, the stall exit and the drops, tried at iteration
+    FIRST_DROP_CHECK and then whenever the steps taken have doubled, are
+    described in the module docstring.  No drop is tried once the best
+    residual is within tolerance: at round-off level the sign of
+    lambda_min(sigma_x) says nothing.  The loop judges no closed form: solve
+    judges the best pair's before the first step.  In a reduced solve,
+    dropped holds the dropped weighted states, limit the parent's residual at
+    the drop and patience the steps the parent had taken then.
     """
     target = _target(tolerance, weighted.shape[1])
+    # The best residual at which the stall exit holds: any in a reduced solve,
+    # else the tolerance, or the round-off floor where that lies above it.
+    settled = np.inf if dropped is not None else max(tolerance, 4 * weighted.shape[1] * EPS)
     start = factors
     best = None
     best_residual = np.inf
     best_at = 0
     residual = np.inf
     anderson = _Anderson(factors.shape)
-    nested = dropped is not None
     check = FIRST_DROP_CHECK
     iterations = 0
     while iterations < budget:
@@ -431,7 +429,7 @@ def _iterate(
             best_residual, best, best_at = residual, (elements, evaluation), iterations
         if residual <= target:
             break
-        if iterations - best_at >= STALL_LIMIT and (nested or best_residual <= tolerance):
+        if iterations - best_at >= STALL_LIMIT and best_residual <= settled:
             break
         if dropped is not None:
             if residual < limit:
@@ -443,20 +441,6 @@ def _iterate(
                 break
         if iterations == check and best_residual > tolerance:
             keep = ~_vanishing(feas, residual)
-            # The closed form's support: the states whose sigma_x is not yet
-            # positive definite, or else those the drop keeps.
-            support = feas <= 0
-            if not support.any():
-                support = keep
-            support = np.flatnonzero(support)
-            if 0 < len(support) < min(3, len(weighted)) and not np.array_equal(support, judged):
-                judged = support
-                closed = _closed_form(weighted, support)
-                closed_residual, closed_evaluation = _residual(weighted, closed)
-                if closed_residual < best_residual:
-                    best_residual, best, best_at = closed_residual, (closed, closed_evaluation), iterations
-                if closed_residual <= target:
-                    break
             if 2 < np.count_nonzero(keep) < len(keep):
                 reduced, _, reduced_at, used = _iterate(
                     weighted[keep],
@@ -491,44 +475,45 @@ def _vanishing(feas: np.ndarray, residual: float) -> np.ndarray:
 
     At an optimum tr[sigma_x M_x] = 0 with sigma_x >= 0, so M_x = 0 wherever
     sigma_x is positive definite; here that is read as lambda_min(sigma_x)
-    above the current residual.  The states it keeps are the closed form's
-    support when every sigma_x is already positive definite.
+    above the current residual.
     """
     return feas > residual
 
 
-def _closed_form(weighted: np.ndarray, support: np.ndarray) -> np.ndarray:
+def _closed_form(weighted: np.ndarray, support: list[int], w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The optimal measurement of the one or two states in support, with zero elements elsewhere.
 
-    One state gets I and a pair its Helstrom measurement (_helstrom_factors,
-    which the priors' scale does not move).  When the optimal elements of
-    the other states vanish this is the optimum of the whole stack, and the
-    loop's residual says whether they do: before the first step for the
-    best pair (_best_pair), and at the loop's drop checks for the states
-    whose sigma_x is not yet positive definite.
+    One state gets I and a pair (a, b) its Helstrom measurement
+    (_helstrom_factors on the eigenpairs w, v of W_a - W_b that _best_pair
+    found, which the priors' scale does not move).  When the optimal
+    elements of the other states vanish this is the optimum of the whole
+    stack; solve judges it with the loop's residual before the first step,
+    which says whether they do.
     """
     elements = np.zeros(weighted.shape, dtype=complex)
     if len(support) == 2:
-        elements[support] = _elements_of(_helstrom_factors(weighted[support]))
+        elements[support] = _elements_of(_helstrom_factors(w, v, np.abs(weighted[support]).max()))
     else:
         elements[support] = _identity(weighted.shape[1])
     return elements
 
 
-def _best_pair(weighted: np.ndarray) -> list[int] | None:
-    """The closed-form support of the pair with the largest Helstrom value, or None on a tie between supports.
+def _best_pair(weighted: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray] | None:
+    """The closed-form support of the pair with the largest Helstrom value and the eigenpairs of its W_a - W_b.
 
     The value of a pair (a, b) is tr W_a + tr W_b + ||W_a - W_b||_1.  Only
-    the pairs that can win get an eigvalsh: ||X||_F <= ||X||_1 <= min(tr W_a
-    + tr W_b, sqrt(d) ||X||_F) bounds the trace norm of X = W_a - W_b, and a
+    the pairs that can win get an eigh: ||X||_F <= ||X||_1 <= min(tr W_a +
+    tr W_b, sqrt(d) ||X||_F) bounds the trace norm of X = W_a - W_b, and a
     pair whose upper bound lies below the best lower bound cannot win (the
     relative 1e-12 covers the round-off of the bounds).  The support is the
     pair, or {a} or {b} alone when X is definite, so that a dominant state
-    gets I exactly.  Pairs whose values tie the best exactly must all give
-    the same support, else the result is None, so that relabelling exactly
-    equal states cannot change which support is judged.  A dominant state
-    a ties every pair (a, x) at 2 tr W_a, up to round-off, and each gives
-    {a}.
+    gets I exactly.  A dominant state a ties every pair (a, x) at 2 tr W_a,
+    up to round-off, and each gives {a}.  Pairs whose values tie the best
+    exactly but give different supports are judged on the union of their
+    supports, and when that holds more than two states the result is None:
+    relabelling exactly equal states then cannot change which support is
+    judged (twin dominant states a and b tie the pairs (a, b), (a, x) and
+    (b, x), with the supports {a, b}, {a} and {b}).
     """
     first, second = pair_indices(len(weighted))
     total = np.einsum("xii->x", weighted).real
@@ -537,28 +522,31 @@ def _best_pair(weighted: np.ndarray) -> list[int] | None:
     frobenius = np.sqrt(np.square(gap.view(float)).sum(axis=(1, 2)))
     upper = total + np.minimum(total, math.sqrt(weighted.shape[1]) * frobenius)
     live = np.flatnonzero(upper * (1 + 1e-12) >= (total + frobenius).max())
-    eigenvalues = _eigvalsh(gap[live])
-    values = total[live] + np.abs(eigenvalues).sum(axis=1)
-    top = values == values.max()
-    pairs = zip(first[live[top]].tolist(), second[live[top]].tolist(), eigenvalues[top].tolist())
-    supports = {(a,) if w[0] > 0 else (b,) if w[-1] < 0 else (a, b) for a, b, w in pairs}
-    return list(supports.pop()) if len(supports) == 1 else None
+    w, v = _eigh(gap[live])
+    values = total[live] + np.abs(w).sum(axis=1)
+    top = np.flatnonzero(values == values.max())
+    pairs = zip(first[live[top]].tolist(), second[live[top]].tolist(), w[top, 0].tolist(), w[top, -1].tolist())
+    supports = {(a,) if low > 0 else (b,) if high < 0 else (a, b) for a, b, low, high in pairs}
+    if len(supports) == 1:
+        return list(supports.pop()), w[top[0]], v[top[0]]
+    union = sorted(set().union(*supports))
+    return (union, *_eigh(weighted[union[0]] - weighted[union[1]])) if len(union) == 2 else None
 
 
-def _helstrom_factors(weighted: np.ndarray) -> np.ndarray:
-    """Factors of the Helstrom measurement of a (2, d, d) stack of weighted states.
+def _helstrom_factors(w: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
+    """Factors of the Helstrom measurement of two weighted states, from the eigenpairs of their difference.
 
     With W_0 - W_1 = V diag(w) V^dagger they are A_0 = V diag(sqrt(s)) and
     A_1 = V diag(sqrt(1 - s)), s = 1, 0 or 1/2 where w is positive, negative
     or zero: the elements project onto the positive and negative eigenspaces
     and split the null space evenly, A_0 A_0^dagger + A_1 A_1^dagger = V
     V^dagger, and swapping the states swaps the factors.  An eigenvalue with
-    |w| <= 16 d eps max|W| counts as zero, so that the round-off of a null
-    direction (about 1e-17 for a pure qutrit pair) cannot give it to either
-    state and break unitary covariance.
+    |w| <= 16 d eps scale, scale being the largest |entry| of W_0 and W_1,
+    counts as zero, so that the round-off of a null direction (about 1e-17
+    for a pure qutrit pair) cannot give it to either state and break unitary
+    covariance.
     """
-    w, v = _eigh(weighted[0] - weighted[1])
-    s = 0.5 * (1.0 + np.sign(w) * (np.abs(w) > 16 * len(w) * EPS * np.abs(weighted).max()))
+    s = 0.5 * (1.0 + np.sign(w) * (np.abs(w) > 16 * len(w) * EPS * scale))
     return np.array((v * np.sqrt(s), v * np.sqrt(1.0 - s)))
 
 

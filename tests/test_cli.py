@@ -42,8 +42,8 @@ def trine_file(tmp_path):
 @pytest.fixture
 def slow_file(tmp_path):
     # Needs 70 iterations, so a budget of 2 runs out (the trine needs 1).
-    # Its reduced solves keep at least three states, and no closed form
-    # (the check before the first step's included) shortens it.
+    # Its reduced solves keep at least three states, and the closed form
+    # judged before the first step does not end it.
     return write_instance(tmp_path / "slow.json", random_ensemble(54, 4, 3))
 
 
