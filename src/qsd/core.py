@@ -241,12 +241,15 @@ class Povm:
 
     def __post_init__(self):
         e = self.elements
-        shapes = [e.shape[1:]] * len(e) if isinstance(e, np.ndarray) and e.ndim == 3 else [np.shape(m) for m in e]
-        d = shapes[0][0] if shapes and shapes[0] else 0
-        for x, shape in enumerate(shapes):
-            if shape != (d, d):
-                raise DimensionMismatch(f"POVM element {x} has shape {shape}, expected {(d, d)}")
-        stack = np.array(self.elements, dtype=complex).reshape(len(shapes), d, d)
+        if isinstance(e, np.ndarray) and e.ndim == 3 and len(e) and e.shape[1] == e.shape[2]:
+            stack = np.array(e, dtype=complex)  # a non-empty square stack: every element has the first's shape
+        else:
+            shapes = [np.shape(m) for m in e]
+            d = shapes[0][0] if shapes and shapes[0] else 0
+            for x, shape in enumerate(shapes):
+                if shape != (d, d):
+                    raise DimensionMismatch(f"POVM element {x} has shape {shape}, expected {(d, d)}")
+            stack = np.array(e, dtype=complex).reshape(len(shapes), d, d)
         object.__setattr__(self, "elements", _frozen(stack))
 
     def __len__(self) -> int:
@@ -268,16 +271,23 @@ def _reject(bad: np.ndarray, name: str, error: type[QsdError], detail) -> None:
         raise error(f"{name if bad.size == 1 else f'{name} {x}'}: {detail(x)}")
 
 
-def _finite(stack: np.ndarray, name: str) -> np.ndarray:
-    """Each matrix's largest |A_ij| (at least 1) in a complex (..., d, d) stack, after checking it.
+def _scale(stack: np.ndarray) -> np.ndarray:
+    """Each matrix's largest |A_ij|, at least 1, in a complex (..., d, d) stack: NaN or Inf where an entry is (or |A_ij| overflows)."""
+    return np.abs(stack).max(axis=(-2, -1), initial=1.0)
 
-    Raises NonFinite, naming the first offending matrix as _reject does, if
-    an entry is NaN or Inf or its magnitude exceeds MAX_ENTRY / d.
+
+def _finite(stack: np.ndarray, name: str) -> None:
+    """Check that no entry of a complex (..., d, d) stack is NaN or Inf or of magnitude above MAX_ENTRY / d.
+
+    Raises NonFinite, naming the first offending matrix as _reject does.  A
+    stack that passes costs one reduction; the per-matrix scan and its
+    message run only when that fails.
     """
-    scale = np.abs(stack).max(axis=(-2, -1), initial=1.0)  # NaN or Inf where an entry is (or |A_ij| overflows)
-    _reject(~(scale <= MAX_ENTRY / max(stack.shape[-1], 1)), name, NonFinite,
-            lambda x: f"entry of magnitude {scale.flat[x]:.3e} overflows" if np.isfinite(scale.flat[x]) else "NaN or Inf entries")
-    return scale
+    bound = MAX_ENTRY / max(stack.shape[-1], 1)
+    if not np.abs(stack).max(initial=0.0) <= bound:
+        scale = _scale(stack)
+        _reject(~(scale <= bound), name, NonFinite,
+                lambda x: f"entry of magnitude {scale.flat[x]:.3e} overflows" if np.isfinite(scale.flat[x]) else "NaN or Inf entries")
 
 
 def _hermitian(stack, name: str) -> np.ndarray:
@@ -286,13 +296,17 @@ def _hermitian(stack, name: str) -> np.ndarray:
     Every entry must pass _finite (else NonFinite), and every matrix A be
     Hermitian within its own scale: max |A_ij - conj(A_ji)| <= HERMITIAN_TOL
     * max(1, max |A_ij|) (else NotHermitian).  Errors name the first
-    offending matrix as _reject does.
+    offending matrix as _reject does.  Every scale is at least 1, so a stack
+    whose largest deviation is within HERMITIAN_TOL passes on that one
+    reduction.
     """
     a = np.asarray(stack, dtype=complex)
-    scale = _finite(a, name)
+    _finite(a, name)
     adjoint = a.conj().swapaxes(-1, -2)
-    err = np.abs(a - adjoint).max(axis=(-2, -1), initial=0.0)
-    _reject(err > HERMITIAN_TOL * scale, name, NotHermitian, lambda x: f"max |A_ij - conj(A_ji)| = {err.flat[x]:.3e}")
+    deviation = np.abs(a - adjoint)
+    if not deviation.max(initial=0.0) <= HERMITIAN_TOL:
+        err = deviation.max(axis=(-2, -1), initial=0.0)
+        _reject(err > HERMITIAN_TOL * _scale(a), name, NotHermitian, lambda x: f"max |A_ij - conj(A_ji)| = {err.flat[x]:.3e}")
     return 0.5 * (a + adjoint)  # hermitian_part(a), its adjoint formed once
 
 

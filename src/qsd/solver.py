@@ -320,10 +320,11 @@ def solve(ensemble: StateEnsemble, options: SolverOptions | None = None) -> Disc
     """
     opts = options or _DEFAULT_OPTIONS
 
-    active = np.flatnonzero(ensemble.priors >= ZERO_PRIOR)
-    weighted = ensemble.weighted_stack()[active]
+    live = ensemble.priors >= ZERO_PRIOR
+    n = len(ensemble)
+    weighted = ensemble.weighted_stack() if live.all() else ensemble.weighted_stack()[live]
     iterations = 0
-    best = _best_pair(weighted) if len(active) > 1 else None
+    best = _best_pair(weighted) if len(weighted) > 1 else None
     if best is not None:
         elements = _closed_form(weighted, *best)
         residual, evaluation = _residual(weighted, elements)
@@ -337,11 +338,9 @@ def solve(ensemble: StateEnsemble, options: SolverOptions | None = None) -> Disc
     # The loop's evaluation of the elements it returns is their certificate.  A
     # zero-prior state gets a zero element, so zero slackness, and the
     # smallest eigenvalue of its sigma_x = K - q_x rho_x.
-    n = len(ensemble)
-    if len(active) < n:
-        elements, slackness, feas = (_padded(rows, active, n) for rows in (elements, slackness, feas))
-        idle = ensemble.priors < ZERO_PRIOR
-        feas[idle] = _eigvalsh(k - ensemble.weighted_stack()[idle])[:, 0]
+    if len(weighted) < n:
+        elements, slackness, feas = (_padded(rows, live, n) for rows in (elements, slackness, feas))
+        feas[~live] = _eigvalsh(k - ensemble.weighted_stack()[~live])[:, 0]
     povm = Povm(elements=elements)
     certificate = _certificate(ensemble.weighted_stack(), povm.elements, k, slackness, feas)
     report = _report(povm, certificate)
@@ -492,7 +491,8 @@ def _closed_form(weighted: np.ndarray, support: list[int], w: np.ndarray, v: np.
     """
     elements = np.zeros(weighted.shape, dtype=complex)
     if len(support) == 2:
-        elements[support] = _elements_of(_helstrom_factors(w, v, np.abs(weighted[support]).max()))
+        pair = slice(support[0], support[1] + 1, support[1] - support[0])  # rows a < b, as a view
+        elements[pair] = _elements_of(_helstrom_factors(w, v, np.abs(weighted[pair]).max()))
     else:
         elements[support] = _identity(weighted.shape[1])
     return elements
@@ -518,19 +518,26 @@ def _best_pair(weighted: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]
     first, second = pair_indices(len(weighted))
     total = np.einsum("xii->x", weighted).real
     total = total[first] + total[second]
-    gap = weighted[first] - weighted[second]
+    gap = weighted.take(first, axis=0) - weighted.take(second, axis=0)
     frobenius = np.sqrt(np.square(gap.view(float)).sum(axis=(1, 2)))
     upper = total + np.minimum(total, math.sqrt(weighted.shape[1]) * frobenius)
-    live = np.flatnonzero(upper * (1 + 1e-12) >= (total + frobenius).max())
-    w, v = _eigh(gap[live])
+    live = (upper * (1 + 1e-12) >= (total + frobenius).max()).nonzero()[0]
+    w, v = _eigh(gap.take(live, axis=0))
     values = total[live] + np.abs(w).sum(axis=1)
-    top = np.flatnonzero(values == values.max())
-    pairs = zip(first[live[top]].tolist(), second[live[top]].tolist(), w[top, 0].tolist(), w[top, -1].tolist())
-    supports = {(a,) if low > 0 else (b,) if high < 0 else (a, b) for a, b, low, high in pairs}
+    top = (values == values.max()).nonzero()[0]
+    if len(top) == 1:
+        i = top[0]
+        return list(_support(first.item(live[i]), second.item(live[i]), w[i])), w[i], v[i]
+    supports = {_support(first.item(p), second.item(p), w[i]) for i, p in zip(top, live[top])}
     if len(supports) == 1:
         return list(supports.pop()), w[top[0]], v[top[0]]
     union = sorted(set().union(*supports))
     return (union, *_eigh(weighted[union[0]] - weighted[union[1]])) if len(union) == 2 else None
+
+
+def _support(a: int, b: int, w: np.ndarray) -> tuple[int, ...]:
+    """The closed-form support of the pair (a, b) whose W_a - W_b has the ascending eigenvalues w: {a} or {b} alone when it is definite."""
+    return (a,) if w[0] > 0 else (b,) if w[-1] < 0 else (a, b)
 
 
 def _helstrom_factors(w: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
@@ -546,8 +553,8 @@ def _helstrom_factors(w: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
     for a pure qutrit pair) cannot give it to either state and break unitary
     covariance.
     """
-    s = 0.5 * (1.0 + np.sign(w) * (np.abs(w) > 16 * len(w) * EPS * scale))
-    return np.array((v * np.sqrt(s), v * np.sqrt(1.0 - s)))
+    s = np.where(np.abs(w) > 16 * len(w) * EPS * scale, w > 0, 0.5)
+    return v * np.sqrt(np.array((s, 1.0 - s)))[:, None, :]
 
 
 def _step(weighted: np.ndarray, factors: np.ndarray) -> np.ndarray:

@@ -373,6 +373,9 @@ class TestTraceNorm:
             trace_norm(small)
         with pytest.raises(NotHermitian, match="trace_norm input 1"):
             trace_norms(np.array([1e4 * np.eye(2), small]))
+        # The same deviation passes on a matrix whose largest entry admits it
+        # (1e-6 <= 1e-9 * 1e4), beyond the whole-stack shortcut at 1e-9.
+        np.testing.assert_allclose(trace_norms(np.array([1e4 * np.eye(2) + small, np.eye(2)])), [2e4, 2.0], rtol=1e-12)
 
     def test_density_difference_within_two(self):
         rng = np.random.default_rng(6)

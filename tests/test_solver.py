@@ -163,7 +163,9 @@ class TestAcceleration:
     """The Anderson step on square-root factors: the tail converges and every iterate stays a POVM."""
 
     def test_slowest_acceptance_instance_converges_quickly(self):
-        # The plain fixed-point map needs 7004 iterations on this pure N = 5, d = 2 instance.
+        # The plain fixed-point map alone (no Anderson candidate, no drop
+        # checks, no check before the first step) needs 5059 iterations on
+        # this pure N = 5, d = 2 instance.
         ensemble = corpus_member(20260101, 103)
         assert (len(ensemble), ensemble.dim) == (5, 2)
         result = solve(ensemble)
@@ -171,7 +173,9 @@ class TestAcceleration:
         assert result.iterations <= 100
 
     def test_stalled_pure_instance_now_converges(self):
-        # The plain map stops at a residual of 2.25e-9 on this pure N = 4, d = 4 instance.
+        # The plain map alone meets the stop rule at iteration 6 on this pure
+        # N = 4, d = 4 instance with an iterate outside the POVM set: solve
+        # raises CompletenessDrift, primal residual 3.9e-8.
         ensemble = corpus_member(1, 90)
         assert (len(ensemble), ensemble.dim) == (4, 4)
         assert solve(ensemble).converged
@@ -503,17 +507,27 @@ class TestBestPairCheck:
                 yield random_ensemble(rng, n, d, pure=pure)
 
     def test_pruned_scan_picks_the_full_scans_pair(self):
+        # A two-state support (s0, s1), s0 < s1, comes with the eigenpairs of
+        # W_s0 - W_s1, bit for bit those of numpy.linalg.eigh on that matrix
+        # alone, which _closed_form hands to _helstrom_factors.
         from .test_hostile import CASES, solved_case
 
         ensembles = [*corpus_ensembles(20260101), *(solved_case(*case)[0] for case in CASES), *self.ladder_draws()]
-        scanned = 0
+        pairs = 0
         for ensemble in ensembles:
             weighted = ensemble.weighted_stack()[ensemble.priors >= solver.ZERO_PRIOR]
-            if len(weighted) > 2:
-                best = solver._best_pair(weighted)
-                assert (best if best is None else tuple(best[0])) == self.full_scan(weighted)
-                scanned += 1
-        assert scanned == 158 + 25 + 8  # the instances with three or more live states
+            best = solver._best_pair(weighted)
+            assert (best if best is None else tuple(best[0])) == self.full_scan(weighted)
+            if best is not None and len(best[0]) == 2:
+                s0, s1 = best[0]
+                assert s0 < s1
+                w, v = np.linalg.eigh(weighted[s0] - weighted[s1])
+                np.testing.assert_array_equal(best[1], w)
+                np.testing.assert_array_equal(best[2], v)
+                pairs += 1
+        # Every instance has two or more live states (42 corpus and 3 hostile
+        # ones have exactly two), and 187 + 27 + 8 of the supports are pairs.
+        assert (len(ensembles), pairs) == (200 + 28 + 8, 187 + 27 + 8)
 
     @pytest.mark.parametrize(
         "priors, states, steps",
